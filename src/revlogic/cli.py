@@ -11,9 +11,10 @@ Subcommands:
     bcd verify [--digits N]   exhaustive check against the decimal oracle
     bcd table [--costs F]     reference comparison table plus recomputation
 
-Exit codes: 0 success; 1 verification or validation failure; 2 parse
-error (netlist or cost-table syntax); 3 usage error (bad arguments,
-unreadable files).
+Exit codes: 0 success; 1 verification or validation failure, or any
+other library error; 2 parse error (netlist or cost-table syntax, a
+netlist that is not UTF-8); 3 usage error (bad arguments, unreadable
+files).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .designs import (
     reference_table,
     verify_bcd_adder,
 )
+from .errors import RevLogicError
 from .gates import (
     BitWord,
     CostTableError,
@@ -49,6 +51,7 @@ from .netlist import (
 )
 from .netlist_text import (
     LocatedError,
+    decode_netlist,
     elaborate,
     emit_netlist,
     parse_netlist,
@@ -73,9 +76,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_circuit(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return elaborate(parse_netlist(text))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return elaborate(parse_netlist(decode_netlist(data)))
 
 
 def _load_costs(path: str | None) -> Mapping[str, int] | None:
@@ -157,8 +160,9 @@ def cmd_bcd_build(args) -> int:
 def cmd_bcd_verify(args) -> int:
     total, failures = verify_bcd_adder(args.digits)
     print(f"{total - len(failures)}/{total} cases pass")
-    for a, b, cin, got, want in failures[:_MAX_PRINTED_FAILURES]:
-        print(f"FAIL: {a} + {b} + {cin}: circuit {got}, oracle {want}")
+    for f in failures[:_MAX_PRINTED_FAILURES]:
+        print(f"FAIL: {f.a} + {f.b} + {f.cin}: circuit {f.got_bits} -> {f.got}, "
+              f"oracle {f.want_bits} -> {f.want}")
     if len(failures) > _MAX_PRINTED_FAILURES:
         print(f"... and {len(failures) - _MAX_PRINTED_FAILURES} more")
     return EXIT_OK if not failures else EXIT_FAIL
@@ -308,6 +312,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RevLogicError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -27,10 +27,11 @@ circuit anywhere in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RevLogicError
 from .gates import BitWord, catalog_by_name
-from .netlist import Circuit, CircuitBuilder, Wire, new_circuit
+from .netlist import Circuit, CircuitBuilder, Wire, new_circuit, tile
 
 
 class BadDigitCount(RevLogicError):
@@ -347,27 +348,144 @@ def decode_bcd_result(outputs: BitWord, digits: int = 1) -> tuple[int, int]:
     return cout, value
 
 
-def verify_bcd_adder(digits: int = 1) -> tuple[int, list[tuple]]:
+class BcdFailure(NamedTuple):
+    """One case the adder gets wrong, as `verify_bcd_adder` reports it.
+
+    `got` and `want` are decoded (cout, sum) pairs; `got_bits` and
+    `want_bits` are the raw output word and the BCD encoding of the
+    oracle's result. The bits decide a failure: a non-BCD nibble can
+    decode to the right number.
+    """
+
+    a: int
+    b: int
+    cin: int
+    got: tuple[int, int]
+    want: tuple[int, int]
+    got_bits: BitWord
+    want_bits: BitWord
+
+
+def _bcd_result_word(cout: int, total: int, digits: int) -> BitWord:
+    """The adder output word for a result: cout, then BCD digits MSB-first."""
+    # Read in base 16, a number's decimal digits are its BCD nibbles.
+    return BitWord.from_int((cout << 4 * digits) | int(f"{total:0{digits}d}", 16),
+                            4 * digits + 1)
+
+
+def _digit_planes(run: int, count: int) -> list[int]:
+    """Indicator planes [digit == x] for x in 0..9 of a digit that holds
+    each value for `run` consecutive words and cycles with period 10*run."""
+    return [tile(((1 << run) - 1) << (run * x), 10 * run, count // (10 * run))
+            for x in range(10)]
+
+
+def _nibble_planes(indicators: list[int]) -> list[int]:
+    """The digit's four bit planes, MSB first, from its indicator planes."""
+    bits = [0, 0, 0, 0]
+    for x, plane in enumerate(indicators):
+        for k in range(4):
+            if (x >> (3 - k)) & 1:
+                bits[k] |= plane
+    return bits
+
+
+def _add_digit_planes(pair_sums: list[int], carry: int) -> tuple[list[int], int]:
+    """Decimal addition on planes: sum-digit bit planes (MSB first) and the
+    carry-out plane, given indicator planes [a_p + b_p == s] for s in 0..18
+    and the carry-in plane."""
+    no_carry = ~carry
+    digit = [0] * 10
+    carry_out = 0
+    for s, plane in enumerate(pair_sums):
+        if not plane:
+            continue
+        for total, words in ((s, plane & no_carry), (s + 1, plane & carry)):
+            digit[total % 10] |= words
+            if total >= 10:
+                carry_out |= words
+    return _nibble_planes(digit), carry_out
+
+
+def _set_bits(plane: int):
+    """Indices of the set bits of `plane`, ascending."""
+    text = format(plane, "b")[::-1]
+    index = text.find("1")
+    while index >= 0:
+        yield index
+        index = text.find("1", index + 1)
+
+
+def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
     """Exhaustively compare the n-digit adder against the decimal oracle.
 
     Covers every valid operand pair and carry-in: 10^n * 10^n * 2 cases.
-    Returns (case count, failures); each failure records the operands
-    and both results.
+    A case passes only when the circuit's output bits equal the BCD
+    encoding of the oracle's result. Returns (case count, failures),
+    failures in (a, b, cin) order, each re-run through the scalar
+    `simulate` to build its record.
+
+    The cases run bit-parallel (`Circuit.simulate_planes`) in 100 chunks,
+    one per pair of top digits. Word j of a chunk is the case whose lower
+    digits and carry-in satisfy j = (a_low * 10^(n-1) + b_low) * 2 + cin.
+    The expected output planes come from decimal arithmetic on digit
+    indicator planes, never from the circuit; the lower digits' input and
+    expected planes are built once and shared by every chunk.
     """
     circuit = build_bcd_adder_n(digits)
-    limit = 10**digits
-    failures: list[tuple] = []
-    total = 0
-    for a in range(limit):
-        for b in range(limit):
-            for cin in (0, 1):
-                total += 1
-                outputs, _ = circuit.simulate(encode_bcd_operands(a, b, cin, digits))
-                got = decode_bcd_result(outputs, digits)
-                want = oracle_bcd_add_number(a, b, cin, digits)
-                if got != want:
-                    failures.append((a, b, cin, got, want))
-    return total, failures
+    low = 10 ** (digits - 1)
+    count = 2 * low * low
+    mask = (1 << count) - 1
+    cin = tile(0b10, 2, low * low)
+    carry = cin
+    # Input and expected output planes of the lower digits, MSB first.
+    a_lower: list[int] = []
+    b_lower: list[int] = []
+    want_lower: list[int] = []
+    for p in range(digits - 1):
+        a_digit = _digit_planes(2 * low * 10**p, count)
+        b_digit = _digit_planes(2 * 10**p, count)
+        pair_sums = [0] * 19
+        for x, a_plane in enumerate(a_digit):
+            for y, b_plane in enumerate(b_digit):
+                pair_sums[x + y] |= a_plane & b_plane
+        sum_bits, carry = _add_digit_planes(pair_sums, carry)
+        a_lower[:0] = _nibble_planes(a_digit)
+        b_lower[:0] = _nibble_planes(b_digit)
+        want_lower[:0] = sum_bits
+
+    # A chunk's top digits are the same in all its words, so its expected
+    # outputs depend only on their sum.
+    want_by_top_sum = []
+    for s in range(19):
+        top_bits, cout = _add_digit_planes([mask if t == s else 0 for t in range(19)],
+                                           carry)
+        want_by_top_sum.append([cout] + top_bits + want_lower)
+
+    cases: list[tuple[int, int, int]] = []
+    for x in range(10):
+        for y in range(10):
+            top_a = [mask if (x >> (3 - k)) & 1 else 0 for k in range(4)]
+            top_b = [mask if (y >> (3 - k)) & 1 else 0 for k in range(4)]
+            outputs, _ = circuit.simulate_planes(
+                top_a + a_lower + top_b + b_lower + [cin], count)
+            diff = 0
+            for got, want in zip(outputs, want_by_top_sum[x + y]):
+                diff |= got ^ want
+            for j in _set_bits(diff):
+                a_low, b_low = divmod(j >> 1, low)
+                cases.append((x * low + a_low, y * low + b_low, j & 1))
+
+    failures: list[BcdFailure] = []
+    for a, b, c in sorted(cases):
+        outputs, _ = circuit.simulate(encode_bcd_operands(a, b, c, digits))
+        want = oracle_bcd_add_number(a, b, c, digits)
+        want_bits = _bcd_result_word(*want, digits)
+        if outputs == want_bits:
+            raise RuntimeError(f"plane and scalar simulation disagree on {a} + {b} + {c}")
+        failures.append(BcdFailure(a, b, c, decode_bcd_result(outputs, digits), want,
+                                   outputs, want_bits))
+    return 2 * 100**digits, failures
 
 
 @dataclass(frozen=True)

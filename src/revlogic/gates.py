@@ -19,7 +19,7 @@ inputs through untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from typing import Callable, Iterable, Sequence
 
@@ -176,6 +176,31 @@ class GateDef:
     @property
     def arity(self) -> int:
         return self.table.arity
+
+    @cached_property
+    def anf(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Algebraic normal form of each output pin, in pin order.
+
+        Pin k's entry lists its monomials; each monomial is a tuple of
+        input pin indices, and the empty tuple is the constant 1. The
+        pin's value is the XOR over its monomials of the AND of the
+        inputs each names. Computed once per gate by the Möbius
+        transform of the pin's column of the truth table.
+        """
+        n = self.arity
+        pins = []
+        for k in range(n):
+            coeffs = [(out >> (n - 1 - k)) & 1 for out in self.table.rows]
+            for b in range(n):
+                step = 1 << b
+                for word in range(self.table.size):
+                    if word & step:
+                        coeffs[word] ^= coeffs[word ^ step]
+            pins.append(tuple(
+                tuple(p for p in range(n) if (word >> (n - 1 - p)) & 1)
+                for word, coeff in enumerate(coeffs) if coeff
+            ))
+        return tuple(pins)
 
     def apply(self, word: BitWord) -> BitWord:
         """Map an input word through the gate's truth table."""
@@ -361,8 +386,16 @@ def parse_cost_table(text: str) -> dict[str, int]:
 
 
 def load_cost_table(path) -> dict[str, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cost_table(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise CostTableError(
+            f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+    return parse_cost_table(text)
 
 
 @cache

@@ -18,6 +18,15 @@ Garbage is explicit: an output that is neither marked as a primary
 output nor as garbage is a dangling wire and fails sealing. This keeps
 the garbage count an honest, declared quantity instead of an inferred
 one.
+
+A sealed circuit simulates two ways over one slot layout (`_plan`).
+`simulate` is the scalar reference: one input word, each gate a table
+lookup. `simulate_planes` is the bit-parallel kernel: it takes one
+Python int per input line, a *plane* whose bit j is that line's value
+in word j, and evaluates each gate pin once for the whole batch as the
+XOR of ANDs of its algebraic normal form (`GateDef.anf`), so the cost
+per gate is a few big-int operations however many words the planes
+hold. `mapping()` runs the kernel once over all 2^width words.
 """
 
 from __future__ import annotations
@@ -342,10 +351,62 @@ class Circuit:
                 f"{self.width} primary inputs exceed the exhaustive "
                 f"enumeration bound of {ENUMERATION_LIMIT}"
             )
+        count = 1 << self.width
+        # Input i is bit (width-1-i) of the word value: runs of 2^(width-1-i)
+        # zeros then as many ones, repeated.
+        planes = []
+        for i in range(self.width):
+            run = 1 << (self.width - 1 - i)
+            planes.append(tile(((1 << run) - 1) << run, 2 * run, count // (2 * run)))
+        outputs, garbage = self.simulate_planes(planes, count)
         return [
-            self.simulate(BitWord.from_int(value, self.width))
-            for value in range(1 << self.width)
+            (BitWord(out), BitWord(junk))
+            for out, junk in zip(_words(outputs, count), _words(garbage, count))
         ]
+
+    def simulate_planes(
+        self, planes: Sequence[int], count: int
+    ) -> tuple[list[int], list[int]]:
+        """Evaluate the circuit on `count` input words at once.
+
+        `planes` holds one nonnegative int per primary input, in input
+        order; bit j of plane i is input i's value in word j, for j in
+        [0, count). Returns (output planes, garbage planes) in marking
+        order, laid out the same way: word j of the result is what
+        `simulate` returns for word j of the input. Constant lines are
+        all-zero or all-one planes.
+        """
+        if len(planes) != self.width:
+            raise WidthMismatch(
+                f"circuit has {self.width} inputs, got {len(planes)} planes"
+            )
+        if count < 0 or planes and (min(planes) < 0 or max(planes) >> count):
+            raise ValueError(f"every plane must fit in count={count} bits")
+        ops, out_slots, garbage_slots, n_slots = self._plan
+        mask = (1 << count) - 1
+        values = [0] * n_slots
+        values[: self.width] = planes
+        base = self.width
+        values[base : base + len(self.constants)] = [
+            mask if c else 0 for c in self.constants
+        ]
+        for inst, (_, in_slots, out_base, _) in zip(self.instances, ops):
+            ins = [values[s] for s in in_slots]
+            for s in in_slots:
+                # No fan-out: each slot has exactly one reader, so free it.
+                values[s] = 0
+            for pin, monomials in enumerate(inst.gate.anf, start=out_base):
+                acc = 0
+                for monomial in monomials:
+                    if monomial:
+                        term = ins[monomial[0]]
+                        for p in monomial[1:]:
+                            term &= ins[p]
+                    else:
+                        term = mask
+                    acc ^= term
+                values[pin] = acc
+        return [values[s] for s in out_slots], [values[s] for s in garbage_slots]
 
     def describe(self, source: Source) -> str:
         """Human-readable name for a wire source, used in diagnostics."""
@@ -358,6 +419,45 @@ class Circuit:
         gate = self.instances[idx].gate
         pin_name = _PIN_NAMES[pin] if pin < len(_PIN_NAMES) else f"pin{pin}"
         return f"{gate.name}#{idx} output {pin_name}"
+
+
+def tile(block: int, length: int, repeats: int) -> int:
+    """The `length`-bit `block` repeated `repeats` times, first copy lowest.
+
+    This is block times the repunit (2^(length*repeats) - 1) / (2^length - 1),
+    built by doubling the copy count with shifts and ORs: big-int division
+    is quadratic in CPython, doubling is O(result size * log repeats).
+    """
+    result, filled = 0, 0
+    piece, copies = block, 1
+    while repeats:
+        if repeats & 1:
+            result |= piece << (filled * length)
+            filled += copies
+        repeats >>= 1
+        if repeats:
+            piece |= piece << (copies * length)
+            copies *= 2
+    return result
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _words(planes: Sequence[int], count: int) -> list[tuple[int, ...]]:
+    """Transpose `count`-word planes into one bit tuple per word, word 0 first.
+
+    Each plane is rendered once as a bit string, so the cost is linear in
+    planes * count; shifting a bit out of a big int per word would be
+    quadratic in count.
+    """
+    if not planes:
+        return [()] * count
+    columns = [
+        format(plane, f"0{count}b")[::-1].encode().translate(_BIT_BYTES)
+        for plane in planes
+    ]
+    return list(zip(*columns))
 
 
 def circuit_mapping(circuit: Circuit) -> list[tuple[BitWord, BitWord]]:

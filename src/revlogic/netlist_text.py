@@ -15,10 +15,11 @@ is used, which makes feedback impossible to express. The no-fan-out rule
 and the gate arities are enforced during elaboration, the rest at parse
 time. All diagnostics carry 1-based line and column numbers.
 
-`parse_netlist` turns text into a `NetlistDocument`, `elaborate` drives
-the circuit builder to a sealed `Circuit`, and `emit_netlist` renders a
-circuit back to text such that re-elaborating reproduces its behavior
-and metrics exactly.
+`decode_netlist` turns file bytes into text (a byte that is not UTF-8
+is a located error), `parse_netlist` turns text into a
+`NetlistDocument`, `elaborate` drives the circuit builder to a sealed
+`Circuit`, and `emit_netlist` renders a circuit back to text such that
+re-elaborating reproduces its behavior and metrics exactly.
 """
 
 from __future__ import annotations
@@ -178,18 +179,37 @@ def _name_list(line: _Line, what: str) -> list[_Token]:
     return tokens
 
 
+def decode_netlist(data: bytes) -> str:
+    """Decode netlist file contents as UTF-8.
+
+    An invalid byte is a NetlistSyntaxError at its line and column,
+    counted the way `parse_netlist` counts them.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Everything before the first bad byte decodes; the sentinel
+        # keeps a trailing line break from ending the last line.
+        lines = (data[: exc.start].decode("utf-8") + "x").splitlines()
+        raise NetlistSyntaxError(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}", len(lines), len(lines[-1])
+        ) from None
+
+
 def parse_netlist(
     text: str, catalog: Mapping[str, GateDef] | None = None
 ) -> NetlistDocument:
     """Parse netlist text into a document, validating names and order.
 
-    Checks statement shape, wire-name uniqueness, declaration-before-use
-    and gate-name existence; gate arities and fan-out are elaboration
-    concerns. `catalog` defaults to the built-in gate catalog.
+    Checks statement shape, wire-name uniqueness, declaration-before-use,
+    that no wire is named as an output twice, and gate-name existence;
+    gate arities and fan-out are elaboration concerns. `catalog`
+    defaults to the built-in gate catalog.
     """
     if catalog is None:
         catalog = catalog_by_name()
     declared: set[str] = set()
+    output_names: set[str] = set()
     statements: list[Statement] = []
 
     def declare(token: _Token) -> str:
@@ -253,8 +273,16 @@ def parse_netlist(
             outputs = tuple(declare(t) for t in _name_list(line, "output name"))
             statements.append(GateStmt(gate_tok.text, inputs, outputs, line_no))
         elif head.text == "OUTPUT":
-            names = tuple(resolve(t) for t in _name_list(line, "output name"))
-            statements.append(OutputStmt(names, line_no))
+            names = []
+            for token in _name_list(line, "output name"):
+                name = resolve(token)
+                if name in output_names:
+                    raise NetlistSyntaxError(
+                        f"wire {name!r} is already an output", token.line, token.column
+                    )
+                output_names.add(name)
+                names.append(name)
+            statements.append(OutputStmt(tuple(names), line_no))
         elif head.text == "GARBAGE":
             names = tuple(resolve(t) for t in _name_list(line, "garbage name"))
             statements.append(GarbageStmt(names, line_no))

@@ -1,9 +1,10 @@
-"""Acceptance gate: the eight headline criteria, one test each.
+"""Acceptance gate: the eight headline criteria, one test each, plus the
+exhaustive 3- and 4-digit cascade checks.
 
-Every test prints a single `criterion N PASS/FAIL: ...` line directly to
-the terminal (bypassing capture) with the measured quantity and, where a
-criterion carries one, its time bound. Tolerances are exact-match unless
-a runtime bound is stated.
+Every criterion test prints a single `criterion N PASS/FAIL: ...` line
+directly to the terminal (bypassing capture) with the measured quantity
+and, where a criterion carries one, its time bound. Tolerances are
+exact-match unless a runtime bound is stated.
 """
 
 from __future__ import annotations
@@ -164,3 +165,13 @@ def test_criterion_8_cascade_correctness(capsys):
     _report(capsys, 8, ok,
             f"2-digit cascade: {total - len(failures)}/{total} exact vs "
             f"chained oracle, {elapsed:.2f}s (bound 10s)")
+
+
+@pytest.mark.parametrize("digits, cases, bound_s", [(3, 2_000_000, 10.0),
+                                                    (4, 200_000_000, 60.0)])
+def test_exhaustive_wide_cascades(digits, cases, bound_s):
+    start = time.perf_counter()
+    result = verify_bcd_adder(digits)
+    elapsed = time.perf_counter() - start
+    assert result == (cases, [])
+    assert elapsed < bound_s, f"{digits} digits took {elapsed:.2f}s (bound {bound_s}s)"

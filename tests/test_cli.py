@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from revlogic import cli
 from revlogic.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from revlogic.designs import build_bcd_adder_digit
+from revlogic.errors import RevLogicError
 from revlogic.metrics import analyze
 
 FG_NETLIST = "INPUT a b\nGATE FG a b -> p q\nOUTPUT q\nGARBAGE p\n"
@@ -61,6 +63,20 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "/no/such/file.nl"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.nl"
+        path.write_bytes(b"INPUT a b\nGATE FG a b -> p q\nOUTPUT q # caf\xe9\nGARBAGE p\n")
+        assert main(["check", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: line 3, column 15: invalid UTF-8 byte 0xe9\n"
+
+    def test_output_named_twice(self, tmp_path, capsys):
+        path = tmp_path / "dup.nl"
+        path.write_text("INPUT a b\nGATE FG a b -> p q\nOUTPUT q p q\n")
+        assert main(["check", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: line 3, column 12: wire 'q' is already an output\n"
 
 
 class TestSim:
@@ -133,6 +149,12 @@ class TestMetrics:
         costs.write_text("FG seven\n")
         assert main(["metrics", fg_file, "--costs", str(costs)]) == EXIT_PARSE
 
+    def test_non_utf8_cost_table(self, fg_file, tmp_path, capsys):
+        costs = tmp_path / "costs.txt"
+        costs.write_bytes(b"FG 1\n# co\xfbt\n")
+        assert main(["metrics", fg_file, "--costs", str(costs)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: line 2: invalid UTF-8 byte 0xfb\n"
+
 
 class TestBcdBuild:
     def test_stdout(self, capsys):
@@ -198,3 +220,11 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
+
+    def test_library_errors_never_reach_the_user_as_tracebacks(self, monkeypatch, capsys):
+        def fail(digits):
+            raise RevLogicError("boom")
+
+        monkeypatch.setattr(cli, "verify_bcd_adder", fail)
+        assert main(["bcd", "verify"]) == EXIT_FAIL
+        assert capsys.readouterr().err == "error: boom\n"

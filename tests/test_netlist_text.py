@@ -17,6 +17,7 @@ from revlogic.netlist_text import (
     OutputStmt,
     UnknownGateName,
     UseBeforeDeclaration,
+    decode_netlist,
     elaborate,
     emit_netlist,
     parse_netlist,
@@ -110,6 +111,17 @@ class TestParse:
             parse_netlist("INPUT a b\nGATE FG a q -> p q\n")
         with pytest.raises(UseBeforeDeclaration):
             parse_netlist("INPUT a\nGARBAGE zz\n")
+
+    def test_output_named_twice(self):
+        with pytest.raises(NetlistSyntaxError) as err:
+            parse_netlist("INPUT a b\nGATE FG a b -> p q\nOUTPUT q\nOUTPUT p q\n")
+        assert (err.value.line, err.value.column) == (4, 10)
+
+    def test_decode_locates_bad_bytes(self):
+        assert decode_netlist("INPUT é\n".encode()) == "INPUT é\n"
+        with pytest.raises(NetlistSyntaxError) as err:
+            decode_netlist("INPUT é\r\n\nOUTPUT é ".encode() + b"\xff")
+        assert (err.value.line, err.value.column) == (3, 10)
 
     def test_redeclaration(self):
         with pytest.raises(NetlistSyntaxError):

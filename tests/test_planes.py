@@ -1,0 +1,197 @@
+"""Bit-parallel simulation against the scalar reference.
+
+`Circuit.simulate_planes`, `Circuit.mapping` and `verify_bcd_adder` run
+on planes; every test here checks them word for word against scalar
+`Circuit.simulate`, which stays the reference path.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build_from_plan, circuit_plans
+from revlogic import designs
+from revlogic.cli import EXIT_FAIL, main
+from revlogic.designs import (
+    build_bcd_adder_digit,
+    build_bcd_adder_n,
+    build_ripple_adder4,
+    encode_bcd_operands,
+    oracle_bcd_add_number,
+    verify_bcd_adder,
+)
+from revlogic.gates import BitWord, builtin_catalog
+from revlogic.netlist import WidthMismatch, tile
+
+
+@st.composite
+def sealed_circuits(draw):
+    """A random circuit with a random split of its lines into outputs and garbage."""
+    builder, pool, _ = build_from_plan(draw(circuit_plans()))
+    n_out = draw(st.integers(0, len(pool)))
+    for k, wire in enumerate(pool[:n_out]):
+        builder.mark_output(wire, f"o{k}")
+    for wire in pool[n_out:]:
+        builder.mark_garbage(wire)
+    return builder.seal()
+
+
+def pack(words: list[int], width: int) -> list[int]:
+    """Planes for input words given as MSB-first ints: bit j of plane i is
+    bit i of word j."""
+    return [
+        sum(((w >> (width - 1 - i)) & 1) << j for j, w in enumerate(words))
+        for i in range(width)
+    ]
+
+
+def unpack(planes: list[int], j: int) -> BitWord:
+    return BitWord(tuple((plane >> j) & 1 for plane in planes))
+
+
+def check_planes_match_scalar(circuit, words: list[int]) -> None:
+    outputs, garbage = circuit.simulate_planes(pack(words, circuit.width), len(words))
+    for j, value in enumerate(words):
+        want = circuit.simulate(BitWord.from_int(value, circuit.width))
+        assert (unpack(outputs, j), unpack(garbage, j)) == want
+
+
+class TestSimulatePlanes:
+    @given(sealed_circuits())
+    def test_full_enumeration_matches_scalar(self, circuit):
+        check_planes_match_scalar(circuit, list(range(1 << circuit.width)))
+
+    @given(st.data())
+    def test_random_words_match_scalar(self, data):
+        circuit = data.draw(sealed_circuits())
+        words = data.draw(st.lists(st.integers(0, (1 << circuit.width) - 1),
+                                   min_size=1, max_size=40))
+        check_planes_match_scalar(circuit, words)
+
+    def test_shipped_four_digit_adder_on_sampled_words(self):
+        circuit = build_bcd_adder_n(4)
+        words = [encode_bcd_operands(a, b, cin, 4).to_int()
+                 for a, b, cin in [(0, 0, 0), (9999, 9999, 1), (1234, 8766, 0),
+                                   (5000, 4999, 1), (9, 1, 0)]]
+        words.append((1 << circuit.width) - 1)  # non-BCD operands too
+        check_planes_match_scalar(circuit, words)
+
+    def test_width_and_range_checked(self):
+        circuit = build_bcd_adder_digit()
+        with pytest.raises(WidthMismatch):
+            circuit.simulate_planes([0] * 8, 4)
+        with pytest.raises(ValueError):
+            circuit.simulate_planes([0] * 8 + [0b10000], 4)
+
+
+class TestMapping:
+    @settings(max_examples=50)
+    @given(sealed_circuits())
+    def test_mapping_is_scalar_per_word(self, circuit):
+        assert circuit.mapping() == [
+            circuit.simulate(BitWord.from_int(v, circuit.width))
+            for v in range(1 << circuit.width)
+        ]
+
+    @pytest.mark.parametrize("build", [build_bcd_adder_digit, build_ripple_adder4])
+    def test_shipped_designs(self, build):
+        circuit = build()
+        assert circuit.mapping() == [
+            circuit.simulate(BitWord.from_int(v, circuit.width))
+            for v in range(1 << circuit.width)
+        ]
+
+
+def test_anf_reproduces_every_catalog_table():
+    for gate in builtin_catalog():
+        for word in range(gate.table.size):
+            ins = [(word >> (gate.arity - 1 - p)) & 1 for p in range(gate.arity)]
+            out = 0
+            for monomials in gate.anf:
+                bit = 0
+                for monomial in monomials:
+                    bit ^= all(ins[p] for p in monomial)
+                out = (out << 1) | bit
+            assert out == gate.table.rows[word], (gate.name, word)
+
+
+@pytest.mark.parametrize("block, length, repeats", [(0b10, 2, 5), (0b011, 3, 4),
+                                                    (1, 7, 1), (0b1, 1, 0)])
+def test_tile_is_block_times_repunit(block, length, repeats):
+    repunit = ((1 << length * repeats) - 1) // ((1 << length) - 1)
+    assert tile(block, length, repeats) == block * repunit
+
+
+def scalar_failures(circuit, digits: int):
+    """Reference verify loop: one scalar simulate per case, bit-exact."""
+    limit = 10**digits
+    for a in range(limit):
+        for b in range(limit):
+            for cin in (0, 1):
+                outputs, _ = circuit.simulate(encode_bcd_operands(a, b, cin, digits))
+                cout, total = oracle_bcd_add_number(a, b, cin, digits)
+                want = str(cout) + "".join(f"{int(d):04b}" for d in f"{total:0{digits}d}")
+                if str(outputs) != want:
+                    yield a, b, cin
+
+
+def flipped(circuit, index: int):
+    constants = list(circuit.constants)
+    constants[index] ^= 1
+    return dataclasses.replace(circuit, constants=tuple(constants))
+
+
+def verify_circuit(monkeypatch, circuit, digits: int):
+    monkeypatch.setattr(designs, "build_bcd_adder_n", lambda n: circuit)
+    return verify_bcd_adder(digits)
+
+
+class TestVerifyAgainstScalar:
+    @pytest.mark.parametrize("digits", [1, 2])
+    def test_shipped_adder_passes_both(self, digits):
+        assert list(scalar_failures(build_bcd_adder_n(digits), digits)) == []
+        assert verify_bcd_adder(digits) == (2 * 100**digits, [])
+
+    def test_one_digit_mutants_fail_identically(self, monkeypatch):
+        adder = build_bcd_adder_n(1)
+        for index in range(len(adder.constants)):
+            mutant = flipped(adder, index)
+            _, failures = verify_circuit(monkeypatch, mutant, 1)
+            reference = list(scalar_failures(mutant, 1))
+            assert reference, index
+            assert [f[:3] for f in failures] == reference, index
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_two_digit_mutants_fail_in_both(self, monkeypatch, index):
+        mutant = flipped(build_bcd_adder_n(2), index)
+        _, failures = verify_circuit(monkeypatch, mutant, 2)
+        first = next(scalar_failures(mutant, 2), None)
+        assert first is not None
+        assert failures and failures[0][:3] == first
+
+    def test_aliased_outputs_count_as_failures(self, monkeypatch):
+        # 0 + 9 + 1 outputs 0 0000 1010: the low nibble is not BCD but
+        # decodes to 10, the right number. Only the bits show the fault.
+        mutant = flipped(build_bcd_adder_n(2), 3)
+        total, failures = verify_circuit(monkeypatch, mutant, 2)
+        assert total == 20000
+        record = next(f for f in failures if f[:3] == (0, 9, 1))
+        assert record.got == record.want == (0, 10)
+        assert (str(record.got_bits), str(record.want_bits)) == ("000001010", "000010000")
+        assert [f[:3] for f in failures] == sorted(f[:3] for f in failures)
+
+    def test_cli_prints_raw_bits_of_failures(self, monkeypatch, capsys):
+        mutant = flipped(build_bcd_adder_n(2), 3)
+        monkeypatch.setattr(designs, "build_bcd_adder_n", lambda n: mutant)
+        assert main(["bcd", "verify", "--digits", "2"]) == EXIT_FAIL
+        lines = capsys.readouterr().out.splitlines()
+        got, _ = mutant.simulate(encode_bcd_operands(0, 0, 0, 2))
+        assert lines[0] == "0/20000 cases pass"
+        assert lines[1] == (f"FAIL: 0 + 0 + 0: circuit {got} -> "
+                            f"{designs.decode_bcd_result(got, 2)}, "
+                            f"oracle 000000000 -> (0, 0)")
+        assert lines[-1] == "... and 19990 more"
