@@ -48,6 +48,7 @@ from .netlist import (
     FanOutViolation,
     TooWide,
     ValidationFailed,
+    _PIN_NAMES,
 )
 from .netlist_text import (
     LocatedError,
@@ -62,7 +63,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
 
-_PIN_NAMES = "PQRS"
 _MAX_PRINTED_FAILURES = 10
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RevLogicError
-from .gates import BitWord, catalog_by_name
+from .gates import BIT_BYTES, BitWord, catalog_by_name
 from .netlist import Circuit, CircuitBuilder, Wire, new_circuit, tile
 
 
@@ -316,13 +316,9 @@ def encode_bcd_operands(a: int, b: int, cin: int, digits: int = 1) -> BitWord:
     if not 0 <= a < limit or not 0 <= b < limit:
         raise ValueError(f"operands must be in [0, {limit - 1}]")
     _bit("cin", cin)
-    bits: list[int] = []
-    for operand in (a, b):
-        for d in range(digits - 1, -1, -1):
-            nibble = (operand // 10**d) % 10
-            bits.extend((nibble >> k) & 1 for k in (3, 2, 1, 0))
-    bits.append(cin)
-    return BitWord(tuple(bits))
+    # Read in base 16, a number's decimal digits are its BCD nibbles.
+    word = int(f"{a:0{digits}d}{b:0{digits}d}", 16) << 1 | cin
+    return BitWord(format(word, f"0{8 * digits + 1}b").encode().translate(BIT_BYTES))
 
 
 def decode_bcd_result(outputs: BitWord, digits: int = 1) -> tuple[int, int]:

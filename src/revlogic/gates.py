@@ -27,6 +27,12 @@ from .errors import RevLogicError
 
 MAX_ARITY = 16
 
+_BIT_VALUES = frozenset((0, 1))
+
+# Maps the ASCII digits of a bit string to bytes 0/1, so that
+# `format(...).encode().translate(BIT_BYTES)` iterates as 0/1 ints.
+BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class NotBijective(RevLogicError):
     """Two inputs map to the same output; not a valid reversible gate."""
@@ -56,8 +62,14 @@ class BitWord:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(self.bits))
-        for b in self.bits:
+        bits = tuple(self.bits)
+        object.__setattr__(self, "bits", bits)
+        try:
+            if _BIT_VALUES.issuperset(bits):
+                return
+        except TypeError:  # an unhashable element; the loop names it
+            pass
+        for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"bit values must be 0 or 1, got {b!r}")
 
@@ -71,7 +83,8 @@ class BitWord:
             raise ValueError("width must be nonnegative")
         if not 0 <= value < (1 << width):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        return cls(tuple((value >> (width - 1 - i)) & 1 for i in range(width)))
+        # The leading 1 keeps width 0 (and leading zeros) exact.
+        return cls(format(value | 1 << width, "b")[1:].encode().translate(BIT_BYTES))
 
     @classmethod
     def from_string(cls, text: str) -> BitWord:
@@ -141,6 +154,27 @@ def is_bijective(table: TruthTable) -> bool:
     return True
 
 
+class _BitRows(dict):
+    """`GateDef.bit_rows`: each row is computed from `table.rows` when missed."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: TruthTable):
+        super().__init__()
+        self._table = table
+
+    def __missing__(self, bits):
+        table = self._table
+        if (not isinstance(bits, tuple) or len(bits) != table.arity
+                or not _BIT_VALUES.issuperset(bits)):
+            raise KeyError(bits)
+        word = 0
+        for b in bits:
+            word = (word << 1) | b
+        row = self[bits] = BitWord.from_int(table.rows[word], table.arity).bits
+        return row
+
+
 @dataclass(frozen=True)
 class GateDef:
     """A named reversible gate: a bijective truth table plus cost metadata.
@@ -201,6 +235,17 @@ class GateDef:
                 for word, coeff in enumerate(coeffs) if coeff
             ))
         return tuple(pins)
+
+    @cached_property
+    def bit_rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The truth table keyed by input-bit tuple, giving output-bit tuples.
+
+        Both tuples are MSB-first, one entry per pin, so scalar
+        simulation maps a gate's gathered input pins straight to its
+        output pins. Rows are filled in on first lookup, so a wide gate
+        only holds the rows it has actually met.
+        """
+        return _BitRows(self.table)
 
     def apply(self, word: BitWord) -> BitWord:
         """Map an input word through the gate's truth table."""

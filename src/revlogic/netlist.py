@@ -19,9 +19,15 @@ output nor as garbage is a dangling wire and fails sealing. This keeps
 the garbage count an honest, declared quantity instead of an inferred
 one.
 
-A sealed circuit simulates two ways over one slot layout (`_plan`).
-`simulate` is the scalar reference: one input word, each gate a table
-lookup. `simulate_planes` is the bit-parallel kernel: it takes one
+A sealed circuit simulates two ways over one cached slot layout
+(`_plan`): a flat value array holding the inputs, the constants, then
+each gate's output pins side by side. `simulate` is the scalar
+reference: for one input word, each gate gathers its input slots with
+one `operator.itemgetter` call, looks the resulting bit tuple up in
+`GateDef.bit_rows` (a truth table keyed by bit tuples and filled in
+lazily, row by row, as words meet it), and stores the output tuple
+into its contiguous pins with one slice assignment. `simulate_planes`
+is the bit-parallel kernel, checked against `simulate`: it takes one
 Python int per input line, a *plane* whose bit j is that line's value
 in word j, and evaluates each gate pin once for the whole batch as the
 XOR of ANDs of its algebraic normal form (`GateDef.anf`), so the cost
@@ -33,10 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import RevLogicError
-from .gates import BitWord, GateDef, WidthMismatch
+from .gates import BIT_BYTES, BitWord, GateDef, WidthMismatch
 
 # Exhaustive enumeration is capped here; 2^20 evaluations stay cheap.
 ENUMERATION_LIMIT = 20
@@ -79,6 +86,21 @@ class Instance:
 
     gate: GateDef
     sources: tuple[Source, ...]
+
+
+def _describe(
+    source: Source, input_labels: Sequence[str], instances: Sequence[Instance]
+) -> str:
+    """Human-readable name for a wire source, used in diagnostics."""
+    kind = source[0]
+    if kind == "in":
+        return f"input {input_labels[source[1]]!r}"
+    if kind == "const":
+        return f"constant #{source[1]}"
+    _, idx, pin = source
+    gate = instances[idx].gate
+    pin_name = _PIN_NAMES[pin] if pin < len(_PIN_NAMES) else f"pin{pin}"
+    return f"{gate.name}#{idx} output {pin_name}"
 
 
 class Wire:
@@ -145,15 +167,7 @@ class CircuitBuilder:
 
     def describe(self, source: Source) -> str:
         """Human-readable name for a wire source, used in diagnostics."""
-        kind = source[0]
-        if kind == "in":
-            return f"input {self.input_labels[source[1]]!r}"
-        if kind == "const":
-            return f"constant #{source[1]}"
-        _, idx, pin = source
-        gate = self._instances[idx].gate
-        pin_name = _PIN_NAMES[pin] if pin < len(_PIN_NAMES) else f"pin{pin}"
-        return f"{gate.name}#{idx} output {pin_name}"
+        return _describe(source, self.input_labels, self._instances)
 
     def add_constant(self, value: int) -> Wire:
         """Add a constant input line fixed at 0 or 1; returns its wire."""
@@ -268,6 +282,39 @@ def new_circuit(input_labels: Iterable[str]) -> CircuitBuilder:
     return CircuitBuilder(input_labels)
 
 
+def _gather(slots: tuple[int, ...]) -> Callable[[list], tuple]:
+    """A function returning the values at `slots` as a tuple, in one C call.
+
+    `itemgetter` takes no empty index list and returns a bare value for
+    a single index, so those two cases get their own tuple builders.
+    """
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        (only,) = slots
+        return lambda values: (values[only],)
+    return lambda values: ()
+
+
+class _Plan(NamedTuple):
+    """A circuit's flat slot layout, shared by both simulators.
+
+    Slots hold the inputs, then the constants, then each instance's
+    output pins, contiguous per instance. `steps` has one
+    `(gather, bit_rows, lo, hi)` per instance, in order: its input
+    slots are `in_slots[k]` and its outputs `lo` to `hi`. The two
+    readers gather the output and garbage slots in marking order. `fill`
+    is what follows the inputs in a fresh value array: the constants,
+    then a zero per gate pin.
+    """
+
+    steps: tuple[tuple[Callable[[list], tuple], dict, int, int], ...]
+    in_slots: tuple[tuple[int, ...], ...]
+    read_outputs: Callable[[list], tuple]
+    read_garbage: Callable[[list], tuple]
+    fill: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A sealed, immutable reversible circuit.
@@ -292,10 +339,7 @@ class Circuit:
         return tuple(label for label, _ in self.outputs)
 
     @cached_property
-    def _plan(self):
-        # Flat slot layout: inputs, constants, then each instance's
-        # output pins. Precomputing slot indices keeps simulate() to
-        # list indexing and table lookups.
+    def _plan(self) -> _Plan:
         slot: dict[Source, int] = {}
         for i in range(len(self.input_labels)):
             slot[("in", i)] = i
@@ -303,17 +347,21 @@ class Circuit:
         for j in range(len(self.constants)):
             slot[("const", j)] = base + j
         base += len(self.constants)
-        ops = []
+        steps = []
+        in_slots = []
         for idx, inst in enumerate(self.instances):
-            arity = inst.gate.arity
-            in_slots = tuple(slot[s] for s in inst.sources)
-            ops.append((inst.gate.table.rows, in_slots, base, arity))
-            for pin in range(arity):
+            ins = tuple(slot[s] for s in inst.sources)
+            hi = base + inst.gate.arity
+            steps.append((_gather(ins), inst.gate.bit_rows, base, hi))
+            in_slots.append(ins)
+            for pin in range(inst.gate.arity):
                 slot[("gate", idx, pin)] = base + pin
-            base += arity
-        out_slots = tuple(slot[s] for _, s in self.outputs)
-        garbage_slots = tuple(slot[s] for s in self.garbage)
-        return ops, out_slots, garbage_slots, base
+            base = hi
+        pins = base - self.width - len(self.constants)
+        return _Plan(tuple(steps), tuple(in_slots),
+                     _gather(tuple(slot[s] for _, s in self.outputs)),
+                     _gather(tuple(slot[s] for s in self.garbage)),
+                     self.constants + (0,) * pins)
 
     def simulate(self, inputs: BitWord) -> tuple[BitWord, BitWord]:
         """Evaluate the circuit; returns (outputs, garbage) as BitWords.
@@ -324,21 +372,11 @@ class Circuit:
             raise WidthMismatch(
                 f"circuit has {self.width} inputs, got a {inputs.width}-bit word"
             )
-        ops, out_slots, garbage_slots, n_slots = self._plan
-        values = [0] * n_slots
-        values[: inputs.width] = inputs.bits
-        base = inputs.width
-        values[base : base + len(self.constants)] = self.constants
-        for rows, in_slots, out_base, arity in ops:
-            word = 0
-            for s in in_slots:
-                word = (word << 1) | values[s]
-            out = rows[word]
-            for pin in range(arity):
-                values[out_base + pin] = (out >> (arity - 1 - pin)) & 1
-        outputs = BitWord(tuple(values[s] for s in out_slots))
-        garbage = BitWord(tuple(values[s] for s in garbage_slots))
-        return outputs, garbage
+        plan = self._plan
+        values = [*inputs.bits, *plan.fill]
+        for gather, bit_rows, lo, hi in plan.steps:
+            values[lo:hi] = bit_rows[gather(values)]
+        return BitWord(plan.read_outputs(values)), BitWord(plan.read_garbage(values))
 
     def mapping(self) -> list[tuple[BitWord, BitWord]]:
         """The (outputs, garbage) pair for every primary-input word.
@@ -382,15 +420,15 @@ class Circuit:
             )
         if count < 0 or planes and (min(planes) < 0 or max(planes) >> count):
             raise ValueError(f"every plane must fit in count={count} bits")
-        ops, out_slots, garbage_slots, n_slots = self._plan
+        plan = self._plan
         mask = (1 << count) - 1
-        values = [0] * n_slots
-        values[: self.width] = planes
-        base = self.width
-        values[base : base + len(self.constants)] = [
+        values = [*planes, *plan.fill]
+        values[self.width : self.width + len(self.constants)] = [
             mask if c else 0 for c in self.constants
         ]
-        for inst, (_, in_slots, out_base, _) in zip(self.instances, ops):
+        for inst, in_slots, (_, _, out_base, _) in zip(
+            self.instances, plan.in_slots, plan.steps
+        ):
             ins = [values[s] for s in in_slots]
             for s in in_slots:
                 # No fan-out: each slot has exactly one reader, so free it.
@@ -406,19 +444,11 @@ class Circuit:
                         term = mask
                     acc ^= term
                 values[pin] = acc
-        return [values[s] for s in out_slots], [values[s] for s in garbage_slots]
+        return list(plan.read_outputs(values)), list(plan.read_garbage(values))
 
     def describe(self, source: Source) -> str:
         """Human-readable name for a wire source, used in diagnostics."""
-        kind = source[0]
-        if kind == "in":
-            return f"input {self.input_labels[source[1]]!r}"
-        if kind == "const":
-            return f"constant #{source[1]}"
-        _, idx, pin = source
-        gate = self.instances[idx].gate
-        pin_name = _PIN_NAMES[pin] if pin < len(_PIN_NAMES) else f"pin{pin}"
-        return f"{gate.name}#{idx} output {pin_name}"
+        return _describe(source, self.input_labels, self.instances)
 
 
 def tile(block: int, length: int, repeats: int) -> int:
@@ -441,9 +471,6 @@ def tile(block: int, length: int, repeats: int) -> int:
     return result
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _words(planes: Sequence[int], count: int) -> list[tuple[int, ...]]:
     """Transpose `count`-word planes into one bit tuple per word, word 0 first.
 
@@ -454,7 +481,7 @@ def _words(planes: Sequence[int], count: int) -> list[tuple[int, ...]]:
     if not planes:
         return [()] * count
     columns = [
-        format(plane, f"0{count}b")[::-1].encode().translate(_BIT_BYTES)
+        format(plane, f"0{count}b")[::-1].encode().translate(BIT_BYTES)
         for plane in planes
     ]
     return list(zip(*columns))

@@ -33,6 +33,7 @@ from .gates import GateDef, catalog_by_name
 from .netlist import (
     ArityMismatch,
     Circuit,
+    DuplicateLabel,
     FanOutViolation,
     ValidationFailed,
     Wire,
@@ -168,6 +169,16 @@ def _name_token(token: _Token) -> str:
     return token.text
 
 
+def _declare(declared: set[str], name: str, line: int, column: int) -> str:
+    """Add a new wire name to `declared`; a bad or repeated name is an error."""
+    if not NAME_RE.fullmatch(name):
+        raise NetlistSyntaxError(f"bad wire name {name!r}", line, column)
+    if name in declared:
+        raise NetlistSyntaxError(f"wire {name!r} already declared", line, column)
+    declared.add(name)
+    return name
+
+
 def _name_list(line: _Line, what: str) -> list[_Token]:
     tokens = line.remaining()
     if not tokens:
@@ -213,13 +224,7 @@ def parse_netlist(
     statements: list[Statement] = []
 
     def declare(token: _Token) -> str:
-        name = _name_token(token)
-        if name in declared:
-            raise NetlistSyntaxError(
-                f"wire {name!r} already declared", token.line, token.column
-            )
-        declared.add(name)
-        return name
+        return _declare(declared, token.text, token.line, token.column)
 
     def resolve(token: _Token) -> str:
         name = _name_token(token)
@@ -301,47 +306,72 @@ def elaborate(
 ) -> Circuit:
     """Build and seal the circuit a document describes.
 
-    Structural errors (fan-out, arity, dangling wires) surface as the
-    netlist module's exception types with source locations prepended.
+    Structural errors (fan-out, arity, repeated output labels, dangling
+    wires) surface as the netlist module's exception types with source
+    locations prepended. A document built in code rather than parsed
+    gets located errors for what `parse_netlist` would have rejected
+    too: a bad or repeated wire name, a constant that is not a bit, an
+    undeclared wire or an unknown gate. Column numbers are not kept in
+    a document, so those errors point at column 1.
     """
     if catalog is None:
         catalog = catalog_by_name()
     input_labels = doc.input_labels
     if not input_labels:
         raise NetlistSyntaxError("netlist has no INPUT declarations", 1, 1)
+    declared: set[str] = set()
+
+    def declare(names: tuple[str, ...], stmt: Statement) -> None:
+        for name in names:
+            _declare(declared, name, stmt.line, 1)
+
+    # The builder takes every input at once, so inputs are declared first.
+    for stmt in doc.statements:
+        if isinstance(stmt, InputStmt):
+            declare(stmt.names, stmt)
     builder = new_circuit(input_labels)
     wires: dict[str, Wire] = dict(zip(input_labels, builder.inputs))
 
+    def wire(name: str, stmt: Statement) -> Wire:
+        try:
+            return wires[name]
+        except KeyError:
+            raise UseBeforeDeclaration(
+                f"wire {name!r} used before declaration", stmt.line, 1
+            ) from None
+
     for stmt in doc.statements:
-        if isinstance(stmt, InputStmt):
-            continue
-        if isinstance(stmt, ConstStmt):
-            wires[stmt.name] = builder.add_constant(stmt.value)
-        elif isinstance(stmt, GateStmt):
-            gate = catalog[stmt.gate]
-            if len(stmt.inputs) != gate.arity or len(stmt.outputs) != gate.arity:
-                raise ArityMismatch(
-                    f"line {stmt.line}: gate {gate.name} has arity {gate.arity}, "
-                    f"statement wires {len(stmt.inputs)} inputs "
-                    f"and {len(stmt.outputs)} outputs"
-                )
-            try:
-                out_wires = builder.add_gate(gate, [wires[n] for n in stmt.inputs])
-            except FanOutViolation as exc:
-                raise FanOutViolation(f"line {stmt.line}: {exc}") from None
-            wires.update(zip(stmt.outputs, out_wires))
-        elif isinstance(stmt, OutputStmt):
-            for name in stmt.names:
-                try:
-                    builder.mark_output(wires[name], name)
-                except FanOutViolation as exc:
-                    raise FanOutViolation(f"line {stmt.line}: {exc}") from None
-        elif isinstance(stmt, GarbageStmt):
-            for name in stmt.names:
-                try:
-                    builder.mark_garbage(wires[name])
-                except FanOutViolation as exc:
-                    raise FanOutViolation(f"line {stmt.line}: {exc}") from None
+        try:
+            if isinstance(stmt, ConstStmt):
+                declare((stmt.name,), stmt)
+                if stmt.value not in (0, 1):
+                    raise NetlistSyntaxError(
+                        f"constant value must be 0 or 1, got {stmt.value!r}",
+                        stmt.line,
+                        1,
+                    )
+                wires[stmt.name] = builder.add_constant(stmt.value)
+            elif isinstance(stmt, GateStmt):
+                gate = catalog.get(stmt.gate)
+                if gate is None:
+                    raise UnknownGateName(f"unknown gate {stmt.gate!r}", stmt.line, 1)
+                if len(stmt.inputs) != gate.arity or len(stmt.outputs) != gate.arity:
+                    raise ArityMismatch(
+                        f"gate {gate.name} has arity {gate.arity}, "
+                        f"statement wires {len(stmt.inputs)} inputs "
+                        f"and {len(stmt.outputs)} outputs"
+                    )
+                ins = [wire(n, stmt) for n in stmt.inputs]
+                declare(stmt.outputs, stmt)
+                wires.update(zip(stmt.outputs, builder.add_gate(gate, ins)))
+            elif isinstance(stmt, OutputStmt):
+                for name in stmt.names:
+                    builder.mark_output(wire(name, stmt), name)
+            elif isinstance(stmt, GarbageStmt):
+                for name in stmt.names:
+                    builder.mark_garbage(wire(name, stmt))
+        except (ArityMismatch, DuplicateLabel, FanOutViolation) as exc:
+            raise type(exc)(f"line {stmt.line}: {exc}") from None
 
     try:
         return builder.seal()

@@ -4,6 +4,8 @@ A plan is pure data (input count, constant bits, gate placements over a
 fixed-size wire pool), so hypothesis can shrink it; `build_from_plan`
 replays it through the builder. The pool keeps a constant size because
 every reversible gate consumes and produces the same number of wires.
+`sealed_circuits` seals such a circuit with a random split of its lines
+into outputs and garbage.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from revlogic.gates import builtin_catalog
-from revlogic.netlist import CircuitBuilder, Wire, new_circuit
+from revlogic.netlist import Circuit, CircuitBuilder, Wire, new_circuit
 
 
 @st.composite
@@ -52,3 +54,15 @@ def build_from_plan(plan) -> tuple[CircuitBuilder, list[Wire], list[Wire]]:
         for i, out in zip(picks, outs):
             pool[i] = out
     return builder, pool, consumed
+
+
+@st.composite
+def sealed_circuits(draw) -> Circuit:
+    """A random circuit with a random split of its lines into outputs and garbage."""
+    builder, pool, _ = build_from_plan(draw(circuit_plans()))
+    n_out = draw(st.integers(0, len(pool)))
+    for k, wire in enumerate(pool[:n_out]):
+        builder.mark_output(wire, f"o{k}")
+    for wire in pool[n_out:]:
+        builder.mark_garbage(wire)
+    return builder.seal()

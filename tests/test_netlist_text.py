@@ -7,12 +7,20 @@ import pytest
 from revlogic.designs import build_bcd_adder_digit, build_bcd_adder_n
 from revlogic.gates import catalog_by_name, make_gate
 from revlogic.metrics import analyze
-from revlogic.netlist import ArityMismatch, FanOutViolation, ValidationFailed, new_circuit
+from revlogic.errors import RevLogicError
+from revlogic.netlist import (
+    ArityMismatch,
+    DuplicateLabel,
+    FanOutViolation,
+    ValidationFailed,
+    new_circuit,
+)
 from revlogic.netlist_text import (
     ConstStmt,
     GateStmt,
     GarbageStmt,
     InputStmt,
+    NetlistDocument,
     NetlistSyntaxError,
     OutputStmt,
     UnknownGateName,
@@ -180,6 +188,53 @@ class TestElaborate:
     def test_output_label_is_wire_name(self):
         circuit = elaborate(parse_netlist(MINIMAL))
         assert circuit.output_labels == ("q",)
+
+    # Documents built in code skip parse_netlist's name checks, so
+    # elaborate must locate these itself.
+    def test_repeated_output_in_document_located(self):
+        doc = NetlistDocument((
+            InputStmt(("a", "b"), 1),
+            OutputStmt(("a",), 2),
+            OutputStmt(("a", "b"), 3),
+        ))
+        with pytest.raises(DuplicateLabel) as err:
+            elaborate(doc)
+        assert str(err.value) == "line 3: duplicate output label 'a'"
+
+    def test_undeclared_wire_in_document_located(self):
+        doc = NetlistDocument((
+            InputStmt(("a", "b"), 1),
+            GateStmt("FG", ("a", "q"), ("p", "r"), 2),
+        ))
+        with pytest.raises(UseBeforeDeclaration) as err:
+            elaborate(doc)
+        assert err.value.line == 2
+        assert "'q'" in str(err.value)
+
+    @pytest.mark.parametrize("statements, line, message", [
+        ((InputStmt(("a",), 1), InputStmt(("b", "a"), 2)), 2,
+         "wire 'a' already declared"),
+        ((InputStmt(("a", "b c"), 1),), 1, "bad wire name 'b c'"),
+        ((InputStmt(("a", "b"), 1), ConstStmt("z", 2, 2)), 2,
+         "constant value must be 0 or 1, got 2"),
+        ((InputStmt(("a", "b"), 1), GateStmt("FG", ("a", "b"), ("p", "a"), 3)), 3,
+         "wire 'a' already declared"),
+    ])
+    def test_bad_declaration_in_document_located(self, statements, line, message):
+        with pytest.raises(NetlistSyntaxError) as err:
+            elaborate(NetlistDocument(statements))
+        assert err.value.line == line
+        assert message in str(err.value)
+
+    def test_unknown_gate_in_document_located(self):
+        doc = NetlistDocument((
+            InputStmt(("a", "b"), 1),
+            GateStmt("XYZ", ("a", "b"), ("p", "q"), 2),
+        ))
+        with pytest.raises(UnknownGateName) as err:
+            elaborate(doc)
+        assert err.value.line == 2
+        assert isinstance(err.value, RevLogicError)
 
 
 class TestEmit:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_from_plan, circuit_plans
+from conftest import sealed_circuits
 from revlogic import designs
 from revlogic.cli import EXIT_FAIL, main
 from revlogic.designs import (
@@ -26,18 +26,6 @@ from revlogic.designs import (
 )
 from revlogic.gates import BitWord, builtin_catalog
 from revlogic.netlist import WidthMismatch, tile
-
-
-@st.composite
-def sealed_circuits(draw):
-    """A random circuit with a random split of its lines into outputs and garbage."""
-    builder, pool, _ = build_from_plan(draw(circuit_plans()))
-    n_out = draw(st.integers(0, len(pool)))
-    for k, wire in enumerate(pool[:n_out]):
-        builder.mark_output(wire, f"o{k}")
-    for wire in pool[n_out:]:
-        builder.mark_garbage(wire)
-    return builder.seal()
 
 
 def pack(words: list[int], width: int) -> list[int]:
