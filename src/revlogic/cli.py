@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import Counter
 from typing import Mapping
 
 from .designs import (
@@ -41,15 +42,8 @@ from .gates import (
     builtin_catalog,
     load_cost_table,
 )
-from .metrics import UnknownGateCost, analyze, delay
-from .netlist import (
-    ArityMismatch,
-    Circuit,
-    FanOutViolation,
-    TooWide,
-    ValidationFailed,
-    _PIN_NAMES,
-)
+from .metrics import analyze, delay
+from .netlist import Circuit, ValidationFailed, _PIN_NAMES
 from .netlist_text import (
     LocatedError,
     decode_netlist,
@@ -173,24 +167,13 @@ def _recomputed_row() -> ReferenceRow:
     out: per-stage gate/garbage counts plus the four totals."""
     circuit = build_bcd_adder_digit()
     tags = bcd_digit_stage_tags()
-    gate_counts = {"adder1": 0, "correction": 0, "adder2": 0}
-    for index in tags:
-        gate_counts[tags[index]] += 1
-    garbage_counts = {"adder1": 0, "correction": 0, "adder2": 0}
-    for source in circuit.garbage:
-        garbage_counts[tags[source[1]]] += 1
+    gates = Counter(tags.values())
+    garbage = Counter(tags[source[1]] for source in circuit.garbage)
+    stages = ("adder1", "correction", "adder2")
+    per_stage = [n for stage in stages for n in (gates[stage], garbage[stage])]
     return ReferenceRow(
-        "recomputed from build",
-        gate_counts["adder1"],
-        garbage_counts["adder1"],
-        gate_counts["correction"],
-        garbage_counts["correction"],
-        gate_counts["adder2"],
-        garbage_counts["adder2"],
-        len(circuit.instances),
-        len(circuit.garbage),
-        len(circuit.constants),
-        delay(circuit),
+        "recomputed from build", *per_stage, len(circuit.instances),
+        len(circuit.garbage), len(circuit.constants), delay(circuit),
     )
 
 
@@ -302,9 +285,6 @@ def main(argv=None) -> int:
         print("error: netlist validation failed:", file=sys.stderr)
         for violation in exc.violations:
             print(f"  {violation}", file=sys.stderr)
-        return EXIT_FAIL
-    except (FanOutViolation, ArityMismatch, TooWide, UnknownGateCost) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except BadDigitCount as exc:
         print(f"error: {exc}", file=sys.stderr)

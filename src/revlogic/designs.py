@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RevLogicError
-from .gates import BIT_BYTES, BitWord, catalog_by_name
+from .gates import BitWord, catalog_by_name
 from .netlist import Circuit, CircuitBuilder, Wire, new_circuit, tile
 
 
@@ -318,7 +318,7 @@ def encode_bcd_operands(a: int, b: int, cin: int, digits: int = 1) -> BitWord:
     _bit("cin", cin)
     # Read in base 16, a number's decimal digits are its BCD nibbles.
     word = int(f"{a:0{digits}d}{b:0{digits}d}", 16) << 1 | cin
-    return BitWord(format(word, f"0{8 * digits + 1}b").encode().translate(BIT_BYTES))
+    return BitWord.from_int(word, 8 * digits + 1)
 
 
 def decode_bcd_result(outputs: BitWord, digits: int = 1) -> tuple[int, int]:
@@ -333,15 +333,11 @@ def decode_bcd_result(outputs: BitWord, digits: int = 1) -> tuple[int, int]:
             f"expected {4 * digits + 1} output bits for {digits} digit(s), "
             f"got {outputs.width}"
         )
-    cout = outputs[0]
+    bits = outputs.bits
     value = 0
-    for d in range(digits):
-        nibble_bits = outputs.bits[1 + 4 * d : 5 + 4 * d]
-        nibble = 0
-        for bit in nibble_bits:
-            nibble = (nibble << 1) | bit
-        value = value * 10 + nibble
-    return cout, value
+    for i in range(1, 4 * digits, 4):
+        value = value * 10 + 8 * bits[i] + 4 * bits[i + 1] + 2 * bits[i + 2] + bits[i + 3]
+    return bits[0], value
 
 
 class BcdFailure(NamedTuple):

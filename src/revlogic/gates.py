@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .errors import RevLogicError
+from .errors import RevLogicError, _utf8_position
 
 MAX_ARITY = 16
 
@@ -93,10 +93,7 @@ class BitWord:
         return cls(tuple(int(ch) for ch in text))
 
     def to_int(self) -> int:
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
+        return int(str(self) or "0", 2)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -108,7 +105,8 @@ class BitWord:
         return self.bits[i]
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        # Bits are anything equal to 0 or 1 (True, 1.0, ...), so print by value.
+        return "".join("1" if b else "0" for b in self.bits)
 
 
 @dataclass(frozen=True)
@@ -436,7 +434,7 @@ def load_cost_table(path) -> dict[str, int]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line, _ = _utf8_position(data, exc)
         raise CostTableError(
             f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}"
         ) from None
@@ -457,10 +455,3 @@ def default_cost_table() -> dict[str, int]:
     Supply your own table wherever the numbers matter.
     """
     return dict(_default_costs())
-
-
-def require_costs(names: Iterable[str], costs: dict[str, int]) -> None:
-    """Check that every referenced gate name has a cost entry."""
-    missing = sorted({n for n in names if n not in costs})
-    if missing:
-        raise CostTableError(f"cost table has no entry for: {', '.join(missing)}")

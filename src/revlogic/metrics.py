@@ -65,13 +65,21 @@ class MetricsReport:
         return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
 
 
-def _instance_depths(circuit: Circuit) -> list[int]:
-    """Longest-path depth of each instance, in levels (1 = first layer)."""
+def _depths(
+    circuit: Circuit, stage_tags: Mapping[int, str] | None = None
+) -> list[int]:
+    """Longest-path depth of each instance, in levels (1 = first layer).
+
+    With `stage_tags`, only wires between instances of the same stage
+    count, so each depth is measured within its own stage's subgraph.
+    """
     depths: list[int] = []
-    for inst in circuit.instances:
+    for idx, inst in enumerate(circuit.instances):
         upstream = 0
         for source in inst.sources:
-            if source[0] == "gate":
+            if source[0] == "gate" and (
+                stage_tags is None or stage_tags[source[1]] == stage_tags[idx]
+            ):
                 upstream = max(upstream, depths[source[1]])
         depths.append(upstream + 1)
     return depths
@@ -79,7 +87,7 @@ def _instance_depths(circuit: Circuit) -> list[int]:
 
 def delay(circuit: Circuit) -> int:
     """Longest source-to-output path, counting one level per gate."""
-    return max(_instance_depths(circuit), default=0)
+    return max(_depths(circuit), default=0)
 
 
 def analyze(circuit: Circuit, costs: Mapping[str, int] | None = None) -> MetricsReport:
@@ -157,17 +165,10 @@ def delay_decomposition(
         for nxt in succ[stage]:
             remaining[nxt] -= 1
 
-    # Longest path within each stage's own subgraph.
-    local_depth: list[int] = []
     contribution = {s: 0 for s in stages}
-    for idx, inst in enumerate(circuit.instances):
+    for idx, depth in enumerate(_depths(circuit, stage_tags)):
         stage = stage_tags[idx]
-        upstream = 0
-        for source in inst.sources:
-            if source[0] == "gate" and stage_tags[source[1]] == stage:
-                upstream = max(upstream, local_depth[source[1]])
-        local_depth.append(upstream + 1)
-        contribution[stage] = max(contribution[stage], local_depth[idx])
+        contribution[stage] = max(contribution[stage], depth)
 
     total = delay(circuit)
     if sum(contribution.values()) != total:

@@ -9,10 +9,13 @@ rules from reversible-logic design are enforced:
   added, so cycles cannot be expressed.
 
 Construction goes through `CircuitBuilder` (obtained from `new_circuit`),
-which hands out `Wire` handles and rejects any second consumption of a
-wire with `FanOutViolation`. `seal()` re-checks every invariant and
-returns an immutable `Circuit` that can be simulated or exhaustively
-enumerated.
+which hands out `Wire` handles, accepts only the handles it issued, and
+rejects any second consumption of a wire with `FanOutViolation`. Since
+a gate's output wires are issued only after the gate is placed, and
+every mark consumes its wire, feedback and double marking cannot be
+expressed. `seal()` checks what is left, that no wire dangles and that
+inputs plus constants equal outputs plus garbage, and returns an
+immutable `Circuit` that can be simulated or exhaustively enumerated.
 
 Garbage is explicit: an output that is neither marked as a primary
 output nor as garbage is a dangling wire and fails sealing. This keeps
@@ -88,21 +91,6 @@ class Instance:
     sources: tuple[Source, ...]
 
 
-def _describe(
-    source: Source, input_labels: Sequence[str], instances: Sequence[Instance]
-) -> str:
-    """Human-readable name for a wire source, used in diagnostics."""
-    kind = source[0]
-    if kind == "in":
-        return f"input {input_labels[source[1]]!r}"
-    if kind == "const":
-        return f"constant #{source[1]}"
-    _, idx, pin = source
-    gate = instances[idx].gate
-    pin_name = _PIN_NAMES[pin] if pin < len(_PIN_NAMES) else f"pin{pin}"
-    return f"{gate.name}#{idx} output {pin_name}"
-
-
 class Wire:
     """Handle for a signal inside a builder; valid for one consumption."""
 
@@ -144,7 +132,7 @@ class CircuitBuilder:
         self._instances: list[Instance] = []
         self._outputs: list[tuple[str, Source]] = []
         self._garbage: list[Source] = []
-        self._wires: list[Wire] = []
+        self._wires: dict[Source, Wire] = {}
         self._sealed = False
         self.inputs = tuple(self._new_wire(("in", i)) for i in range(len(labels)))
 
@@ -153,8 +141,7 @@ class CircuitBuilder:
         return len(self._constants)
 
     def _new_wire(self, source: Source) -> Wire:
-        wire = Wire(source, self)
-        self._wires.append(wire)
+        wire = self._wires[source] = Wire(source, self)
         return wire
 
     def _check_open(self) -> None:
@@ -162,12 +149,20 @@ class CircuitBuilder:
             raise ValueError("builder already sealed")
 
     def _own(self, wire: Wire) -> None:
-        if not isinstance(wire, Wire) or wire._builder is not self:
-            raise ValueError("wire does not belong to this builder")
+        if not isinstance(wire, Wire) or self._wires.get(wire.source) is not wire:
+            raise ValueError("wire was not issued by this builder")
 
     def describe(self, source: Source) -> str:
         """Human-readable name for a wire source, used in diagnostics."""
-        return _describe(source, self.input_labels, self._instances)
+        kind = source[0]
+        if kind == "in":
+            return f"input {self.input_labels[source[1]]!r}"
+        if kind == "const":
+            return f"constant #{source[1]}"
+        _, idx, pin = source
+        gate = self._instances[idx].gate
+        pin_name = _PIN_NAMES[pin] if pin < len(_PIN_NAMES) else f"pin{pin}"
+        return f"{gate.name}#{idx} output {pin_name}"
 
     def add_constant(self, value: int) -> Wire:
         """Add a constant input line fixed at 0 or 1; returns its wire."""
@@ -229,15 +224,16 @@ class CircuitBuilder:
         self._garbage.append(wire.source)
 
     def seal(self) -> Circuit:
-        """Validate every structural invariant and freeze the circuit.
+        """Check that no wire dangles and lines are conserved; freeze.
 
-        All violations are collected and reported together in
+        The builder's own calls already rule out fan-out, feedback and
+        double marking. Both violations are reported together in
         ValidationFailed rather than stopping at the first.
         """
         self._check_open()
         violations: list[str] = []
 
-        for wire in self._wires:
+        for wire in self._wires.values():
             if not wire.consumed:
                 violations.append(f"dangling wire: {self.describe(wire.source)}")
 
@@ -249,21 +245,6 @@ class CircuitBuilder:
                 f"{len(self.input_labels)} inputs + {len(self._constants)} constants"
                 f" != {len(self._outputs)} outputs + {len(self._garbage)} garbage"
             )
-
-        # The builder only hands out wires for already-placed instances,
-        # so forward references would indicate internal corruption; the
-        # seal-time re-check keeps the guarantee explicit.
-        for idx, inst in enumerate(self._instances):
-            for source in inst.sources:
-                if source[0] == "gate" and source[1] >= idx:
-                    violations.append(
-                        f"feedback: {inst.gate.name}#{idx} reads "
-                        f"{self.describe(source)}"
-                    )
-
-        marked = [source for _, source in self._outputs] + self._garbage
-        if len(set(marked)) != len(marked):
-            violations.append("a wire is marked as output or garbage more than once")
 
         if violations:
             raise ValidationFailed(violations)
@@ -446,10 +427,6 @@ class Circuit:
                 values[pin] = acc
         return list(plan.read_outputs(values)), list(plan.read_garbage(values))
 
-    def describe(self, source: Source) -> str:
-        """Human-readable name for a wire source, used in diagnostics."""
-        return _describe(source, self.input_labels, self.instances)
-
 
 def tile(block: int, length: int, repeats: int) -> int:
     """The `length`-bit `block` repeated `repeats` times, first copy lowest.
@@ -485,8 +462,3 @@ def _words(planes: Sequence[int], count: int) -> list[tuple[int, ...]]:
         for plane in planes
     ]
     return list(zip(*columns))
-
-
-def circuit_mapping(circuit: Circuit) -> list[tuple[BitWord, BitWord]]:
-    """Module-level alias for Circuit.mapping()."""
-    return circuit.mapping()

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import RevLogicError
+from .errors import RevLogicError, _utf8_position
 from .gates import GateDef, catalog_by_name
 from .netlist import (
     ArityMismatch,
@@ -199,11 +199,9 @@ def decode_netlist(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # Everything before the first bad byte decodes; the sentinel
-        # keeps a trailing line break from ending the last line.
-        lines = (data[: exc.start].decode("utf-8") + "x").splitlines()
         raise NetlistSyntaxError(
-            f"invalid UTF-8 byte 0x{data[exc.start]:02x}", len(lines), len(lines[-1])
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+            *_utf8_position(data, exc),
         ) from None
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from revlogic import cli
@@ -78,6 +80,20 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == "error: line 3, column 12: wire 'q' is already an output\n"
 
+    def test_wire_consumed_twice(self, tmp_path, capsys):
+        path = tmp_path / "twice.nl"
+        path.write_text("INPUT a b\nOUTPUT a\nGARBAGE a b\n")
+        assert main(["check", str(path)]) == EXIT_FAIL
+        assert capsys.readouterr().err == "error: line 3: input 'a' is already consumed\n"
+
+    def test_gate_statement_with_wrong_arity(self, tmp_path, capsys):
+        path = tmp_path / "arity.nl"
+        path.write_text("INPUT a b c\nGATE FG a b c -> p q r\nOUTPUT p q r\n")
+        assert main(["check", str(path)]) == EXIT_FAIL
+        assert capsys.readouterr().err == (
+            "error: line 2: gate FG has arity 2, statement wires 3 inputs and 3 outputs\n"
+        )
+
 
 class TestSim:
     def test_outputs_and_garbage(self, fg_file, capsys):
@@ -139,10 +155,11 @@ class TestMetrics:
         assert main(["metrics", fg_file, "--costs", str(costs)]) == EXIT_OK
         assert "quantum_cost=7" in capsys.readouterr().out
 
-    def test_missing_cost_entry(self, fg_file, tmp_path):
+    def test_missing_cost_entry(self, fg_file, tmp_path, capsys):
         costs = tmp_path / "costs.txt"
         costs.write_text("TG 5\n")
         assert main(["metrics", fg_file, "--costs", str(costs)]) == EXIT_FAIL
+        assert capsys.readouterr().err == "error: no cost entry for gate 'FG'\n"
 
     def test_malformed_cost_table(self, fg_file, tmp_path):
         costs = tmp_path / "costs.txt"
@@ -203,6 +220,11 @@ class TestBcdTable:
         assert "Proposed BCD adder" in out
         assert "BCD adder[13] (without fan-out)" in out
         assert "matches recomputation" in out
+
+    def test_recomputed_row(self, capsys):
+        assert main(["bcd", "table"]) == EXIT_OK
+        rows = [re.split(r"\s{2,}", line) for line in capsys.readouterr().out.splitlines()]
+        assert ["recomputed from build", "4/8", "1/0", "3/2", "8", "10", "6", "8"] in rows
 
     def test_custom_costs_change_footnote(self, tmp_path, capsys):
         costs = tmp_path / "ones.txt"

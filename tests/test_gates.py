@@ -28,6 +28,8 @@ from revlogic.gates import (
 class TestBitWord:
     def test_msb_first(self):
         assert BitWord((1, 1, 0)).to_int() == 6
+        assert BitWord((True, True, False)).to_int() == 6
+        assert BitWord((1.0, 0)).to_int() == 2
         assert BitWord.from_int(6, 3).bits == (1, 1, 0)
 
     def test_round_trip(self):
@@ -58,6 +60,8 @@ class TestBitWord:
     def test_str_and_iter(self):
         word = BitWord((1, 0, 0, 1))
         assert str(word) == "1001"
+        assert str(BitWord((True, False))) == "10"
+        assert str(BitWord((1.0, 0.0))) == "10"
         assert list(word) == [1, 0, 0, 1]
         assert word[0] == 1
         assert len(word) == 4

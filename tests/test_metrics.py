@@ -121,6 +121,16 @@ class TestDelayDecomposition:
         tags = {i: "only" for i in range(3)}
         assert delay_decomposition(circuit, tags) == {"only": 3}
 
+    @given(circuit_plans())
+    def test_one_stage_is_the_whole_delay(self, plan):
+        builder, pool, _ = build_from_plan(plan)
+        for wire in pool:
+            builder.mark_garbage(wire)
+        circuit = builder.seal()
+        tags = {i: "s" for i in range(len(circuit.instances))}
+        expected = {"s": delay(circuit)} if circuit.instances else {}
+        assert delay_decomposition(circuit, tags) == expected
+
     def test_parallel_gates_in_one_stage_contribute_one(self):
         fg = catalog_by_name()["FG"]
         builder = new_circuit(["a", "b", "c", "d"])

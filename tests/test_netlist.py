@@ -14,7 +14,7 @@ from revlogic.netlist import (
     FanOutViolation,
     TooWide,
     ValidationFailed,
-    circuit_mapping,
+    Wire,
     new_circuit,
 )
 
@@ -158,6 +158,22 @@ class TestSeal:
         with pytest.raises(ValueError):
             builder.add_constant(0)
 
+    @pytest.mark.parametrize("source", [("gate", 3, 0), ("in", 0)])
+    def test_rejects_wires_it_did_not_issue(self, source):
+        builder = new_circuit(["a", "b"])
+        fg = catalog_by_name()["FG"]
+        forged = Wire(source, builder)
+        with pytest.raises(ValueError, match="not issued by this builder"):
+            builder.add_gate(fg, [forged, builder.inputs[1]])
+        with pytest.raises(ValueError, match="not issued by this builder"):
+            builder.mark_output(forged, "x")
+        with pytest.raises(ValueError, match="not issued by this builder"):
+            builder.mark_garbage(forged)
+        assert not builder.inputs[1].consumed
+        builder.mark_output(builder.inputs[0], "a")
+        builder.mark_garbage(builder.inputs[1])
+        assert builder.seal().instances == ()
+
     def test_wire_descriptions(self):
         builder = new_circuit(["a", "b"])
         fg = catalog_by_name()["FG"]
@@ -223,8 +239,6 @@ class TestMapping:
         circuit = _passthrough(labels)
         with pytest.raises(TooWide):
             circuit.mapping()
-        with pytest.raises(TooWide):
-            circuit_mapping(circuit)
 
 
 class TestBuilderProperties:
