@@ -40,6 +40,13 @@ class BadDigitCount(RevLogicError):
 
 MAX_DIGITS = 4
 
+# Most cases an exhaustive verify runs as one plane batch. Per-gate
+# Python overhead dominates narrow planes, so 100 chunks of 200 words
+# cost far more than one batch of 20000 (9.0 against 1.2 ms at two
+# digits), while at three digits one 2*10^6-word batch is the slower
+# (about 85 against 21 ms; CPython 3.11, 2-CPU x86-64 VM).
+_BATCH_WORDS = 2 * 10**4
+
 
 def _bit(name: str, value: int) -> int:
     if value not in (0, 1):
@@ -62,18 +69,25 @@ def oracle_bcd_add(a: int, b: int, cin: int) -> tuple[int, int]:
 
 
 def oracle_bcd_add_number(a: int, b: int, cin: int, digits: int) -> tuple[int, int]:
-    """Multi-digit oracle: chains oracle_bcd_add digit by digit."""
+    """Multi-digit oracle: the oracle_bcd_add carry chain, digit by digit.
+
+    The operands and carry-in are checked once, up front; each digit is
+    then one divmod of its digit-pair sum plus the carry.
+    """
     if digits < 1:
         raise ValueError("digits must be positive")
     limit = 10**digits
     if not 0 <= a < limit or not 0 <= b < limit:
         raise ValueError(f"operands must be in [0, {limit - 1}]")
     carry = _bit("cin", cin)
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise ValueError(f"operands must be integers, got {a!r} and {b!r}")
     total = 0
-    for position in range(digits):
-        carry, digit = oracle_bcd_add((a // 10**position) % 10,
-                                      (b // 10**position) % 10, carry)
-        total += digit * 10**position
+    scale = 1
+    for _ in range(digits):
+        carry, digit = divmod(a // scale % 10 + b // scale % 10 + carry, 10)
+        total += digit * scale
+        scale *= 10
     return carry, total
 
 
@@ -417,24 +431,29 @@ def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
     failures in (a, b, cin) order, each re-run through the scalar
     `simulate` to build its record.
 
-    The cases run bit-parallel (`Circuit.simulate_planes`) in 100 chunks,
-    one per pair of top digits. Word j of a chunk is the case whose lower
-    digits and carry-in satisfy j = (a_low * 10^(n-1) + b_low) * 2 + cin.
-    The expected output planes come from decimal arithmetic on digit
-    indicator planes, never from the circuit; the lower digits' input and
-    expected planes are built once and shared by every chunk.
+    The cases run bit-parallel (`Circuit.simulate_planes`). When all of
+    them fit in one batch of `_BATCH_WORDS` words (n <= 2), every digit
+    goes into the shared planes and one call covers them all. Wider
+    adders run in 100 chunks, one per pair of top digits, which keeps
+    the planes at 2 * 100^(n-1) bits. Word j of a batch is the case whose
+    shared digits and carry-in satisfy j = (a_low * 10^s + b_low) * 2 + cin,
+    s being the number of shared digits. The expected output planes come
+    from decimal arithmetic on digit indicator planes, never from the
+    circuit; the shared digits' input and expected planes are built once.
     """
     circuit = build_bcd_adder_n(digits)
-    low = 10 ** (digits - 1)
+    # Digits held in the shared planes; a chunked run fixes the top one.
+    shared = digits if 2 * 100**digits <= _BATCH_WORDS else digits - 1
+    low = 10**shared
     count = 2 * low * low
     mask = (1 << count) - 1
     cin = tile(0b10, 2, low * low)
     carry = cin
-    # Input and expected output planes of the lower digits, MSB first.
+    # Input and expected output planes of the shared digits, MSB first.
     a_lower: list[int] = []
     b_lower: list[int] = []
     want_lower: list[int] = []
-    for p in range(digits - 1):
+    for p in range(shared):
         a_digit = _digit_planes(2 * low * 10**p, count)
         b_digit = _digit_planes(2 * 10**p, count)
         pair_sums = [0] * 19
@@ -446,27 +465,33 @@ def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
         b_lower[:0] = _nibble_planes(b_digit)
         want_lower[:0] = sum_bits
 
-    # A chunk's top digits are the same in all its words, so its expected
-    # outputs depend only on their sum.
-    want_by_top_sum = []
-    for s in range(19):
-        top_bits, cout = _add_digit_planes([mask if t == s else 0 for t in range(19)],
-                                           carry)
-        want_by_top_sum.append([cout] + top_bits + want_lower)
+    # Each batch: its top digits (0 when none are fixed), their input
+    # planes and the expected output planes.
+    if shared == digits:
+        batches = [(0, 0, [], [], [carry] + want_lower)]
+    else:
+        # A chunk's top digits are the same in all its words, so its
+        # expected outputs depend only on their sum.
+        want_by_top_sum = []
+        for s in range(19):
+            top_bits, cout = _add_digit_planes(
+                [mask if t == s else 0 for t in range(19)], carry)
+            want_by_top_sum.append([cout] + top_bits + want_lower)
+        fixed = [[mask if (x >> (3 - k)) & 1 else 0 for k in range(4)]
+                 for x in range(10)]
+        batches = ((x, y, fixed[x], fixed[y], want_by_top_sum[x + y])
+                   for x in range(10) for y in range(10))
 
     cases: list[tuple[int, int, int]] = []
-    for x in range(10):
-        for y in range(10):
-            top_a = [mask if (x >> (3 - k)) & 1 else 0 for k in range(4)]
-            top_b = [mask if (y >> (3 - k)) & 1 else 0 for k in range(4)]
-            outputs, _ = circuit.simulate_planes(
-                top_a + a_lower + top_b + b_lower + [cin], count)
-            diff = 0
-            for got, want in zip(outputs, want_by_top_sum[x + y]):
-                diff |= got ^ want
-            for j in _set_bits(diff):
-                a_low, b_low = divmod(j >> 1, low)
-                cases.append((x * low + a_low, y * low + b_low, j & 1))
+    for x, y, top_a, top_b, want in batches:
+        outputs, _ = circuit.simulate_planes(
+            top_a + a_lower + top_b + b_lower + [cin], count)
+        diff = 0
+        for got, expected in zip(outputs, want):
+            diff |= got ^ expected
+        for j in _set_bits(diff):
+            a_low, b_low = divmod(j >> 1, low)
+            cases.append((x * low + a_low, y * low + b_low, j & 1))
 
     failures: list[BcdFailure] = []
     for a, b, c in sorted(cases):

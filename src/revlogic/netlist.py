@@ -92,14 +92,19 @@ class Instance:
 
 
 class Wire:
-    """Handle for a signal inside a builder; valid for one consumption."""
+    """Handle for a signal inside a builder; valid for one consumption.
 
-    __slots__ = ("source", "_builder", "_consumed")
+    `_index` is the wire's position in its builder's list of issued
+    wires; a wire made by hand keeps -1.
+    """
 
-    def __init__(self, source: Source, builder: CircuitBuilder):
+    __slots__ = ("source", "_builder", "_consumed", "_index")
+
+    def __init__(self, source: Source, builder: CircuitBuilder, index: int = -1):
         self.source = source
         self._builder = builder
         self._consumed = False
+        self._index = index
 
     @property
     def consumed(self) -> bool:
@@ -132,7 +137,7 @@ class CircuitBuilder:
         self._instances: list[Instance] = []
         self._outputs: list[tuple[str, Source]] = []
         self._garbage: list[Source] = []
-        self._wires: dict[Source, Wire] = {}
+        self._wires: list[Wire] = []
         self._sealed = False
         self.inputs = tuple(self._new_wire(("in", i)) for i in range(len(labels)))
 
@@ -141,7 +146,8 @@ class CircuitBuilder:
         return len(self._constants)
 
     def _new_wire(self, source: Source) -> Wire:
-        wire = self._wires[source] = Wire(source, self)
+        wire = Wire(source, self, len(self._wires))
+        self._wires.append(wire)
         return wire
 
     def _check_open(self) -> None:
@@ -149,7 +155,9 @@ class CircuitBuilder:
             raise ValueError("builder already sealed")
 
     def _own(self, wire: Wire) -> None:
-        if not isinstance(wire, Wire) or self._wires.get(wire.source) is not wire:
+        # A hand-made wire's index -1 names the last issued wire, not it.
+        if (not isinstance(wire, Wire) or wire._builder is not self
+                or self._wires[wire._index] is not wire):
             raise ValueError("wire was not issued by this builder")
 
     def describe(self, source: Source) -> str:
@@ -233,7 +241,7 @@ class CircuitBuilder:
         self._check_open()
         violations: list[str] = []
 
-        for wire in self._wires.values():
+        for wire in self._wires:
             if not wire.consumed:
                 violations.append(f"dangling wire: {self.describe(wire.source)}")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from revlogic.designs import (
@@ -68,6 +70,35 @@ class TestOracle:
     def test_number_oracle_bounds(self):
         with pytest.raises(ValueError):
             oracle_bcd_add_number(100, 0, 0, 2)
+
+    @staticmethod
+    def chained(a, b, cin, digits):
+        """oracle_bcd_add applied digit by digit, least significant first."""
+        carry, total = cin, 0
+        for position in range(digits):
+            carry, digit = oracle_bcd_add(a // 10**position % 10,
+                                          b // 10**position % 10, carry)
+            total += digit * 10**position
+        return carry, total
+
+    def test_number_oracle_is_the_digit_chain(self):
+        triples = [(a, b, cin, 1) for a in range(10) for b in range(10) for cin in (0, 1)]
+        rng = random.Random(2010)
+        for digits in (2, 3, 4):
+            limit = 10**digits
+            triples += [(rng.randrange(limit), rng.randrange(limit), rng.randrange(2),
+                         digits) for _ in range(300)]
+        for a, b, cin, digits in triples:
+            assert oracle_bcd_add_number(a, b, cin, digits) == self.chained(
+                a, b, cin, digits), (a, b, cin, digits)
+
+    @pytest.mark.parametrize("a, b, cin, digits", [
+        (1.5, 0, 0, 1), (5.0, 0, 0, 1), (0, 15.0, 0, 2), (-1, 0, 0, 1),
+        (0, 10**4, 0, 4), (0, 0, 2, 2), (0, 0, -1, 1), (0, 0, 0, 0),
+    ])
+    def test_number_oracle_rejects(self, a, b, cin, digits):
+        with pytest.raises(ValueError):
+            oracle_bcd_add_number(a, b, cin, digits)
 
 
 class TestBcdCase:

@@ -158,7 +158,7 @@ class TestSeal:
         with pytest.raises(ValueError):
             builder.add_constant(0)
 
-    @pytest.mark.parametrize("source", [("gate", 3, 0), ("in", 0)])
+    @pytest.mark.parametrize("source", [("gate", 3, 0), ("in", 0), ["in", 0]])
     def test_rejects_wires_it_did_not_issue(self, source):
         builder = new_circuit(["a", "b"])
         fg = catalog_by_name()["FG"]
@@ -173,6 +173,15 @@ class TestSeal:
         builder.mark_output(builder.inputs[0], "a")
         builder.mark_garbage(builder.inputs[1])
         assert builder.seal().instances == ()
+
+    def test_rejects_wires_of_another_builder(self):
+        # The foreign wire's index is past the end of this builder's list.
+        other = new_circuit(["x", "y", "z"])
+        builder = new_circuit(["a"])
+        for wire in (other.inputs[2], other.inputs[0]):
+            with pytest.raises(ValueError, match="not issued by this builder"):
+                builder.mark_output(wire, "x")
+        assert not other.inputs[0].consumed
 
     def test_wire_descriptions(self):
         builder = new_circuit(["a", "b"])

@@ -25,7 +25,7 @@ from revlogic.designs import (
     verify_bcd_adder,
 )
 from revlogic.gates import BitWord, builtin_catalog
-from revlogic.netlist import WidthMismatch, tile
+from revlogic.netlist import Circuit, WidthMismatch, tile
 
 
 def pack(words: list[int], width: int) -> list[int]:
@@ -160,6 +160,42 @@ class TestVerifyAgainstScalar:
         first = next(scalar_failures(mutant, 2), None)
         assert first is not None
         assert failures and failures[0][:3] == first
+
+    @pytest.mark.parametrize("digits, batch_words, calls", [
+        (1, None, 1), (2, None, 1), (3, None, 100), (1, 0, 100), (2, 200, 100),
+    ])
+    def test_one_batch_up_to_two_digits(self, monkeypatch, digits, batch_words, calls):
+        if batch_words is not None:
+            monkeypatch.setattr(designs, "_BATCH_WORDS", batch_words)
+        seen = []
+        simulate_planes = Circuit.simulate_planes
+
+        def counted(circuit, planes, count):
+            seen.append(count)
+            return simulate_planes(circuit, planes, count)
+
+        monkeypatch.setattr(Circuit, "simulate_planes", counted)
+        assert verify_bcd_adder(digits) == (2 * 100**digits, [])
+        assert len(seen) == calls
+        assert sum(seen) == 2 * 100**digits
+
+    def test_one_digit_mutants_chunked_as_in_one_batch(self, monkeypatch):
+        adder = build_bcd_adder_n(1)
+        for index in range(len(adder.constants)):
+            mutant = flipped(adder, index)
+            monkeypatch.setattr(designs, "_BATCH_WORDS", 200)
+            one_batch = verify_circuit(monkeypatch, mutant, 1)
+            monkeypatch.setattr(designs, "_BATCH_WORDS", 0)
+            assert verify_circuit(monkeypatch, mutant, 1) == one_batch, index
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_two_digit_mutants_chunked_as_in_one_batch(self, monkeypatch, index):
+        mutant = flipped(build_bcd_adder_n(2), index)
+        monkeypatch.setattr(designs, "_BATCH_WORDS", 20000)
+        total, one_batch = verify_circuit(monkeypatch, mutant, 2)
+        assert total == 20000 and one_batch
+        monkeypatch.setattr(designs, "_BATCH_WORDS", 200)
+        assert verify_circuit(monkeypatch, mutant, 2) == (total, one_batch)
 
     def test_aliased_outputs_count_as_failures(self, monkeypatch):
         # 0 + 9 + 1 outputs 0 0000 1010: the low nibble is not BCD but
