@@ -274,11 +274,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except LocatedError as exc:
-        # NetlistSyntaxError, UseBeforeDeclaration, UnknownGateName
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CostTableError as exc:
+    except (LocatedError, CostTableError) as exc:
+        # A located netlist diagnostic or a malformed cost table.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationFailed as exc:
@@ -286,10 +283,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"  {violation}", file=sys.stderr)
         return EXIT_FAIL
-    except BadDigitCount as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (BadDigitCount, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RevLogicError as exc:

@@ -68,20 +68,29 @@ def oracle_bcd_add(a: int, b: int, cin: int) -> tuple[int, int]:
     return 0, total
 
 
+def _check_operands(a: int, b: int, cin: int, digits: int) -> int:
+    """Check `digits`-digit operands and a carry-in bit; returns the carry-in."""
+    if not isinstance(digits, int):
+        raise ValueError(f"digits must be an integer, got {digits!r}")
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise ValueError(f"operands must be integers, got {a!r} and {b!r}")
+    limit = 10**digits
+    if not 0 <= a < limit or not 0 <= b < limit:
+        raise ValueError(f"operands must be in [0, {limit - 1}]")
+    if cin not in (0, 1) or not isinstance(cin, int):
+        raise ValueError(f"cin must be 0 or 1, got {cin!r}")
+    return cin
+
+
 def oracle_bcd_add_number(a: int, b: int, cin: int, digits: int) -> tuple[int, int]:
     """Multi-digit oracle: the oracle_bcd_add carry chain, digit by digit.
 
     The operands and carry-in are checked once, up front; each digit is
     then one divmod of its digit-pair sum plus the carry.
     """
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    limit = 10**digits
-    if not 0 <= a < limit or not 0 <= b < limit:
-        raise ValueError(f"operands must be in [0, {limit - 1}]")
-    carry = _bit("cin", cin)
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise ValueError(f"operands must be integers, got {a!r} and {b!r}")
+    carry = _check_operands(a, b, cin, digits)
     total = 0
     scale = 1
     for _ in range(digits):
@@ -324,12 +333,7 @@ def encode_bcd_operands(a: int, b: int, cin: int, digits: int = 1) -> BitWord:
     Layout matches the builders: a's digits MSB-first (4 bits each,
     MSB-first), then b's, then cin.
     """
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    limit = 10**digits
-    if not 0 <= a < limit or not 0 <= b < limit:
-        raise ValueError(f"operands must be in [0, {limit - 1}]")
-    _bit("cin", cin)
+    _check_operands(a, b, cin, digits)
     # Read in base 16, a number's decimal digits are its BCD nibbles.
     word = int(f"{a:0{digits}d}{b:0{digits}d}", 16) << 1 | cin
     return BitWord.from_int(word, 8 * digits + 1)

@@ -13,7 +13,10 @@ Wire names match ``[A-Za-z_][A-Za-z0-9_]*`` and must be unique. Every
 name must be declared (by INPUT, CONST, or a GATE output list) before it
 is used, which makes feedback impossible to express. The no-fan-out rule
 and the gate arities are enforced during elaboration, the rest at parse
-time. All diagnostics carry 1-based line and column numbers.
+time. `parse_netlist` diagnostics carry a 1-based line and column;
+`elaborate`'s builder errors read ``line N: ...`` with no column, and
+its checks on a document built in code, which keeps no columns, give
+column 1.
 
 `decode_netlist` turns file bytes into text (a byte that is not UTF-8
 is a located error), `parse_netlist` turns text into a
@@ -41,6 +44,7 @@ from .netlist import (
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"\S+")
 _KEYWORDS = ("INPUT", "CONST", "GATE", "OUTPUT", "GARBAGE")
 
 
@@ -63,13 +67,6 @@ class UseBeforeDeclaration(LocatedError):
 
 class UnknownGateName(LocatedError):
     """A GATE statement names a gate missing from the catalog."""
-
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
@@ -116,78 +113,67 @@ class NetlistDocument:
 
     @property
     def input_labels(self) -> tuple[str, ...]:
-        labels: list[str] = []
-        for stmt in self.statements:
-            if isinstance(stmt, InputStmt):
-                labels.extend(stmt.names)
-        return tuple(labels)
+        inputs = [s for s in self.statements if isinstance(s, InputStmt)]
+        return tuple(name for stmt in inputs for name in stmt.names)
 
 
 class _Line:
-    """Token cursor over one comment-stripped source line."""
+    """Token cursor over one comment-stripped source line.
+
+    A token is a `(text, column)` pair; its line is `line_no`.
+    """
 
     def __init__(self, text: str, line_no: int):
         stripped = text.split("#", 1)[0]
-        self.tokens = [
-            _Token(m.group(), line_no, m.start() + 1)
-            for m in re.finditer(r"\S+", stripped)
-        ]
+        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(stripped)]
         self.line_no = line_no
         self.end_column = len(stripped.rstrip()) + 1
         self.pos = 0
 
-    def take(self, what: str) -> _Token:
+    def take(self, what: str) -> tuple[str, int]:
         if self.pos >= len(self.tokens):
-            raise NetlistSyntaxError(
-                f"expected {what}", self.line_no, self.end_column
-            )
-        token = self.tokens[self.pos]
+            raise NetlistSyntaxError(f"expected {what}", self.line_no, self.end_column)
         self.pos += 1
-        return token
+        return self.tokens[self.pos - 1]
 
-    def remaining(self) -> list[_Token]:
+    def names(self, what: str) -> list[tuple[str, int]]:
+        """Take the rest of the line: one or more wire names, each well formed."""
         rest = self.tokens[self.pos :]
+        if not rest:
+            raise NetlistSyntaxError(
+                f"expected at least one {what}", self.line_no, self.end_column
+            )
         self.pos = len(self.tokens)
+        for text, column in rest:
+            _wire_name(text, self.line_no, column)
         return rest
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def finish(self) -> None:
-        extra = self.peek()
-        if extra is not None:
-            raise NetlistSyntaxError(
-                f"unexpected token {extra.text!r}", extra.line, extra.column
-            )
+        if self.pos < len(self.tokens):
+            text, column = self.tokens[self.pos]
+            raise NetlistSyntaxError(f"unexpected token {text!r}", self.line_no, column)
 
 
-def _name_token(token: _Token) -> str:
-    if not NAME_RE.fullmatch(token.text):
-        raise NetlistSyntaxError(
-            f"bad wire name {token.text!r}", token.line, token.column
-        )
-    return token.text
+def _wire_name(text: str, line: int, column: int) -> str:
+    """Return `text` if it is a well-formed wire name; the one form check."""
+    if not NAME_RE.fullmatch(text):
+        raise NetlistSyntaxError(f"bad wire name {text!r}", line, column)
+    return text
 
 
-def _declare(declared: set[str], name: str, line: int, column: int) -> str:
-    """Add a new wire name to `declared`; a bad or repeated name is an error."""
-    if not NAME_RE.fullmatch(name):
-        raise NetlistSyntaxError(f"bad wire name {name!r}", line, column)
-    if name in declared:
+def _declare(table: dict, name: str, line: int, column: int) -> str:
+    """Enter a new wire name in `table`, not yet bound; a repeat is an error."""
+    if name in table:
         raise NetlistSyntaxError(f"wire {name!r} already declared", line, column)
-    declared.add(name)
+    table[name] = None
     return name
 
 
-def _name_list(line: _Line, what: str) -> list[_Token]:
-    tokens = line.remaining()
-    if not tokens:
-        raise NetlistSyntaxError(
-            f"expected at least one {what}", line.line_no, line.end_column
-        )
-    for token in tokens:
-        _name_token(token)
-    return tokens
+def _gate(catalog: Mapping[str, GateDef], name: str, line: int, column: int) -> GateDef:
+    gate = catalog.get(name)
+    if gate is None:
+        raise UnknownGateName(f"unknown gate {name!r}", line, column)
+    return gate
 
 
 def decode_netlist(data: bytes) -> str:
@@ -217,18 +203,19 @@ def parse_netlist(
     """
     if catalog is None:
         catalog = catalog_by_name()
-    declared: set[str] = set()
+    # Every name goes through `_Line.names` or `_wire_name` once, so
+    # `declare` and `resolve` check only declaration state.
+    declared: dict[str, None] = {}
     output_names: set[str] = set()
     statements: list[Statement] = []
 
-    def declare(token: _Token) -> str:
-        return _declare(declared, token.text, token.line, token.column)
+    def declare(name: str, column: int) -> str:
+        return _declare(declared, name, line_no, column)
 
-    def resolve(token: _Token) -> str:
-        name = _name_token(token)
+    def resolve(name: str, column: int) -> str:
         if name not in declared:
             raise UseBeforeDeclaration(
-                f"wire {name!r} used before declaration", token.line, token.column
+                f"wire {name!r} used before declaration", line_no, column
             )
         return name
 
@@ -236,65 +223,57 @@ def parse_netlist(
         line = _Line(raw, line_no)
         if not line.tokens:
             continue
-        head = line.take("statement keyword")
-        if head.text == "INPUT":
-            names = tuple(declare(t) for t in _name_list(line, "input name"))
+        keyword, keyword_column = line.take("statement keyword")
+        if keyword == "INPUT":
+            names = tuple(declare(*t) for t in line.names("input name"))
             statements.append(InputStmt(names, line_no))
-        elif head.text == "CONST":
-            name_tok = line.take("constant name")
-            eq = line.take("'='")
-            if eq.text != "=":
-                raise NetlistSyntaxError("expected '='", eq.line, eq.column)
-            value_tok = line.take("0 or 1")
-            if value_tok.text not in ("0", "1"):
+        elif keyword == "CONST":
+            name, name_column = line.take("constant name")
+            eq, eq_column = line.take("'='")
+            if eq != "=":
+                raise NetlistSyntaxError("expected '='", line_no, eq_column)
+            value, value_column = line.take("0 or 1")
+            if value not in ("0", "1"):
                 raise NetlistSyntaxError(
-                    f"constant value must be 0 or 1, got {value_tok.text!r}",
-                    value_tok.line,
-                    value_tok.column,
+                    f"constant value must be 0 or 1, got {value!r}",
+                    line_no,
+                    value_column,
                 )
             line.finish()
-            statements.append(ConstStmt(declare(name_tok), int(value_tok.text), line_no))
-        elif head.text == "GATE":
-            gate_tok = line.take("gate name")
-            if gate_tok.text not in catalog:
-                raise UnknownGateName(
-                    f"unknown gate {gate_tok.text!r}", gate_tok.line, gate_tok.column
-                )
-            in_tokens: list[_Token] = []
-            while True:
-                token = line.take("input wire or '->'")
-                if token.text == "->":
-                    break
+            name = declare(_wire_name(name, line_no, name_column), name_column)
+            statements.append(ConstStmt(name, int(value), line_no))
+        elif keyword == "GATE":
+            gate, gate_column = line.take("gate name")
+            _gate(catalog, gate, line_no, gate_column)
+            in_tokens: list[tuple[str, int]] = []
+            while (token := line.take("input wire or '->'"))[0] != "->":
                 in_tokens.append(token)
             if not in_tokens:
                 raise NetlistSyntaxError(
-                    "gate needs at least one input before '->'",
-                    head.line,
-                    head.column,
+                    "gate needs at least one input before '->'", line_no, keyword_column
                 )
-            inputs = tuple(resolve(t) for t in in_tokens)
-            outputs = tuple(declare(t) for t in _name_list(line, "output name"))
-            statements.append(GateStmt(gate_tok.text, inputs, outputs, line_no))
-        elif head.text == "OUTPUT":
-            names = []
-            for token in _name_list(line, "output name"):
-                name = resolve(token)
-                if name in output_names:
+            # Unlike a name list, inputs are checked one by one, form first.
+            inputs = tuple(resolve(_wire_name(n, line_no, c), c) for n, c in in_tokens)
+            outputs = tuple(declare(*t) for t in line.names("output name"))
+            statements.append(GateStmt(gate, inputs, outputs, line_no))
+        elif keyword == "OUTPUT":
+            tokens = line.names("output name")
+            for name, column in tokens:
+                if resolve(name, column) in output_names:
                     raise NetlistSyntaxError(
-                        f"wire {name!r} is already an output", token.line, token.column
+                        f"wire {name!r} is already an output", line_no, column
                     )
                 output_names.add(name)
-                names.append(name)
-            statements.append(OutputStmt(tuple(names), line_no))
-        elif head.text == "GARBAGE":
-            names = tuple(resolve(t) for t in _name_list(line, "garbage name"))
+            statements.append(OutputStmt(tuple(name for name, _ in tokens), line_no))
+        elif keyword == "GARBAGE":
+            names = tuple(resolve(*t) for t in line.names("garbage name"))
             statements.append(GarbageStmt(names, line_no))
         else:
             raise NetlistSyntaxError(
-                f"unknown statement {head.text!r} "
+                f"unknown statement {keyword!r} "
                 f"(expected one of {', '.join(_KEYWORDS)})",
-                head.line,
-                head.column,
+                line_no,
+                keyword_column,
             )
     return NetlistDocument(tuple(statements))
 
@@ -308,27 +287,28 @@ def elaborate(
     wires) surface as the netlist module's exception types with source
     locations prepended. A document built in code rather than parsed
     gets located errors for what `parse_netlist` would have rejected
-    too: a bad or repeated wire name, a constant that is not a bit, an
-    undeclared wire or an unknown gate. Column numbers are not kept in
-    a document, so those errors point at column 1.
+    too, at column 1: a bad or repeated wire name, a constant that is
+    not a bit, an undeclared wire or an unknown gate.
     """
     if catalog is None:
         catalog = catalog_by_name()
     input_labels = doc.input_labels
     if not input_labels:
         raise NetlistSyntaxError("netlist has no INPUT declarations", 1, 1)
-    declared: set[str] = set()
+    # The one declaration table: each name is entered unbound when
+    # declared and bound to its wire as soon as the builder issues it.
+    wires: dict[str, Wire | None] = {}
 
     def declare(names: tuple[str, ...], stmt: Statement) -> None:
         for name in names:
-            _declare(declared, name, stmt.line, 1)
+            _declare(wires, _wire_name(name, stmt.line, 1), stmt.line, 1)
 
     # The builder takes every input at once, so inputs are declared first.
     for stmt in doc.statements:
         if isinstance(stmt, InputStmt):
             declare(stmt.names, stmt)
     builder = new_circuit(input_labels)
-    wires: dict[str, Wire] = dict(zip(input_labels, builder.inputs))
+    wires.update(zip(input_labels, builder.inputs))
 
     def wire(name: str, stmt: Statement) -> Wire:
         try:
@@ -350,9 +330,7 @@ def elaborate(
                     )
                 wires[stmt.name] = builder.add_constant(stmt.value)
             elif isinstance(stmt, GateStmt):
-                gate = catalog.get(stmt.gate)
-                if gate is None:
-                    raise UnknownGateName(f"unknown gate {stmt.gate!r}", stmt.line, 1)
+                gate = _gate(catalog, stmt.gate, stmt.line, 1)
                 if len(stmt.inputs) != gate.arity or len(stmt.outputs) != gate.arity:
                     raise ArityMismatch(
                         f"gate {gate.name} has arity {gate.arity}, "
@@ -377,8 +355,7 @@ def elaborate(
         loose = sorted(name for name, wire in wires.items() if not wire.consumed)
         if loose:
             raise ValidationFailed(
-                exc.violations
-                + [f"unconsumed wire names: {', '.join(loose)}"]
+                exc.violations + [f"unconsumed wire names: {', '.join(loose)}"]
             ) from None
         raise
 
@@ -396,10 +373,8 @@ def emit_netlist(circuit: Circuit) -> str:
         if not NAME_RE.fullmatch(label):
             raise ValueError(f"label {label!r} is not expressible as a wire name")
 
-    names: dict[tuple, str] = {}
+    names = {("in", i): label for i, label in enumerate(circuit.input_labels)}
     used = set(circuit.input_labels)
-    for i in range(len(circuit.input_labels)):
-        names[("in", i)] = circuit.input_labels[i]
     for label, source in circuit.outputs:
         if source[0] == "in" and names[source] != label:
             raise ValueError(
@@ -434,7 +409,8 @@ def emit_netlist(circuit: Circuit) -> str:
         ins = " ".join(name_of(s) for s in inst.sources)
         outs = " ".join(name_of(("gate", idx, pin)) for pin in range(inst.gate.arity))
         lines.append(f"GATE {inst.gate.name} {ins} -> {outs}")
-    lines.append("OUTPUT " + " ".join(name_of(s) for _, s in circuit.outputs))
+    if circuit.outputs:
+        lines.append("OUTPUT " + " ".join(name_of(s) for _, s in circuit.outputs))
     if circuit.garbage:
         lines.append("GARBAGE " + " ".join(name_of(s) for s in circuit.garbage))
     return "\n".join(lines) + "\n"

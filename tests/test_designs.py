@@ -95,6 +95,7 @@ class TestOracle:
     @pytest.mark.parametrize("a, b, cin, digits", [
         (1.5, 0, 0, 1), (5.0, 0, 0, 1), (0, 15.0, 0, 2), (-1, 0, 0, 1),
         (0, 10**4, 0, 4), (0, 0, 2, 2), (0, 0, -1, 1), (0, 0, 0, 0),
+        ("5", 0, 0, 1), (None, 0, 0, 1), (1, 0, 0, "2"), (0, 0, 1.0, 1),
     ])
     def test_number_oracle_rejects(self, a, b, cin, digits):
         with pytest.raises(ValueError):
@@ -354,6 +355,24 @@ class TestEncodeDecode:
             encode_bcd_operands(10, 0, 0)
         with pytest.raises(ValueError):
             encode_bcd_operands(0, 0, 2)
+
+    # Operands of the wrong type are a ValueError naming them, never a
+    # TypeError from comparing or formatting them.
+    @pytest.mark.parametrize("a, b, cin, digits, message", [
+        ("5", 0, 0, 1, "operands must be integers, got '5' and 0"),
+        (None, 0, 0, 1, "operands must be integers, got None and 0"),
+        (1.5, 0, 0, 1, "operands must be integers, got 1.5 and 0"),
+        (0, 15.0, 0, 2, "operands must be integers, got 0 and 15.0"),
+        (1, 0, 0, "2", "digits must be an integer, got '2'"),
+        (0, 0, 0, 0, "digits must be positive"),
+        (0, 100, 0, 2, "operands must be in [0, 99]"),
+        (0, 0, 1.0, 1, "cin must be 0 or 1, got 1.0"),
+    ], ids=["str-a", "none-a", "float-a", "float-b", "str-digits", "zero-digits",
+            "b-out-of-range", "float-cin"])
+    def test_encode_rejects(self, a, b, cin, digits, message):
+        with pytest.raises(ValueError) as err:
+            encode_bcd_operands(a, b, cin, digits)
+        assert str(err.value) == message
 
     def test_decode_width_checked(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import sealed_circuits
 from revlogic.designs import build_bcd_adder_digit, build_bcd_adder_n
 from revlogic.gates import catalog_by_name, make_gate
 from revlogic.metrics import analyze
@@ -291,3 +293,128 @@ class TestEmit:
         assert len(names) == 5
         rebuilt = elaborate(parse_netlist(text))
         assert rebuilt.mapping() == circuit.mapping()
+
+
+# Every parse diagnostic, pinned to its exception type and exact text.
+# Where one line holds two faults these fix which is reported: the names
+# of a list are all checked for form before any is declared or resolved,
+# GATE inputs are checked one by one, and a CONST name is checked only
+# after the rest of its line.
+PARSE_DIAGNOSTICS = [
+    ("unknown-keyword", "INPUT a\nWIRE a\n", NetlistSyntaxError,
+     "line 2, column 1: unknown statement 'WIRE' "
+     "(expected one of INPUT, CONST, GATE, OUTPUT, GARBAGE)"),
+    ("lowercase-keyword", "input a\n", NetlistSyntaxError,
+     "line 1, column 1: unknown statement 'input' "
+     "(expected one of INPUT, CONST, GATE, OUTPUT, GARBAGE)"),
+    ("bad-input-name", "INPUT 9lives\n", NetlistSyntaxError,
+     "line 1, column 7: bad wire name '9lives'"),
+    ("bad-const-name", "INPUT a\nCONST 9z = 0\n", NetlistSyntaxError,
+     "line 2, column 7: bad wire name '9z'"),
+    ("bad-gate-input", "INPUT a b\nGATE FG a 9b -> p q\n", NetlistSyntaxError,
+     "line 2, column 11: bad wire name '9b'"),
+    ("bad-gate-output", "INPUT a b\nGATE FG a b -> p q-r\n", NetlistSyntaxError,
+     "line 2, column 18: bad wire name 'q-r'"),
+    ("bad-output-name", "INPUT a\nOUTPUT a 1x\n", NetlistSyntaxError,
+     "line 2, column 10: bad wire name '1x'"),
+    ("bad-garbage-name", "INPUT a\nGARBAGE a$\n", NetlistSyntaxError,
+     "line 2, column 9: bad wire name 'a$'"),
+    ("bad-non-ascii-name", "INPUT \u00e9\n", NetlistSyntaxError,
+     "line 1, column 7: bad wire name '\u00e9'"),
+    ("tabs-count-one-column", "INPUT\ta\t9b\n", NetlistSyntaxError,
+     "line 1, column 9: bad wire name '9b'"),
+    ("list-names-checked-first", "INPUT a a 9x\n", NetlistSyntaxError,
+     "line 1, column 11: bad wire name '9x'"),
+    ("output-names-checked-first", "INPUT a\nOUTPUT zz 9q\n", NetlistSyntaxError,
+     "line 2, column 11: bad wire name '9q'"),
+    ("gate-inputs-in-order", "INPUT a\nGATE FG zz 9q -> p q\n", UseBeforeDeclaration,
+     "line 2, column 9: wire 'zz' used before declaration"),
+    ("const-name-checked-last", "INPUT a\nCONST 9z = 2\n", NetlistSyntaxError,
+     "line 2, column 12: constant value must be 0 or 1, got '2'"),
+    ("repeated-input", "INPUT a a\n", NetlistSyntaxError,
+     "line 1, column 9: wire 'a' already declared"),
+    ("repeated-across-inputs", "INPUT a\nINPUT b a\n", NetlistSyntaxError,
+     "line 2, column 9: wire 'a' already declared"),
+    ("repeated-const", "INPUT a\nCONST a = 0\n", NetlistSyntaxError,
+     "line 2, column 7: wire 'a' already declared"),
+    ("gate-output-redeclares", "INPUT a b\nGATE FG a b -> a q\n", NetlistSyntaxError,
+     "line 2, column 16: wire 'a' already declared"),
+    ("gate-output-twice", "INPUT a b\nGATE FG a b -> p p\n", NetlistSyntaxError,
+     "line 2, column 18: wire 'p' already declared"),
+    ("empty-input-list", "INPUT\n", NetlistSyntaxError,
+     "line 1, column 6: expected at least one input name"),
+    ("empty-gate-outputs", "INPUT a b\nGATE FG a b ->\n", NetlistSyntaxError,
+     "line 2, column 15: expected at least one output name"),
+    ("empty-output-list", "INPUT a\nOUTPUT\n", NetlistSyntaxError,
+     "line 2, column 7: expected at least one output name"),
+    ("empty-garbage-list", "INPUT a\nGARBAGE\n", NetlistSyntaxError,
+     "line 2, column 8: expected at least one garbage name"),
+    ("const-no-name", "INPUT a\nCONST\n", NetlistSyntaxError,
+     "line 2, column 6: expected constant name"),
+    ("const-no-equals", "INPUT a\nCONST z\n", NetlistSyntaxError,
+     "line 2, column 8: expected '='"),
+    ("const-wrong-equals", "INPUT a\nCONST z 0\n", NetlistSyntaxError,
+     "line 2, column 9: expected '='"),
+    ("const-no-value", "INPUT a\nCONST z =\n", NetlistSyntaxError,
+     "line 2, column 10: expected 0 or 1"),
+    ("const-not-a-bit", "INPUT a\nCONST z = 2\n", NetlistSyntaxError,
+     "line 2, column 11: constant value must be 0 or 1, got '2'"),
+    ("const-extra-token", "INPUT a\nCONST z = 0 1\n", NetlistSyntaxError,
+     "line 2, column 13: unexpected token '1'"),
+    ("gate-no-name", "INPUT a\nGATE\n", NetlistSyntaxError,
+     "line 2, column 5: expected gate name"),
+    ("gate-no-arrow", "INPUT a b\nGATE FG a b\n", NetlistSyntaxError,
+     "line 2, column 12: expected input wire or '->'"),
+    ("gate-no-inputs", "INPUT a b\n  GATE FG -> p q\n", NetlistSyntaxError,
+     "line 2, column 3: gate needs at least one input before '->'"),
+    ("unknown-gate", "INPUT a b\nGATE XX a b -> p q\n", UnknownGateName,
+     "line 2, column 6: unknown gate 'XX'"),
+    ("unknown-gate-before-shape", "INPUT a b\nGATE XX\n", UnknownGateName,
+     "line 2, column 6: unknown gate 'XX'"),
+    ("output-before-declaration", "INPUT a\nOUTPUT b\n", UseBeforeDeclaration,
+     "line 2, column 8: wire 'b' used before declaration"),
+    ("gate-input-before-declaration", "INPUT a b\nGATE FG a q -> p q\n",
+     UseBeforeDeclaration, "line 2, column 11: wire 'q' used before declaration"),
+    ("garbage-before-declaration", "INPUT a\nGARBAGE zz\n", UseBeforeDeclaration,
+     "line 2, column 9: wire 'zz' used before declaration"),
+    ("output-named-twice", "INPUT a b\nGATE FG a b -> p q\nOUTPUT q\nOUTPUT p q\n",
+     NetlistSyntaxError, "line 4, column 10: wire 'q' is already an output"),
+    ("output-twice-on-one-line", "INPUT a\nOUTPUT a a\n", NetlistSyntaxError,
+     "line 2, column 10: wire 'a' is already an output"),
+    ("end-of-line-before-comment", "INPUT a\nCONST z =   # missing\n",
+     NetlistSyntaxError, "line 2, column 10: expected 0 or 1"),
+    ("gate-outputs-end-before-comment", "INPUT a b\nGATE FG a b -> # none\n",
+     NetlistSyntaxError, "line 2, column 15: expected at least one output name"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [pytest.param(*case[1:], id=case[0]) for case in PARSE_DIAGNOSTICS],
+)
+def test_parse_diagnostic_is_exact(text, error, message):
+    with pytest.raises(error) as err:
+        parse_netlist(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(sealed_circuits())
+def test_emit_parse_elaborate_round_trips(circuit):
+    # The text format names an output by its wire, so an output that
+    # carries an input's value under another label is the one circuit
+    # it cannot express.
+    relabels_input = any(
+        source[0] == "in" and label != circuit.input_labels[source[1]]
+        for label, source in circuit.outputs
+    )
+    if relabels_input:
+        with pytest.raises(ValueError):
+            emit_netlist(circuit)
+        return
+    rebuilt = elaborate(parse_netlist(emit_netlist(circuit)))
+    assert rebuilt.input_labels == circuit.input_labels
+    assert rebuilt.output_labels == circuit.output_labels
+    assert analyze(rebuilt) == analyze(circuit)
+    assert rebuilt.mapping() == circuit.mapping()
