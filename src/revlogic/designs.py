@@ -49,7 +49,7 @@ _BATCH_WORDS = 2 * 10**4
 
 
 def _bit(name: str, value: int) -> int:
-    if value not in (0, 1):
+    if not isinstance(value, int) or value not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
     return value
 
@@ -62,10 +62,7 @@ def _digit(name: str, value: int) -> int:
 
 def oracle_bcd_add(a: int, b: int, cin: int) -> tuple[int, int]:
     """Decimal-arithmetic oracle: (carry out, sum digit) of a + b + cin."""
-    total = _digit("a", a) + _digit("b", b) + _bit("cin", cin)
-    if total > 9:
-        return 1, total - 10
-    return 0, total
+    return oracle_bcd_add_number(a, b, cin, 1)
 
 
 def _check_operands(a: int, b: int, cin: int, digits: int) -> int:
@@ -79,13 +76,11 @@ def _check_operands(a: int, b: int, cin: int, digits: int) -> int:
     limit = 10**digits
     if not 0 <= a < limit or not 0 <= b < limit:
         raise ValueError(f"operands must be in [0, {limit - 1}]")
-    if cin not in (0, 1) or not isinstance(cin, int):
-        raise ValueError(f"cin must be 0 or 1, got {cin!r}")
-    return cin
+    return _bit("cin", cin)
 
 
 def oracle_bcd_add_number(a: int, b: int, cin: int, digits: int) -> tuple[int, int]:
-    """Multi-digit oracle: the oracle_bcd_add carry chain, digit by digit.
+    """Multi-digit oracle: the decimal carry chain, digit by digit.
 
     The operands and carry-in are checked once, up front; each digit is
     then one divmod of its digit-pair sum plus the carry.
@@ -197,35 +192,40 @@ def _add_ripple4(
     return c4, [s3, s2, s1, s0]
 
 
-def build_ripple_adder4() -> Circuit:
-    """4-bit binary ripple adder: 4 HNGs, 8 garbage, 4 constants, delay 4.
-
-    Inputs a3..a0, b3..b0, cin; outputs c4, s3..s0.
-    """
+def _seal_digit(add_block, carry_label: str) -> Circuit:
+    """Seal `add_block`'s one-digit block (it returns carry, [s3..s0]) on
+    inputs a3..a0, b3..b0, cin, with outputs `carry_label`, s3..s0."""
     builder = new_circuit(["a3", "a2", "a1", "a0", "b3", "b2", "b1", "b0", "cin"])
     ins = builder.inputs
-    c4, sums = _add_ripple4(builder, ins[0:4], ins[4:8], ins[8])
-    builder.mark_output(c4, "c4")
+    carry, sums = add_block(builder, ins[0:4], ins[4:8], ins[8])
+    builder.mark_output(carry, carry_label)
     for i, wire in enumerate(sums):
         builder.mark_output(wire, f"s{3 - i}")
     return builder.seal()
 
 
+def build_ripple_adder4() -> Circuit:
+    """4-bit binary ripple adder: 4 HNGs, 8 garbage, 4 constants, delay 4.
+
+    Inputs a3..a0, b3..b0, cin; outputs c4, s3..s0.
+    """
+    return _seal_digit(_add_ripple4, "c4")
+
+
 def build_correction_stage() -> Circuit:
     """The correction gate alone: SCL(S1,S2,S3,C4) -> (S1,S2,S3,Cout).
 
+    Inputs s1, s2, s3, c4; outputs s1p, s2p, s3p, cout (netlist text
+    names an output by its wire, so none may reuse an input's label).
     1 gate, 0 garbage, 0 constants: the pass-throughs are real outputs
     here, which is exactly why the full adder design pays no garbage for
     its correction stage.
     """
     builder = new_circuit(["s1", "s2", "s3", "c4"])
-    s1, s2, s3, c4 = builder.inputs
     scl = catalog_by_name()["SCL"]
-    s1p, s2p, s3p, cout = builder.add_gate(scl, [s1, s2, s3, c4])
-    builder.mark_output(s1p, "s1")
-    builder.mark_output(s2p, "s2")
-    builder.mark_output(s3p, "s3")
-    builder.mark_output(cout, "cout")
+    for wire, label in zip(builder.add_gate(scl, builder.inputs),
+                           ("s1p", "s2p", "s3p", "cout")):
+        builder.mark_output(wire, label)
     return builder.seal()
 
 
@@ -269,13 +269,7 @@ def build_bcd_adder_digit() -> Circuit:
 
     Inputs a3..a0, b3..b0, cin; outputs cout, s3..s0 (the BCD sum digit).
     """
-    builder = new_circuit(["a3", "a2", "a1", "a0", "b3", "b2", "b1", "b0", "cin"])
-    ins = builder.inputs
-    cout, sums = _add_bcd_digit(builder, ins[0:4], ins[4:8], ins[8])
-    builder.mark_output(cout, "cout")
-    for i, wire in enumerate(sums):
-        builder.mark_output(wire, f"s{3 - i}")
-    return builder.seal()
+    return _seal_digit(_add_bcd_digit, "cout")
 
 
 def bcd_digit_stage_tags() -> dict[int, str]:

@@ -175,12 +175,10 @@ class _BitRows(dict):
 
 @dataclass(frozen=True)
 class GateDef:
-    """A named reversible gate: a bijective truth table plus cost metadata.
+    """A named reversible gate: a bijective truth table.
 
-    `cost` is the gate's quantum cost, an input parameter expressing how
-    many primitive 1x1/2x2 reversible operations a realization needs; it
-    is configuration data, not derived here. Every gate contributes one
-    gate level, so `delay` is fixed at 1.
+    Its quantum cost is not stored here: `metrics.analyze` prices it by
+    name from a cost table, the one place a price is set.
 
     `formulas` optionally carries per-output switching-function strings
     (e.g. ``("A", "A^B")``) for display; it does not affect behavior or
@@ -189,15 +187,11 @@ class GateDef:
 
     name: str
     table: TruthTable
-    cost: int = 0
-    delay: int = field(default=1, init=False)
     formulas: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("gate name must be nonempty")
-        if self.cost < 0:
-            raise ValueError(f"quantum cost must be nonnegative, got {self.cost}")
         if self.formulas is not None:
             object.__setattr__(self, "formulas", tuple(self.formulas))
             if len(self.formulas) != self.table.arity:
@@ -269,14 +263,13 @@ class GateDef:
             inv_name = self.name[: -len("_inv")]
         else:
             inv_name = self.name + "_inv"
-        return GateDef(inv_name, inv_table, cost=self.cost)
+        return GateDef(inv_name, inv_table)
 
 
 def make_gate(
     name: str,
     arity: int,
     outputs: Sequence[Callable[..., int]],
-    cost: int = 0,
     formulas: Sequence[str] | None = None,
 ) -> GateDef:
     """Build a gate from one boolean expression per output pin.
@@ -285,7 +278,7 @@ def make_gate(
     (the inputs A, B, ... in order) and returning the corresponding
     output bit. The expressions are evaluated over all 2^arity input
     words; construction fails with NotBijective if the resulting table
-    is not a permutation.
+    is not a permutation. The gate carries no cost; see `GateDef`.
     """
     if not 1 <= arity <= MAX_ARITY:
         raise BadArity(f"arity must be in [1, {MAX_ARITY}], got {arity}")
@@ -304,9 +297,7 @@ def make_gate(
                 raise ValueError(f"gate {name!r}: expression returned {bit!r}, not a bit")
             out = (out << 1) | bit
         rows.append(out)
-    table = TruthTable(arity, tuple(rows))
-    fml = tuple(formulas) if formulas is not None else None
-    return GateDef(name, table, cost=cost, formulas=fml)
+    return GateDef(name, TruthTable(arity, tuple(rows)), formulas=formulas)
 
 
 # Switching functions for the built-in catalog. ' is NOT, ^ XOR, + OR,
@@ -377,9 +368,8 @@ _CATALOG_DEFS: tuple[tuple[str, int, tuple, tuple[str, ...]], ...] = (
 
 @cache
 def _catalog() -> tuple[GateDef, ...]:
-    costs = default_cost_table()
     return tuple(
-        make_gate(name, arity, exprs, cost=costs[name], formulas=fml)
+        make_gate(name, arity, exprs, formulas=fml)
         for name, arity, exprs, fml in _CATALOG_DEFS
     )
 
@@ -387,7 +377,7 @@ def _catalog() -> tuple[GateDef, ...]:
 def builtin_catalog() -> list[GateDef]:
     """The built-in gate catalog: FG, FRG, TG, NG, PG, HNG, SCL.
 
-    Costs come from the shipped default cost table; see
+    The packaged default cost table prices every one of them; see
     `default_cost_table` for provenance caveats.
     """
     return list(_catalog())

@@ -177,7 +177,7 @@ class CircuitBuilder:
         self._check_open()
         if value not in (0, 1):
             raise ValueError(f"constant must be 0 or 1, got {value!r}")
-        self._constants.append(value)
+        self._constants.append(int(value))
         return self._new_wire(("const", len(self._constants) - 1))
 
     def add_gate(self, gate: GateDef, inputs: Sequence[Wire]) -> tuple[Wire, ...]:

@@ -57,6 +57,11 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_bcd_add(0, 0, 2)
 
+    def test_carry_is_an_int_bit(self):
+        assert oracle_bcd_add(1, 2, True) == (0, 4)
+        with pytest.raises(ValueError):
+            oracle_bcd_add(1, 2, 1.0)
+
     def test_number_oracle_chains_digits(self):
         assert oracle_bcd_add_number(99, 1, 0, 2) == (1, 0)
         assert oracle_bcd_add_number(99, 99, 1, 2) == (1, 99)
@@ -116,6 +121,10 @@ class TestBcdCase:
         with pytest.raises(ValueError):
             BcdCase(11, 0, 0, 1, 1)
 
+    def test_float_carry_rejected(self):
+        with pytest.raises(ValueError):
+            BcdCase(1, 2, 1.0, 0, 4)
+
     def test_all_cases(self):
         cases = all_bcd_cases()
         assert len(cases) == 200
@@ -138,6 +147,12 @@ class TestCorrectionEquations:
             eval_correction_eq1(2, 0, 0, 0)
         with pytest.raises(ValueError):
             eval_correction_eq2(0, 0, 0, 2)
+
+    def test_float_bits_rejected(self):
+        with pytest.raises(ValueError):
+            eval_correction_eq1(1.0, 0, 0, 0)
+        with pytest.raises(ValueError):
+            eval_correction_eq2(0, 0, 0, 1.0)
 
     def test_equal_on_reachable_states(self):
         # The reachable (s3,s2,s1,c4) states come from the binary sum

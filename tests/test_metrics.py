@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import build_from_plan, circuit_plans
-from revlogic.gates import catalog_by_name
+from revlogic.gates import catalog_by_name, make_gate
 from revlogic.metrics import (
     MetricsReport,
     StagesNotLinear,
@@ -75,6 +75,19 @@ class TestAnalyze:
     def test_default_costs_used(self):
         report = analyze(_fg_chain(2))
         assert report.quantum_cost == 2
+
+    def test_custom_gate_priced_only_by_the_table(self):
+        swap = make_gate("SWAP", 2, (lambda a, b: b, lambda a, b: a))
+        builder = new_circuit(["a", "b"])
+        p, q = builder.add_gate(swap, builder.inputs)
+        builder.mark_output(p, "p")
+        builder.mark_output(q, "q")
+        circuit = builder.seal()
+        assert analyze(circuit, {"SWAP": 3}).quantum_cost == 3
+        with pytest.raises(UnknownGateCost):
+            analyze(circuit)
+        with pytest.raises(UnknownGateCost):
+            analyze(circuit, {"FG": 1})
 
     @given(circuit_plans())
     def test_all_ones_costs_equal_gate_count(self, plan):

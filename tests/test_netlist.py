@@ -60,6 +60,14 @@ class TestBuilderBasics:
         with pytest.raises(ValueError):
             builder.add_constant(2)
 
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_constant_stored_as_int(self, value):
+        builder = new_circuit(["a"])
+        builder.mark_output(builder.inputs[0], "a")
+        builder.mark_garbage(builder.add_constant(value))
+        constants = builder.seal().constants
+        assert constants == (1,) and type(constants[0]) is int
+
 
 class TestAddGate:
     def test_returns_fresh_wires(self):

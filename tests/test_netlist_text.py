@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import sealed_circuits
-from revlogic.designs import build_bcd_adder_digit, build_bcd_adder_n
+from revlogic.designs import (
+    build_bcd_adder_digit,
+    build_bcd_adder_n,
+    build_correction_stage,
+    build_full_adder,
+    build_ripple_adder4,
+)
 from revlogic.gates import catalog_by_name, make_gate
 from revlogic.metrics import analyze
 from revlogic.errors import RevLogicError
@@ -262,6 +270,19 @@ class TestEmit:
         assert rebuilt.output_labels == ("a", "b")
         assert rebuilt.mapping() == circuit.mapping()
 
+    def test_true_constant_round_trips(self):
+        doc = NetlistDocument((
+            InputStmt(("a",), 1),
+            ConstStmt("z", True, 2),
+            GateStmt("FG", ("z", "a"), ("p", "q"), 3),
+            OutputStmt(("q",), 4),
+            GarbageStmt(("p",), 5),
+        ))
+        circuit = elaborate(doc)
+        rebuilt = elaborate(parse_netlist(emit_netlist(circuit)))
+        assert rebuilt.constants == (1,)
+        assert rebuilt.mapping() == circuit.mapping()
+
     def test_relabeled_pass_through_rejected(self):
         builder = new_circuit(["a"])
         builder.mark_output(builder.inputs[0], "rose")
@@ -418,3 +439,22 @@ def test_emit_parse_elaborate_round_trips(circuit):
     assert rebuilt.output_labels == circuit.output_labels
     assert analyze(rebuilt) == analyze(circuit)
     assert rebuilt.mapping() == circuit.mapping()
+
+
+@pytest.mark.parametrize("build", [
+    build_full_adder, build_ripple_adder4, build_correction_stage, build_bcd_adder_digit,
+    lambda: build_bcd_adder_n(2), lambda: build_bcd_adder_n(3), lambda: build_bcd_adder_n(4),
+], ids=["full_adder", "ripple_adder4", "correction_stage", "bcd_adder_digit",
+        "bcd_adder_2", "bcd_adder_3", "bcd_adder_4"])
+def test_shipped_design_round_trips(build):
+    original = build()
+    rebuilt = elaborate(parse_netlist(emit_netlist(original)))
+    assert rebuilt.input_labels == original.input_labels
+    assert rebuilt.output_labels == original.output_labels
+    assert analyze(rebuilt) == analyze(original)
+    if original.width <= 9:
+        assert rebuilt.mapping() == original.mapping()
+    else:
+        rng = random.Random(original.width)
+        planes = [rng.getrandbits(4096) for _ in range(original.width)]
+        assert rebuilt.simulate_planes(planes, 4096) == original.simulate_planes(planes, 4096)
