@@ -153,6 +153,14 @@ class TestVerifyAgainstScalar:
             assert reference, index
             assert [f[:3] for f in failures] == reference, index
 
+    @pytest.mark.parametrize("index", range(12))
+    def test_two_digit_mutants_fail_in_both(self, monkeypatch, index):
+        mutant = flipped(build_bcd_adder_n(2), index)
+        _, failures = verify_circuit(monkeypatch, mutant, 2)
+        first = next(scalar_failures(mutant, 2), None)
+        assert first is not None
+        assert failures and failures[0][:3] == first
+
     @pytest.mark.parametrize("digits, batch_words, calls", [
         (1, None, 1), (2, None, 1), (3, None, 100), (1, 0, 100), (2, 200, 100),
     ])
@@ -185,9 +193,7 @@ class TestVerifyAgainstScalar:
         mutant = flipped(build_bcd_adder_n(2), index)
         monkeypatch.setattr(designs, "_BATCH_WORDS", 20000)
         total, one_batch = verify_circuit(monkeypatch, mutant, 2)
-        first = next(scalar_failures(mutant, 2), None)
-        assert total == 20000 and first is not None
-        assert one_batch and one_batch[0][:3] == first
+        assert total == 20000 and one_batch
         monkeypatch.setattr(designs, "_BATCH_WORDS", 200)
         assert verify_circuit(monkeypatch, mutant, 2) == (total, one_batch)
 
