@@ -25,17 +25,26 @@ one.
 A sealed circuit simulates two ways over one cached slot layout
 (`_plan`): a flat value array holding the inputs, the constants, then
 each gate's output pins side by side. `simulate` is the scalar
-reference: for one input word, each gate gathers its input slots with
-one `operator.itemgetter` call, looks the resulting bit tuple up in
+reference, in two tiers. A circuit's first calls are interpreted: for
+one input word, each gate gathers its input slots with one
+`operator.itemgetter` call, looks the resulting bit tuple up in
 `GateDef.bit_rows` (a truth table keyed by bit tuples and filled in
-lazily, row by row, as words meet it), and stores the output tuple
-into its contiguous pins with one slice assignment. `simulate_planes`
-is the bit-parallel kernel, checked against `simulate`: it takes one
-Python int per input line, a *plane* whose bit j is that line's value
-in word j, and evaluates each gate pin once for the whole batch as the
-XOR of ANDs of its algebraic normal form (`GateDef.anf`), so the cost
-per gate is a few big-int operations however many words the planes
-hold. `mapping()` runs the kernel once over all 2^width words.
+lazily, row by row, as words meet it), and stores the output tuple into
+its contiguous pins with one slice assignment. On its `COMPILE_AFTER`th
+call a circuit compiles: it generates, `exec`s and caches one
+straight-line Python function with a local per slot, which makes the
+same `bit_rows` lookups with no loop, gather or store between them
+(compiled-code simulation, as in Barzilai et al., "HSS -- A High-Speed
+Simulator", IEEE TCAD 1987). Compiling costs tens of interpreted calls,
+so a circuit simulated only a few times never pays for it.
+`simulate_planes` is the bit-parallel kernel, checked against
+`simulate`: it takes one Python int per input line, a *plane* whose bit
+j is that line's value in word j, and evaluates each gate pin once for
+the whole batch as the XOR of ANDs of its algebraic normal form
+(`GateDef.anf`), so the cost per gate is a few big-int operations
+however many words the planes hold. Scalar and plane simulation thus
+derive from the truth table and the ANF independently. `mapping()` runs
+the kernel once over all 2^width words.
 """
 
 from __future__ import annotations
@@ -50,6 +59,18 @@ from .gates import BIT_BYTES, BitWord, GateDef, WidthMismatch
 
 # Exhaustive enumeration is capped here; 2^20 evaluations stay cheap.
 ENUMERATION_LIMIT = 20
+
+# The call on which `simulate` compiles a circuit's kernel; the calls
+# before it are interpreted. Compiling costs as much as 40 to 75
+# interpreted calls on the circuits measured (the 1- and 4-digit adders
+# and random 100- and 1000-gate circuits; CPython 3.11.7). As in ski
+# rental, waiting until the calls already made cost more than a compile
+# bounds the waste: a circuit that stops being simulated just after
+# compiling has spent under twice what interpreting alone would have
+# cost, and one that stays in use pays the compile once. Short-lived
+# circuits, such as those a netlist round trip builds and simulates a
+# few times, never reach it.
+COMPILE_AFTER = 128
 
 _PIN_NAMES = "PQRS"
 
@@ -352,20 +373,78 @@ class Circuit:
                      _gather(tuple(slot[s] for s in self.garbage)),
                      self.constants + (0,) * pins)
 
+    # Scalar tier state, set by `simulate` and not dataclass fields: the
+    # calls interpreted so far, then the compiled kernel.
+    _interpreted = 0
+    _kernel = None
+
     def simulate(self, inputs: BitWord) -> tuple[BitWord, BitWord]:
         """Evaluate the circuit; returns (outputs, garbage) as BitWords.
 
-        Output and garbage bits appear in marking order, MSB-first.
+        Output and garbage bits appear in marking order, MSB-first. A
+        circuit's first `COMPILE_AFTER - 1` calls are interpreted; the
+        next compiles the circuit, and every later call runs compiled.
         """
         if inputs.width != self.width:
             raise WidthMismatch(
                 f"circuit has {self.width} inputs, got a {inputs.width}-bit word"
             )
-        plan = self._plan
-        values = [*inputs.bits, *plan.fill]
-        for gather, bit_rows, lo, hi in plan.steps:
-            values[lo:hi] = bit_rows[gather(values)]
-        return BitWord(plan.read_outputs(values)), BitWord(plan.read_garbage(values))
+        kernel = self._kernel
+        if kernel is None:
+            calls = self._interpreted + 1
+            if calls < COMPILE_AFTER:
+                object.__setattr__(self, "_interpreted", calls)
+                plan = self._plan
+                values = [*inputs.bits, *plan.fill]
+                for gather, bit_rows, lo, hi in plan.steps:
+                    values[lo:hi] = bit_rows[gather(values)]
+                return (BitWord(plan.read_outputs(values)),
+                        BitWord(plan.read_garbage(values)))
+            source, namespace = self._kernel_source()
+            exec(source, namespace)
+            kernel = namespace["kernel"]
+            object.__setattr__(self, "_kernel", kernel)
+        outputs, garbage = kernel(*inputs.bits)
+        return BitWord(outputs), BitWord(garbage)
+
+    def __getstate__(self) -> dict:
+        # The plan's gathers and the kernel may be lambdas or generated
+        # code, which pickle cannot write; a copy rebuilds its own.
+        return {k: v for k, v in vars(self).items() if k not in ("_plan", "_kernel")}
+
+    def _kernel_source(self) -> tuple[str, dict[str, dict]]:
+        """The circuit as one straight-line function `kernel`, and its globals.
+
+        `kernel` takes one argument per input bit and returns the
+        (outputs, garbage) bit tuples. Inputs are the locals `i<k>`, gate
+        pins `v<k>`, instance k's `GateDef.bit_rows` table the global
+        `R<k>`, and constants the literals 0 and 1, so the source holds
+        only names made here, never a label or gate name. A Feynman gate
+        on inputs 0 and 2, say, becomes `v0, v1 = R0[i0, i2]`.
+        """
+        args = [f"i{i}" for i in range(self.width)]
+        name: dict[Source, str] = {("in", i): arg for i, arg in enumerate(args)}
+        name.update((("const", j), "1" if bit else "0")
+                    for j, bit in enumerate(self.constants))
+        namespace: dict[str, dict] = {}
+
+        def listed(names: list[str]) -> str:
+            # A tuple's items as source text; a single item keeps its comma.
+            return ", ".join(names) + ("," if len(names) == 1 else "")
+
+        lines = [f"def kernel({', '.join(args)}):"]
+        pins = 0
+        for idx, inst in enumerate(self.instances):
+            namespace[f"R{idx}"] = inst.gate.bit_rows
+            outs = [f"v{pins + pin}" for pin in range(inst.gate.arity)]
+            pins += inst.gate.arity
+            key = listed([name[s] for s in inst.sources])
+            lines.append(f"    {listed(outs)} = R{idx}[{key}]")
+            name.update((("gate", idx, pin), out) for pin, out in enumerate(outs))
+        outputs = listed([name[s] for _, s in self.outputs])
+        garbage = listed([name[s] for s in self.garbage])
+        lines.append(f"    return ({outputs}), ({garbage})")
+        return "\n".join(lines), namespace
 
     def mapping(self) -> list[tuple[BitWord, BitWord]]:
         """The (outputs, garbage) pair for every primary-input word.

@@ -352,6 +352,18 @@ class TestCascade:
         outputs, _ = circuit.simulate(encode_bcd_operands(999, 1, 0, 3))
         assert decode_bcd_result(outputs, 3) == (1, 0)
 
+    def test_four_digit_seeded_additions_cross_the_compile_threshold(self):
+        # 2 000 words on one adder: the first COMPILE_AFTER - 1 interpreted,
+        # the rest through the compiled kernel.
+        circuit = build_bcd_adder_n(4)
+        rng = random.Random(4)
+        for _ in range(2000):
+            a, b, cin = rng.randrange(10**4), rng.randrange(10**4), rng.getrandbits(1)
+            outputs, _ = circuit.simulate(encode_bcd_operands(a, b, cin, 4))
+            got = decode_bcd_result(outputs, 4)
+            assert got == oracle_bcd_add_number(a, b, cin, 4) == divmod(a + b + cin, 10**4)
+        assert circuit._kernel is not None
+
 
 class TestEncodeDecode:
     def test_encode_layout(self):

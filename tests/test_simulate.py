@@ -1,16 +1,22 @@
 """Scalar `Circuit.simulate` against an independent reference.
 
-`simulate` runs each gate as a gather of its input slots, a lookup in
-`GateDef.bit_rows` and a slice store into its output pins. The
+`simulate` has two tiers. A circuit's first `COMPILE_AFTER - 1` calls
+run each gate as a gather of its input slots, a lookup in
+`GateDef.bit_rows` and a slice store into its output pins; later calls
+run a compiled straight-line function making the same lookups. The
 reference below walks the instances over a `{source: bit}` dict with
-`GateDef.apply`, which reads the truth table directly, so the two share
-nothing but the circuit.
+`GateDef.apply`, which reads the truth table directly, so neither tier
+shares anything with it but the circuit.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
+import pickle
 import random
 import re
+import tokenize
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +29,7 @@ from revlogic.designs import (
     encode_bcd_operands,
 )
 from revlogic.gates import BitWord, GateDef, TruthTable, catalog_by_name, make_gate
-from revlogic.netlist import WidthMismatch, new_circuit
+from revlogic.netlist import COMPILE_AFTER, WidthMismatch, new_circuit
 
 
 def reference_simulate(circuit, word: BitWord) -> tuple[BitWord, BitWord]:
@@ -37,9 +43,20 @@ def reference_simulate(circuit, word: BitWord) -> tuple[BitWord, BitWord]:
 
 
 def check_matches_reference(circuit, values) -> None:
-    for value in values:
-        word = BitWord.from_int(value, circuit.width)
-        assert circuit.simulate(word) == reference_simulate(circuit, word), value
+    """Compare words with the reference on both tiers of a fresh circuit.
+
+    The interpreted calls cycle through `values` until the next call is
+    the one that compiles; then every value runs once more, compiled.
+    """
+    words = [BitWord.from_int(value, circuit.width) for value in values]
+    for word in itertools.islice(itertools.cycle(words), COMPILE_AFTER - 1):
+        assert circuit.simulate(word) == reference_simulate(circuit, word), word
+    assert circuit._kernel is None
+    for word in words:
+        assert circuit.simulate(word) == reference_simulate(circuit, word), word
+        assert circuit._kernel is not None
+    # The kernel is the circuit's state; `simulate` stays the class's method.
+    assert "simulate" not in vars(circuit)
 
 
 NOT = make_gate("NOT", 1, [lambda a: a ^ 1])
@@ -111,6 +128,7 @@ class TestAgainstReference:
         for wire in builder.add_gate(catalog_by_name()["FG"], builder.inputs):
             builder.mark_garbage(wire)
         circuit = builder.seal()
+        check_matches_reference(circuit, range(4))
         assert circuit.simulate(BitWord((1, 1))) == (BitWord(()), BitWord((1, 0)))
 
     def test_inputs_wired_straight_through(self):
@@ -135,6 +153,78 @@ class TestAgainstReference:
             build_bcd_adder_digit().simulate(BitWord((0, 1)))
 
 
+class TestCompiledTier:
+    def test_constants_marked_as_output_and_garbage(self):
+        builder = new_circuit(["a"])
+        one, zero = builder.add_constant(1), builder.add_constant(0)
+        (flipped,) = builder.add_gate(NOT, builder.inputs)
+        builder.mark_output(one, "one")
+        builder.mark_garbage(zero)
+        builder.mark_output(flipped, "not_a")
+        circuit = builder.seal()
+        check_matches_reference(circuit, range(2))
+        assert circuit.simulate(BitWord((0,))) == (BitWord((1, 1)), BitWord((0,)))
+
+    @pytest.mark.parametrize("build", [build_bcd_adder_digit, build_correction_stage])
+    def test_boolean_input_bits(self, build):
+        circuit = build()
+        values = range(1 << circuit.width)
+        for value in itertools.islice(itertools.cycle(values), COMPILE_AFTER + len(values)):
+            as_ints = BitWord.from_int(value, circuit.width)
+            as_bools = BitWord(tuple(bool(bit) for bit in as_ints))
+            assert circuit.simulate(as_bools) == reference_simulate(circuit, as_ints)
+        assert circuit._kernel is not None
+
+    def test_width_mismatch_same_on_both_tiers(self):
+        circuit = build_bcd_adder_digit()
+        with pytest.raises(WidthMismatch) as cold:
+            circuit.simulate(BitWord((0, 1)))
+        check_matches_reference(circuit, range(4))
+        with pytest.raises(WidthMismatch) as hot:
+            circuit.simulate(BitWord((0, 1)))
+        assert str(cold.value) == str(hot.value) == "circuit has 9 inputs, got a 2-bit word"
+
+    def test_hot_circuit_pickles_and_recompiles(self):
+        circuit = build_correction_stage()
+        check_matches_reference(circuit, range(16))
+        copy = pickle.loads(pickle.dumps(circuit))
+        assert copy == circuit and copy._kernel is None
+        word = BitWord((1, 1, 1, 0))
+        assert copy.simulate(word) == circuit.simulate(word)
+        assert copy._kernel is not None
+
+    def test_source_holds_only_generated_names(self):
+        hostile = ["x); import os; (", "__import__('os').system('false')",
+                   "a\nraise SystemExit(3)", "R0", "v0", "i1", "kernel"]
+        gate = make_gate(hostile[0], 2, [lambda a, b: a, lambda a, b: a ^ b])
+        builder = new_circuit(hostile[:4])
+        lines = list(builder.inputs) + [builder.add_constant(1)]
+        lines[0], lines[4] = builder.add_gate(gate, [lines[0], lines[4]])
+        lines[1], lines[2] = builder.add_gate(gate, [lines[1], lines[2]])
+        for wire, label in zip(lines[1:], hostile[3:]):
+            builder.mark_output(wire, label)
+        builder.mark_garbage(lines[0])
+        circuit = builder.seal()
+        check_matches_reference(circuit, range(16))
+
+        source, namespace = circuit._kernel_source()
+        generated = re.compile(r"[ivR][0-9]+|def|kernel|return")
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert generated.fullmatch(token.string), token
+            elif token.type == tokenize.NUMBER:
+                assert token.string in ("0", "1"), token
+            else:
+                assert token.type in (tokenize.OP, tokenize.NEWLINE, tokenize.NL,
+                                      tokenize.INDENT, tokenize.DEDENT,
+                                      tokenize.ENDMARKER), token
+                assert token.type != tokenize.OP or token.string in set("(),:=[]"), token
+        for text in hostile[:3]:
+            assert text not in source
+        assert list(namespace) == ["R0", "R1"]
+        assert all(rows is gate.bit_rows for rows in namespace.values())
+
+
 class TestBitRows:
     def test_rows_match_truth_table(self):
         for gate in (*catalog_by_name().values(), NOT, TOFFOLI5, ROT6):
@@ -154,6 +244,15 @@ class TestBitRows:
             (out, _) = circuit.simulate(BitWord.from_int(value, 16))
             assert out.to_int() == rows[value]
         assert len(gate.bit_rows) == 4
+        # Compiled, the circuit reads the same lazy table.
+        for value in itertools.islice(itertools.cycle((0, 1, 0x8001, 0x1234)),
+                                      COMPILE_AFTER):
+            (out, _) = circuit.simulate(BitWord.from_int(value, 16))
+            assert out.to_int() == rows[value]
+        assert circuit._kernel is not None
+        (out, _) = circuit.simulate(BitWord.from_int(0xBEEF, 16))
+        assert out.to_int() == rows[0xBEEF]
+        assert len(gate.bit_rows) == 5
 
     @pytest.mark.parametrize("key", [(0,), (0, 1, 1), (0, 2), ("0", "1"), 1])
     def test_bad_keys_rejected_and_not_stored(self, key):
