@@ -11,18 +11,26 @@ Subcommands:
     bcd verify [--digits N]   exhaustive check against the decimal oracle
     bcd table [--costs F]     reference comparison table plus recomputation
 
-Exit codes: 0 success; 1 verification or validation failure, or any
-other library error; 2 parse error (netlist or cost-table syntax, a
-netlist that is not UTF-8); 3 usage error (bad arguments, unreadable
-files).
+Exit codes: 0 success; 1 verification or validation failure, any other
+library error, or a reader that closed stdout early (`revlogic truth F |
+head`), which prints nothing on stderr; 2 parse error (netlist or
+cost-table syntax, a netlist that is not UTF-8); 3 usage error (bad
+arguments, unreadable files).
+
+The argparse parser is built once per process, on the first `main` call,
+and shared by every later call: `parse_args` returns a fresh namespace
+each time, and the subcommand functions look up the library calls they
+make when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from collections import Counter
+from functools import cache
 from typing import Mapping
 
 from .designs import (
@@ -219,6 +227,7 @@ def cmd_bcd_table(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="revlogic", description="Reversible-logic circuit tools.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -266,14 +275,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the final
+    flush of what is still buffered cannot fail again at interpreter exit.
+    A stdout without a descriptor (an in-process `StringIO`) is left as is."""
     try:
-        args = parser.parse_args(argv)
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout went away (`| head`): not a usage error.
+        _discard_stdout()
+        return EXIT_FAIL
     except (LocatedError, CostTableError) as exc:
         # A located netlist diagnostic or a malformed cost table.
         print(f"error: {exc}", file=sys.stderr)

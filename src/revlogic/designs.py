@@ -379,9 +379,14 @@ def _bcd_result_word(cout: int, total: int, digits: int) -> BitWord:
 
 def _digit_planes(run: int, count: int) -> list[int]:
     """Indicator planes [digit == x] for x in 0..9 of a digit that holds
-    each value for `run` consecutive words and cycles with period 10*run."""
-    return [tile(((1 << run) - 1) << (run * x), 10 * run, count // (10 * run))
-            for x in range(10)]
+    each value for `run` consecutive words and cycles with period 10*run.
+
+    Only [digit == 0] is tiled; [digit == x] is it shifted up by x runs.
+    `count` is a multiple of 10*run, so the last run of [digit == 0] ends
+    9 runs below bit `count` and no shifted run passes it.
+    """
+    zero = tile((1 << run) - 1, 10 * run, count // (10 * run))
+    return [zero << (run * x) for x in range(10)]
 
 
 def _nibble_planes(indicators: list[int]) -> list[int]:

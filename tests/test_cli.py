@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import revlogic
 from revlogic import cli
 from revlogic.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from revlogic.designs import build_bcd_adder_digit
@@ -250,3 +254,90 @@ class TestUsage:
         monkeypatch.setattr(cli, "verify_bcd_adder", fail)
         assert main(["bcd", "verify"]) == EXIT_FAIL
         assert capsys.readouterr().err == "error: boom\n"
+
+
+# A fresh interpreter imports the same revlogic as this one.
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(revlogic.__file__)))
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process; sharing it must not change
+    any call's output or exit code."""
+
+    @pytest.fixture
+    def calls(self, fg_file, bcd_file, tmp_path):
+        costs = tmp_path / "ones.txt"
+        costs.write_text("FG 1\nTG 1\nFRG 1\nPG 1\nNG 1\nHNG 1\nSCL 1\n")
+        return [
+            ["gates"],
+            ["check", fg_file],
+            ["sim", bcd_file, "--in", "100110011"],
+            ["truth", fg_file],
+            ["metrics", bcd_file, "--costs", str(costs)],
+            ["bcd", "build", "--digits", "2"],
+            ["bcd", "table"],
+            ["--help"],
+            ["bcd", "--help"],
+            ["bcd"],
+            ["bcd", "verify", "--digits", "x"],
+            ["bcd", "verify", "--digits", "5"],
+            ["bcd", "verify", "--digits", "2"],
+            ["sim", fg_file],
+            ["check", "/no/such/file.nl"],
+        ]
+
+    @staticmethod
+    def run(argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_interleaved_calls_match_a_fresh_parser(self, calls, capsys):
+        fresh = {}
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh[tuple(argv)] = self.run(argv, capsys)
+        cli.build_parser.cache_clear()
+        for argv in calls + calls[::-1] + calls[::2]:
+            assert self.run(argv, capsys) == fresh[tuple(argv)], argv
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_fifty_calls_build_one_parser(self, monkeypatch):
+        built = []
+
+        class CountingParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if self.prog == "revlogic":
+                    built.append(self)
+
+        monkeypatch.setattr(cli, "_Parser", CountingParser)
+        cli.build_parser.cache_clear()
+        for _ in range(25):
+            assert main(["gates"]) == EXIT_OK
+            assert main(["bcd", "verify", "--digits", "0"]) == EXIT_USAGE
+        cli.build_parser.cache_clear()  # later tests build with the real _Parser
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        probe = ("import revlogic.cli as cli; "
+                 "assert cli.build_parser.cache_info().currsize == 0; "
+                 "cli.main(['gates']); "
+                 "assert cli.build_parser.cache_info().currsize == 1")
+        done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_closed_stdout_is_not_a_usage_error(tmp_path):
+    # 2^16 rows, far more than a pipe buffers, so the CLI is still writing
+    # when the reader goes away after one line.
+    names = " ".join(f"i{k}" for k in range(16))
+    path = tmp_path / "identity16.nl"
+    path.write_text(f"INPUT {names}\nOUTPUT {names}\n")
+    proc = subprocess.Popen([sys.executable, "-m", "revlogic.cli", "truth", str(path)],
+                            env=SRC_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == f"# inputs:  {names}\n".encode()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (EXIT_FAIL, b"")

@@ -114,6 +114,44 @@ def test_tile_is_block_times_repunit(block, length, repeats):
     assert tile(block, length, repeats) == block * repunit
 
 
+class _PlanesBuilt(Exception):
+    pass
+
+
+def verify_digit_plane_shapes(monkeypatch, digits: int) -> list[tuple[int, int]]:
+    """The (run, count) of every `_digit_planes` call `verify_bcd_adder(digits)`
+    makes; it is stopped at its first simulation, after the planes are built."""
+    shapes = []
+    digit_planes = designs._digit_planes
+
+    def recorded(run, count):
+        shapes.append((run, count))
+        return digit_planes(run, count)
+
+    def stop(circuit, planes, count):
+        raise _PlanesBuilt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(designs, "_digit_planes", recorded)
+        patch.setattr(Circuit, "simulate_planes", stop)
+        with pytest.raises(_PlanesBuilt):
+            verify_bcd_adder(digits)
+    return shapes
+
+
+def test_digit_planes_equal_one_tile_per_value(monkeypatch):
+    shapes = {shape for digits in range(1, designs.MAX_DIGITS + 1)
+              for shape in verify_digit_plane_shapes(monkeypatch, digits)}
+    assert max(count for _, count in shapes) == 2 * 10**6
+    for run, count in sorted(shapes):
+        per_value = [tile(((1 << run) - 1) << (run * x), 10 * run, count // (10 * run))
+                     for x in range(10)]
+        assert designs._digit_planes(run, count) == per_value, (run, count)
+        if count <= 200:
+            for j in range(count):
+                assert [(p >> j) & 1 for p in per_value].index(1) == j // run % 10
+
+
 def scalar_failures(circuit, digits: int):
     """Reference verify loop: one scalar simulate per case, bit-exact."""
     limit = 10**digits
