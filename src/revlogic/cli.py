@@ -13,9 +13,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 verification or validation failure, any other
 library error, or a reader that closed stdout early (`revlogic truth F |
-head`), which prints nothing on stderr; 2 parse error (netlist or
-cost-table syntax, a netlist that is not UTF-8); 3 usage error (bad
-arguments, unreadable files).
+head`, or `--help` into a closed pipe), which prints nothing on stderr;
+2 parse error (netlist or cost-table syntax, a netlist that is not
+UTF-8); 3 usage error (bad arguments, unreadable files).
 
 The argparse parser is built once per process, on the first `main` call,
 and shared by every later call: `parse_args` returns a fresh namespace
@@ -75,6 +75,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse drops a failed write here; `main` must see a closed stdout.
+        (file or sys.stdout).write(self.format_help())
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -290,11 +294,16 @@ def _discard_stdout() -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # help, or a usage error
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            code = args.func(args)
+        # Output still buffered would otherwise meet a closed stdout only
+        # at interpreter exit, which reports it as exit 120.
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # The reader of stdout went away (`| head`): not a usage error.
         _discard_stdout()

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
+from itertools import product
 from typing import Callable, Sequence
 
 from .errors import RevLogicError, _utf8_position
@@ -57,21 +58,40 @@ class BitWord:
     Width 0 is permitted so that circuits without garbage (or without
     primary outputs) can still report a uniform word type; gate I/O is
     separately constrained to arity >= 1.
+
+    A bit may be given as anything equal to 0 or 1 (`True`, `1.0`, ...);
+    it is stored as the int 0 or 1.
     """
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
         bits = tuple(self.bits)
-        object.__setattr__(self, "bits", bits)
         try:
-            if _BIT_VALUES.issuperset(bits):
-                return
-        except TypeError:  # an unhashable element; the loop names it
+            # Ints and bools pack into bytes, and 0/1 bytes read back as
+            # ints, so a valid word is checked and stored as ints at once.
+            packed = bytes(bits)
+        except (TypeError, ValueError):  # a float bit, a negative int, ...
             pass
+        else:
+            if not packed.translate(None, b"\0\1"):
+                object.__setattr__(self, "bits", tuple(packed))
+                return
         for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"bit values must be 0 or 1, got {b!r}")
+        object.__setattr__(self, "bits", tuple(1 if b == 1 else 0 for b in bits))
+
+    @classmethod
+    def _unchecked(cls, bits: tuple[int, ...]) -> BitWord:
+        """The word over `bits`, a tuple known to hold only the ints 0 and 1.
+
+        For bits the library made itself, such as truth-table rows and
+        bit planes: it skips `__post_init__`'s copy and check.
+        """
+        word = object.__new__(cls)
+        word.__dict__["bits"] = bits
+        return word
 
     @property
     def width(self) -> int:
@@ -84,7 +104,8 @@ class BitWord:
         if not 0 <= value < (1 << width):
             raise ValueError(f"value {value} does not fit in {width} bits")
         # The leading 1 keeps width 0 (and leading zeros) exact.
-        return cls(format(value | 1 << width, "b")[1:].encode().translate(BIT_BYTES))
+        return cls._unchecked(
+            tuple(format(value | 1 << width, "b")[1:].encode().translate(BIT_BYTES)))
 
     @classmethod
     def from_string(cls, text: str) -> BitWord:
@@ -105,7 +126,6 @@ class BitWord:
         return self.bits[i]
 
     def __str__(self) -> str:
-        # Bits are anything equal to 0 or 1 (True, 1.0, ...), so print by value.
         return "".join("1" if b else "0" for b in self.bits)
 
 
@@ -150,6 +170,12 @@ def is_bijective(table: TruthTable) -> bool:
             return False
         seen[out] = 1
     return True
+
+
+@cache
+def _words_of_arity(arity: int) -> tuple[tuple[int, ...], ...]:
+    """Every `arity`-bit word as its bit tuple, indexed by its value."""
+    return tuple(product((0, 1), repeat=arity))
 
 
 class _BitRows(dict):
@@ -238,6 +264,25 @@ class GateDef:
         only holds the rows it has actually met.
         """
         return _BitRows(self.table)
+
+    @cached_property
+    def trie(self) -> tuple:
+        """The truth table as nested pairs, indexed one input bit per level.
+
+        `trie[b0][b1]...[bn-1]` is the output-bit tuple for the input bits
+        b0 ... bn-1 (MSB-first), the same row `bit_rows` gives for the key
+        `(b0, ..., bn-1)`, so compiled simulation indexes it with plain
+        bits and builds, hashes and compares no key. It is built whole,
+        from `table.rows`, on first use, and its leaves are shared by
+        every gate of the same arity.
+        """
+        leaves = _words_of_arity(self.arity)
+        nodes = [leaves[out] for out in self.table.rows]
+        # Pairing neighbours groups words by their last bit; after `arity`
+        # rounds one node is left, branching on the first bit.
+        while len(nodes) > 1:
+            nodes = list(zip(nodes[::2], nodes[1::2]))
+        return nodes[0]
 
     def apply(self, word: BitWord) -> BitWord:
         """Map an input word through the gate's truth table."""

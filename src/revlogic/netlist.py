@@ -32,11 +32,15 @@ one input word, each gate gathers its input slots with one
 lazily, row by row, as words meet it), and stores the output tuple into
 its contiguous pins with one slice assignment. On its `COMPILE_AFTER`th
 call a circuit compiles: it generates, `exec`s and caches one
-straight-line Python function with a local per slot, which makes the
-same `bit_rows` lookups with no loop, gather or store between them
-(compiled-code simulation, as in Barzilai et al., "HSS -- A High-Speed
-Simulator", IEEE TCAD 1987). Compiling costs tens of interpreted calls,
-so a circuit simulated only a few times never pays for it.
+straight-line Python function with a local per slot, with no loop,
+gather or store between gates (compiled-code simulation, as in Barzilai
+et al., "HSS -- A High-Speed Simulator", IEEE TCAD 1987). There each
+gate indexes its `GateDef.trie`, the truth table as nested tuples, with
+one input bit per level, so no key tuple is built or hashed. Compiling
+costs tens of interpreted calls, so a circuit simulated only a few times
+never pays for it. Every bit either tier returns is an input bit, a
+constant or a table row's, all ints known to be 0 or 1, so the result
+words skip `BitWord`'s check.
 `simulate_planes` is the bit-parallel kernel, checked against
 `simulate`: it takes one Python int per input line, a *plane* whose bit
 j is that line's value in word j, and evaluates each gate pin once for
@@ -71,6 +75,10 @@ ENUMERATION_LIMIT = 20
 # circuits, such as those a netlist round trip builds and simulates a
 # few times, never reach it.
 COMPILE_AFTER = 128
+
+# Words whose bits came from the circuit's own tables and planes are
+# built without `BitWord`'s check.
+_unchecked = BitWord._unchecked
 
 _PIN_NAMES = "PQRS"
 
@@ -398,35 +406,35 @@ class Circuit:
                 values = [*inputs.bits, *plan.fill]
                 for gather, bit_rows, lo, hi in plan.steps:
                     values[lo:hi] = bit_rows[gather(values)]
-                return (BitWord(plan.read_outputs(values)),
-                        BitWord(plan.read_garbage(values)))
+                return (_unchecked(plan.read_outputs(values)),
+                        _unchecked(plan.read_garbage(values)))
             source, namespace = self._kernel_source()
             exec(source, namespace)
             kernel = namespace["kernel"]
             object.__setattr__(self, "_kernel", kernel)
         outputs, garbage = kernel(*inputs.bits)
-        return BitWord(outputs), BitWord(garbage)
+        return _unchecked(outputs), _unchecked(garbage)
 
     def __getstate__(self) -> dict:
         # The plan's gathers and the kernel may be lambdas or generated
         # code, which pickle cannot write; a copy rebuilds its own.
         return {k: v for k, v in vars(self).items() if k not in ("_plan", "_kernel")}
 
-    def _kernel_source(self) -> tuple[str, dict[str, dict]]:
+    def _kernel_source(self) -> tuple[str, dict[str, tuple]]:
         """The circuit as one straight-line function `kernel`, and its globals.
 
         `kernel` takes one argument per input bit and returns the
         (outputs, garbage) bit tuples. Inputs are the locals `i<k>`, gate
-        pins `v<k>`, instance k's `GateDef.bit_rows` table the global
-        `R<k>`, and constants the literals 0 and 1, so the source holds
-        only names made here, never a label or gate name. A Feynman gate
-        on inputs 0 and 2, say, becomes `v0, v1 = R0[i0, i2]`.
+        pins `v<k>`, instance k's `GateDef.trie` the global `R<k>`, and
+        constants the literals 0 and 1, so the source holds only names
+        made here, never a label or gate name. A Feynman gate on inputs 0
+        and 2, say, becomes `v0, v1 = R0[i0][i2]`.
         """
         args = [f"i{i}" for i in range(self.width)]
         name: dict[Source, str] = {("in", i): arg for i, arg in enumerate(args)}
         name.update((("const", j), "1" if bit else "0")
                     for j, bit in enumerate(self.constants))
-        namespace: dict[str, dict] = {}
+        namespace: dict[str, tuple] = {}
 
         def listed(names: list[str]) -> str:
             # A tuple's items as source text; a single item keeps its comma.
@@ -435,11 +443,11 @@ class Circuit:
         lines = [f"def kernel({', '.join(args)}):"]
         pins = 0
         for idx, inst in enumerate(self.instances):
-            namespace[f"R{idx}"] = inst.gate.bit_rows
+            namespace[f"R{idx}"] = inst.gate.trie
             outs = [f"v{pins + pin}" for pin in range(inst.gate.arity)]
             pins += inst.gate.arity
-            key = listed([name[s] for s in inst.sources])
-            lines.append(f"    {listed(outs)} = R{idx}[{key}]")
+            path = "".join(f"[{name[s]}]" for s in inst.sources)
+            lines.append(f"    {listed(outs)} = R{idx}{path}")
             name.update((("gate", idx, pin), out) for pin, out in enumerate(outs))
         outputs = listed([name[s] for _, s in self.outputs])
         garbage = listed([name[s] for s in self.garbage])
@@ -466,7 +474,7 @@ class Circuit:
             planes.append(tile(((1 << run) - 1) << run, 2 * run, count // (2 * run)))
         outputs, garbage = self.simulate_planes(planes, count)
         return [
-            (BitWord(out), BitWord(junk))
+            (_unchecked(out), _unchecked(junk))
             for out, junk in zip(_words(outputs, count), _words(garbage, count))
         ]
 

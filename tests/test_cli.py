@@ -341,3 +341,23 @@ def test_closed_stdout_is_not_a_usage_error(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (EXIT_FAIL, b"")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["bcd", "--help"], ["gates"]],
+                         ids=" ".join)
+def test_short_output_into_a_closed_pipe(argv, buffered):
+    # The reader is gone before the CLI starts. Help and a subcommand fail
+    # alike, whether the write fails at once or only when the buffer is
+    # flushed (which, left to interpreter exit, would give exit 120).
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "revlogic.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_FAIL, b"")

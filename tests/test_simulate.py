@@ -3,10 +3,13 @@
 `simulate` has two tiers. A circuit's first `COMPILE_AFTER - 1` calls
 run each gate as a gather of its input slots, a lookup in
 `GateDef.bit_rows` and a slice store into its output pins; later calls
-run a compiled straight-line function making the same lookups. The
+run a compiled straight-line function in which each gate indexes its
+`GateDef.trie`, the truth table nested one input bit per level. The
 reference below walks the instances over a `{source: bit}` dict with
 `GateDef.apply`, which reads the truth table directly, so neither tier
-shares anything with it but the circuit.
+shares anything with it but the circuit. Both tiers, `mapping` and
+`BitWord.from_int` build their words without `BitWord`'s check, so
+`TestUncheckedWords` checks every word they return.
 """
 
 from __future__ import annotations
@@ -148,6 +151,21 @@ class TestAgainstReference:
         assert circuit.simulate(as_bools) == circuit.simulate(as_ints)
         assert circuit.simulate(as_bools) == reference_simulate(circuit, as_ints)
 
+    def test_float_and_bool_bits_simulate_as_ints(self):
+        # A word of floats or bools equal to 0 and 1 is legal. It stores
+        # ints, so it prints, compares and simulates as the int word does,
+        # on both tiers and from a fresh circuit's first call.
+        circuit = build_bcd_adder_digit()
+        words = [BitWord.from_int(value, circuit.width) for value in range(1 << 9)]
+        for word in itertools.islice(itertools.cycle(words), COMPILE_AFTER + len(words)):
+            for kind in (float, bool):
+                same = BitWord(tuple(kind(bit) for bit in word))
+                assert all(type(bit) is int for bit in same.bits)
+                assert (same.bits, str(same), same.to_int()) == (
+                    word.bits, str(word), word.to_int())
+                assert circuit.simulate(same) == reference_simulate(circuit, word)
+        assert circuit._kernel is not None
+
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatch):
             build_bcd_adder_digit().simulate(BitWord((0, 1)))
@@ -222,7 +240,8 @@ class TestCompiledTier:
         for text in hostile[:3]:
             assert text not in source
         assert list(namespace) == ["R0", "R1"]
-        assert all(rows is gate.bit_rows for rows in namespace.values())
+        for idx, inst in enumerate(circuit.instances):
+            assert namespace[f"R{idx}"] is inst.gate.trie
 
 
 class TestBitRows:
@@ -244,15 +263,17 @@ class TestBitRows:
             (out, _) = circuit.simulate(BitWord.from_int(value, 16))
             assert out.to_int() == rows[value]
         assert len(gate.bit_rows) == 4
-        # Compiled, the circuit reads the same lazy table.
+        # Compiled, the circuit reads the whole table as `GateDef.trie`,
+        # so compiled calls leave the lazy table as it is.
         for value in itertools.islice(itertools.cycle((0, 1, 0x8001, 0x1234)),
                                       COMPILE_AFTER):
             (out, _) = circuit.simulate(BitWord.from_int(value, 16))
             assert out.to_int() == rows[value]
         assert circuit._kernel is not None
-        (out, _) = circuit.simulate(BitWord.from_int(0xBEEF, 16))
-        assert out.to_int() == rows[0xBEEF]
-        assert len(gate.bit_rows) == 5
+        for value in (0xBEEF, 0xFFFF, 0x7FFE):
+            (out, _) = circuit.simulate(BitWord.from_int(value, 16))
+            assert out.to_int() == rows[value]
+        assert len(gate.bit_rows) == 4
 
     @pytest.mark.parametrize("key", [(0,), (0, 1, 1), (0, 2), ("0", "1"), 1])
     def test_bad_keys_rejected_and_not_stored(self, key):
@@ -260,6 +281,44 @@ class TestBitRows:
         with pytest.raises(KeyError):
             rows[key]
         assert key not in rows
+
+
+class TestTrie:
+    def test_leaves_are_rows_of_the_truth_table(self):
+        for gate in (*catalog_by_name().values(), NOT, TOFFOLI5, ROT6):
+            for value in range(gate.table.size):
+                node = gate.trie
+                for bit in BitWord.from_int(value, gate.arity):
+                    node = node[bit]
+                assert node == gate.apply(BitWord.from_int(value, gate.arity)).bits
+
+    def test_built_once_with_leaves_shared_per_arity(self):
+        tg, pg = catalog_by_name()["TG"], catalog_by_name()["PG"]
+        assert tg.trie is tg.trie
+        assert tg.trie[1][1][0] is pg.trie[1][0][1]  # both are (1, 1, 1)
+
+
+def assert_checked(word: BitWord) -> None:
+    """`word` holds what `BitWord`'s own check would have stored."""
+    assert type(word.bits) is tuple
+    assert all(type(bit) is int and bit in (0, 1) for bit in word.bits), word
+    assert word == BitWord(tuple(word.bits))
+
+
+class TestUncheckedWords:
+    @settings(max_examples=100)
+    @given(sealed_circuits())
+    def test_every_returned_word_passes_the_check(self, circuit):
+        words = [BitWord.from_int(value, circuit.width)
+                 for value in range(1 << circuit.width)]
+        returned = list(words)
+        for word in itertools.islice(itertools.cycle(words), COMPILE_AFTER + len(words)):
+            returned.extend(circuit.simulate(word))
+        assert circuit._kernel is not None
+        for pair in circuit.mapping():
+            returned.extend(pair)
+        for word in returned:
+            assert_checked(word)
 
 
 def old_encode(a: int, b: int, cin: int, digits: int) -> BitWord:
