@@ -28,8 +28,6 @@ from .errors import RevLogicError, _utf8_position
 
 MAX_ARITY = 16
 
-_BIT_VALUES = frozenset((0, 1))
-
 # Maps the ASCII digits of a bit string to bytes 0/1, so that
 # `format(...).encode().translate(BIT_BYTES)` iterates as 0/1 ints.
 BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -178,27 +176,6 @@ def _words_of_arity(arity: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product((0, 1), repeat=arity))
 
 
-class _BitRows(dict):
-    """`GateDef.bit_rows`: each row is computed from `table.rows` when missed."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: TruthTable):
-        super().__init__()
-        self._table = table
-
-    def __missing__(self, bits):
-        table = self._table
-        if (not isinstance(bits, tuple) or len(bits) != table.arity
-                or not _BIT_VALUES.issuperset(bits)):
-            raise KeyError(bits)
-        word = 0
-        for b in bits:
-            word = (word << 1) | b
-        row = self[bits] = BitWord.from_int(table.rows[word], table.arity).bits
-        return row
-
-
 @dataclass(frozen=True)
 class GateDef:
     """A named reversible gate: a bijective truth table.
@@ -255,26 +232,14 @@ class GateDef:
         return tuple(pins)
 
     @cached_property
-    def bit_rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """The truth table keyed by input-bit tuple, giving output-bit tuples.
-
-        Both tuples are MSB-first, one entry per pin, so scalar
-        simulation maps a gate's gathered input pins straight to its
-        output pins. Rows are filled in on first lookup, so a wide gate
-        only holds the rows it has actually met.
-        """
-        return _BitRows(self.table)
-
-    @cached_property
     def trie(self) -> tuple:
         """The truth table as nested pairs, indexed one input bit per level.
 
         `trie[b0][b1]...[bn-1]` is the output-bit tuple for the input bits
-        b0 ... bn-1 (MSB-first), the same row `bit_rows` gives for the key
-        `(b0, ..., bn-1)`, so compiled simulation indexes it with plain
-        bits and builds, hashes and compares no key. It is built whole,
-        from `table.rows`, on first use, and its leaves are shared by
-        every gate of the same arity.
+        b0 ... bn-1 (MSB-first), so both scalar tiers of
+        `Circuit.simulate` index it with plain bits and build, hash and
+        compare no key. It is built whole, from `table.rows`, on first
+        use, and its leaves are shared by every gate of the same arity.
         """
         leaves = _words_of_arity(self.arity)
         nodes = [leaves[out] for out in self.table.rows]

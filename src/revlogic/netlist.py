@@ -25,22 +25,20 @@ one.
 A sealed circuit simulates two ways over one cached slot layout
 (`_plan`): a flat value array holding the inputs, the constants, then
 each gate's output pins side by side. `simulate` is the scalar
-reference, in two tiers. A circuit's first calls are interpreted: for
-one input word, each gate gathers its input slots with one
-`operator.itemgetter` call, looks the resulting bit tuple up in
-`GateDef.bit_rows` (a truth table keyed by bit tuples and filled in
-lazily, row by row, as words meet it), and stores the output tuple into
-its contiguous pins with one slice assignment. On its `COMPILE_AFTER`th
-call a circuit compiles: it generates, `exec`s and caches one
-straight-line Python function with a local per slot, with no loop,
-gather or store between gates (compiled-code simulation, as in Barzilai
-et al., "HSS -- A High-Speed Simulator", IEEE TCAD 1987). There each
-gate indexes its `GateDef.trie`, the truth table as nested tuples, with
-one input bit per level, so no key tuple is built or hashed. Compiling
-costs tens of interpreted calls, so a circuit simulated only a few times
-never pays for it. Every bit either tier returns is an input bit, a
-constant or a table row's, all ints known to be 0 or 1, so the result
-words skip `BitWord`'s check.
+reference, in two tiers that read one table, `GateDef.trie`: the truth
+table as nested tuples, one input bit per level, so no key tuple is
+built or hashed. A circuit's first calls are interpreted: for one input
+word, each gate walks its trie one input slot at a time and stores the
+leaf, its output bits, into its contiguous pins with one slice
+assignment. On its `COMPILE_AFTER`th call a circuit compiles: it
+generates, `exec`s and caches one straight-line Python function with a
+local per slot, with no loop or store between gates, in which each
+gate's walk is one indexing expression (compiled-code simulation, as in
+Barzilai et al., "HSS -- A High-Speed Simulator", IEEE TCAD 1987).
+Compiling costs tens of interpreted calls, so a circuit simulated only
+a few times never pays for it. Every bit either tier returns is an
+input bit, a constant or a table row's, all ints known to be 0 or 1, so
+the result words skip `BitWord`'s check.
 `simulate_planes` is the bit-parallel kernel, checked against
 `simulate`: it takes one Python int per input line, a *plane* whose bit
 j is that line's value in word j, and evaluates each gate pin once for
@@ -53,6 +51,7 @@ the kernel once over all 2^width words.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -124,14 +123,16 @@ class Wire:
     """Handle for a signal inside a builder; valid for one consumption.
 
     `_index` is the wire's position in its builder's list of issued
-    wires; a wire made by hand keeps -1.
+    wires; a wire made by hand keeps -1. `_builder` is the builder's weak
+    reference to itself, so builder and wires form no cycle and are
+    freed by refcount, without waiting for the cyclic collector.
     """
 
     __slots__ = ("source", "_builder", "_consumed", "_index")
 
     def __init__(self, source: Source, builder: CircuitBuilder, index: int = -1):
         self.source = source
-        self._builder = builder
+        self._builder = builder._ref
         self._consumed = False
         self._index = index
 
@@ -141,7 +142,9 @@ class Wire:
 
     def __repr__(self) -> str:
         state = "consumed" if self._consumed else "free"
-        return f"<Wire {self._builder.describe(self.source)} ({state})>"
+        builder = self._builder()
+        where = repr(self.source) if builder is None else builder.describe(self.source)
+        return f"<Wire {where} ({state})>"
 
 
 class CircuitBuilder:
@@ -168,6 +171,7 @@ class CircuitBuilder:
         self._garbage: list[Source] = []
         self._wires: list[Wire] = []
         self._sealed = False
+        self._ref = weakref.ref(self)
         self.inputs = tuple(self._new_wire(("in", i)) for i in range(len(labels)))
 
     @property
@@ -185,7 +189,7 @@ class CircuitBuilder:
 
     def _own(self, wire: Wire) -> None:
         # A hand-made wire's index -1 names the last issued wire, not it.
-        if (not isinstance(wire, Wire) or wire._builder is not self
+        if (not isinstance(wire, Wire) or wire._builder is not self._ref
                 or self._wires[wire._index] is not wire):
             raise ValueError("wire was not issued by this builder")
 
@@ -218,25 +222,29 @@ class CircuitBuilder:
         """
         self._check_open()
         wires = list(inputs)
-        if len(wires) != gate.arity:
+        arity = gate.arity
+        if len(wires) != arity:
             raise ArityMismatch(
-                f"gate {gate.name} has arity {gate.arity}, got {len(wires)} wires"
+                f"gate {gate.name} has arity {arity}, got {len(wires)} wires"
             )
         for wire in wires:
             self._own(wire)
-            if wire.consumed:
+            if wire._consumed:
                 raise FanOutViolation(
                     f"{self.describe(wire.source)} is already consumed"
                 )
-        if len({id(w) for w in wires}) != len(wires):
+        if len(set(map(id, wires))) != arity:
             raise FanOutViolation(
                 f"gate {gate.name}: the same wire was passed to two pins"
             )
         for wire in wires:
             wire._consumed = True
         idx = len(self._instances)
-        self._instances.append(Instance(gate, tuple(w.source for w in wires)))
-        return tuple(self._new_wire(("gate", idx, pin)) for pin in range(gate.arity))
+        self._instances.append(Instance(gate, tuple([w.source for w in wires])))
+        first = len(self._wires)
+        outs = tuple([Wire(("gate", idx, pin), self, first + pin) for pin in range(arity)])
+        self._wires.extend(outs)
+        return outs
 
     def mark_output(self, wire: Wire, label: str) -> None:
         """Consume a wire as the primary output named `label`."""
@@ -300,7 +308,7 @@ def new_circuit(input_labels: Iterable[str]) -> CircuitBuilder:
     return CircuitBuilder(input_labels)
 
 
-def _gather(slots: tuple[int, ...]) -> Callable[[list], tuple]:
+def _gather(slots: list[int]) -> Callable[[list], tuple]:
     """A function returning the values at `slots` as a tuple, in one C call.
 
     `itemgetter` takes no empty index list and returns a bare value for
@@ -319,15 +327,14 @@ class _Plan(NamedTuple):
 
     Slots hold the inputs, then the constants, then each instance's
     output pins, contiguous per instance. `steps` has one
-    `(gather, bit_rows, lo, hi)` per instance, in order: its input
-    slots are `in_slots[k]` and its outputs `lo` to `hi`. The two
-    readers gather the output and garbage slots in marking order. `fill`
-    is what follows the inputs in a fresh value array: the constants,
-    then a zero per gate pin.
+    `(trie, in_slots, lo, hi)` per instance, in order: its gate's
+    `GateDef.trie`, its input slots in pin order, and its output slots
+    `lo` to `hi`. The two readers gather the output and garbage slots in
+    marking order. `fill` is what follows the inputs in a fresh value
+    array: the constants as the ints 0 and 1, then a zero per gate pin.
     """
 
-    steps: tuple[tuple[Callable[[list], tuple], dict, int, int], ...]
-    in_slots: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[tuple, tuple[int, ...], int, int], ...]
     read_outputs: Callable[[list], tuple]
     read_garbage: Callable[[list], tuple]
     fill: tuple[int, ...]
@@ -358,28 +365,29 @@ class Circuit:
 
     @cached_property
     def _plan(self) -> _Plan:
-        slot: dict[Source, int] = {}
-        for i in range(len(self.input_labels)):
-            slot[("in", i)] = i
-        base = len(self.input_labels)
-        for j in range(len(self.constants)):
-            slot[("const", j)] = base + j
-        base += len(self.constants)
+        # A source's slot is found by arithmetic: input i is slot i,
+        # constant j follows the inputs, and a gate pin is its
+        # instance's first output slot plus the pin number.
+        first = {"in": 0, "const": self.width}
+        starts: list[int] = []
+
+        def slots(sources) -> list[int]:
+            return [starts[s[1]] + s[2] if s[0] == "gate" else first[s[0]] + s[1]
+                    for s in sources]
+
+        lo = self.width + len(self.constants)
         steps = []
-        in_slots = []
-        for idx, inst in enumerate(self.instances):
-            ins = tuple(slot[s] for s in inst.sources)
-            hi = base + inst.gate.arity
-            steps.append((_gather(ins), inst.gate.bit_rows, base, hi))
-            in_slots.append(ins)
-            for pin in range(inst.gate.arity):
-                slot[("gate", idx, pin)] = base + pin
-            base = hi
-        pins = base - self.width - len(self.constants)
-        return _Plan(tuple(steps), tuple(in_slots),
-                     _gather(tuple(slot[s] for _, s in self.outputs)),
-                     _gather(tuple(slot[s] for s in self.garbage)),
-                     self.constants + (0,) * pins)
+        for inst in self.instances:
+            hi = lo + inst.gate.arity
+            steps.append((inst.gate.trie, tuple(slots(inst.sources)), lo, hi))
+            starts.append(lo)
+            lo = hi
+        # Truthiness, as the compiled tier and the planes read a constant.
+        fill = tuple(1 if c else 0 for c in self.constants)
+        return _Plan(tuple(steps),
+                     _gather(slots(s for _, s in self.outputs)),
+                     _gather(slots(self.garbage)),
+                     fill + (0,) * (lo - len(fill) - self.width))
 
     # Scalar tier state, set by `simulate` and not dataclass fields: the
     # calls interpreted so far, then the compiled kernel.
@@ -404,8 +412,10 @@ class Circuit:
                 object.__setattr__(self, "_interpreted", calls)
                 plan = self._plan
                 values = [*inputs.bits, *plan.fill]
-                for gather, bit_rows, lo, hi in plan.steps:
-                    values[lo:hi] = bit_rows[gather(values)]
+                for node, in_slots, lo, hi in plan.steps:
+                    for slot in in_slots:
+                        node = node[values[slot]]
+                    values[lo:hi] = node
                 return (_unchecked(plan.read_outputs(values)),
                         _unchecked(plan.read_garbage(values)))
             source, namespace = self._kernel_source()
@@ -416,7 +426,7 @@ class Circuit:
         return _unchecked(outputs), _unchecked(garbage)
 
     def __getstate__(self) -> dict:
-        # The plan's gathers and the kernel may be lambdas or generated
+        # The plan's readers and the kernel may be lambdas or generated
         # code, which pickle cannot write; a copy rebuilds its own.
         return {k: v for k, v in vars(self).items() if k not in ("_plan", "_kernel")}
 
@@ -502,9 +512,7 @@ class Circuit:
         values[self.width : self.width + len(self.constants)] = [
             mask if c else 0 for c in self.constants
         ]
-        for inst, in_slots, (_, _, out_base, _) in zip(
-            self.instances, plan.in_slots, plan.steps
-        ):
+        for inst, (_, in_slots, out_base, _) in zip(self.instances, plan.steps):
             ins = [values[s] for s in in_slots]
             for s in in_slots:
                 # No fan-out: each slot has exactly one reader, so free it.

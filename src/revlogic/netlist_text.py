@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping, Union
 
 from .errors import RevLogicError, _utf8_position
@@ -44,6 +45,9 @@ from .netlist import (
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# A whole list of names joined by spaces, checked in one match.
+_NAMES_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?: [A-Za-z_][A-Za-z0-9_]*)*")
+# Tokens as `str.split()` finds them: `\s` and `str.isspace` agree.
 _TOKEN_RE = re.compile(r"\S+")
 _KEYWORDS = ("INPUT", "CONST", "GATE", "OUTPUT", "GARBAGE")
 
@@ -120,53 +124,64 @@ class NetlistDocument:
 class _Line:
     """Token cursor over one comment-stripped source line.
 
-    A token is a `(text, column)` pair; its line is `line_no`.
+    Tokens are the line's `str.split()` words, plain strings. A token's
+    1-based column is found from its index, by re-running `_TOKEN_RE`
+    over the line, only when a diagnostic needs it.
     """
 
+    __slots__ = ("text", "tokens", "line_no", "pos")
+
     def __init__(self, text: str, line_no: int):
-        stripped = text.split("#", 1)[0]
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(stripped)]
+        self.text = text.split("#", 1)[0]
+        self.tokens = self.text.split()
         self.line_no = line_no
-        self.end_column = len(stripped.rstrip()) + 1
         self.pos = 0
 
-    def take(self, what: str) -> tuple[str, int]:
+    def column(self, index: int) -> int:
+        match = next(islice(_TOKEN_RE.finditer(self.text), index, None))
+        return match.start() + 1
+
+    def error(self, message: str, index: int | None = None) -> NetlistSyntaxError:
+        """The error at token `index`, or at the line's end if None."""
+        end = len(self.text.rstrip()) + 1
+        return NetlistSyntaxError(
+            message, self.line_no, end if index is None else self.column(index))
+
+    def take(self, what: str) -> str:
         if self.pos >= len(self.tokens):
-            raise NetlistSyntaxError(f"expected {what}", self.line_no, self.end_column)
+            raise self.error(f"expected {what}")
         self.pos += 1
         return self.tokens[self.pos - 1]
 
-    def names(self, what: str) -> list[tuple[str, int]]:
+    def names(self, what: str) -> list[str]:
         """Take the rest of the line: one or more wire names, each well formed."""
         rest = self.tokens[self.pos :]
         if not rest:
-            raise NetlistSyntaxError(
-                f"expected at least one {what}", self.line_no, self.end_column
-            )
+            raise self.error(f"expected at least one {what}")
+        # Tokens hold no space, so the joined list matches name by name.
+        if not _NAMES_RE.fullmatch(" ".join(rest)):
+            for index, text in enumerate(rest, self.pos):
+                if not NAME_RE.fullmatch(text):
+                    _wire_name(text, self.line_no, self.column(index))
         self.pos = len(self.tokens)
-        for text, column in rest:
-            _wire_name(text, self.line_no, column)
         return rest
 
     def finish(self) -> None:
         if self.pos < len(self.tokens):
-            text, column = self.tokens[self.pos]
-            raise NetlistSyntaxError(f"unexpected token {text!r}", self.line_no, column)
+            raise self.error(f"unexpected token {self.tokens[self.pos]!r}", self.pos)
 
 
-def _wire_name(text: str, line: int, column: int) -> str:
-    """Return `text` if it is a well-formed wire name; the one form check."""
+def _wire_name(text: str, line: int, column: int) -> None:
+    """Raise the located error unless `text` is a well-formed wire name."""
     if not NAME_RE.fullmatch(text):
         raise NetlistSyntaxError(f"bad wire name {text!r}", line, column)
-    return text
 
 
-def _declare(table: dict, name: str, line: int, column: int) -> str:
+def _declare(table: dict, name: str, line: int, column: int) -> None:
     """Enter a new wire name in `table`, not yet bound; a repeat is an error."""
     if name in table:
         raise NetlistSyntaxError(f"wire {name!r} already declared", line, column)
     table[name] = None
-    return name
 
 
 def _gate(catalog: Mapping[str, GateDef], name: str, line: int, column: int) -> GateDef:
@@ -203,78 +218,81 @@ def parse_netlist(
     """
     if catalog is None:
         catalog = catalog_by_name()
-    # Every name goes through `_Line.names` or `_wire_name` once, so
-    # `declare` and `resolve` check only declaration state.
+    # A name's form is checked once, before it is declared, so a declared
+    # name needs no second check. A failed inline check calls its shared
+    # helper with the token's column, which raises the diagnostic.
     declared: dict[str, None] = {}
     output_names: set[str] = set()
     statements: list[Statement] = []
 
-    def declare(name: str, column: int) -> str:
-        return _declare(declared, name, line_no, column)
+    def declare(names: list[str], first: int) -> tuple[str, ...]:
+        for index, name in enumerate(names, first):
+            if name in declared:
+                _declare(declared, name, line_no, line.column(index))
+            declared[name] = None
+        return tuple(names)
 
-    def resolve(name: str, column: int) -> str:
+    def resolve(name: str, index: int) -> str:
         if name not in declared:
-            raise UseBeforeDeclaration(
-                f"wire {name!r} used before declaration", line_no, column
-            )
+            raise UseBeforeDeclaration(f"wire {name!r} used before declaration",
+                                       line_no, line.column(index))
         return name
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _Line(raw, line_no)
         if not line.tokens:
             continue
-        keyword, keyword_column = line.take("statement keyword")
+        keyword = line.take("statement keyword")
         if keyword == "INPUT":
-            names = tuple(declare(*t) for t in line.names("input name"))
+            names = declare(line.names("input name"), 1)
             statements.append(InputStmt(names, line_no))
         elif keyword == "CONST":
-            name, name_column = line.take("constant name")
-            eq, eq_column = line.take("'='")
-            if eq != "=":
-                raise NetlistSyntaxError("expected '='", line_no, eq_column)
-            value, value_column = line.take("0 or 1")
+            name = line.take("constant name")
+            if line.take("'='") != "=":
+                raise line.error("expected '='", 2)
+            value = line.take("0 or 1")
             if value not in ("0", "1"):
-                raise NetlistSyntaxError(
-                    f"constant value must be 0 or 1, got {value!r}",
-                    line_no,
-                    value_column,
-                )
+                raise line.error(f"constant value must be 0 or 1, got {value!r}", 3)
             line.finish()
-            name = declare(_wire_name(name, line_no, name_column), name_column)
+            if not NAME_RE.fullmatch(name):
+                _wire_name(name, line_no, line.column(1))
+            declare([name], 1)
             statements.append(ConstStmt(name, int(value), line_no))
         elif keyword == "GATE":
-            gate, gate_column = line.take("gate name")
-            _gate(catalog, gate, line_no, gate_column)
-            in_tokens: list[tuple[str, int]] = []
-            while (token := line.take("input wire or '->'"))[0] != "->":
-                in_tokens.append(token)
-            if not in_tokens:
-                raise NetlistSyntaxError(
-                    "gate needs at least one input before '->'", line_no, keyword_column
-                )
-            # Unlike a name list, inputs are checked one by one, form first.
-            inputs = tuple(resolve(_wire_name(n, line_no, c), c) for n, c in in_tokens)
-            outputs = tuple(declare(*t) for t in line.names("output name"))
+            gate = line.take("gate name")
+            if gate not in catalog:
+                _gate(catalog, gate, line_no, line.column(1))
+            try:
+                arrow = line.tokens.index("->", 2)
+            except ValueError:
+                raise line.error("expected input wire or '->'") from None
+            if arrow == 2:
+                raise line.error("gate needs at least one input before '->'", 0)
+            inputs = tuple(line.tokens[2:arrow])
+            # Unlike a name list, inputs are checked one by one, form
+            # first; a declared name has passed the form check already.
+            for index, name in enumerate(inputs, 2):
+                if name not in declared:
+                    _wire_name(name, line_no, line.column(index))
+                    resolve(name, index)
+            line.pos = arrow + 1
+            outputs = declare(line.names("output name"), arrow + 1)
             statements.append(GateStmt(gate, inputs, outputs, line_no))
         elif keyword == "OUTPUT":
-            tokens = line.names("output name")
-            for name, column in tokens:
-                if resolve(name, column) in output_names:
-                    raise NetlistSyntaxError(
-                        f"wire {name!r} is already an output", line_no, column
-                    )
+            names = line.names("output name")
+            for index, name in enumerate(names, 1):
+                if resolve(name, index) in output_names:
+                    raise line.error(f"wire {name!r} is already an output", index)
                 output_names.add(name)
-            statements.append(OutputStmt(tuple(name for name, _ in tokens), line_no))
+            statements.append(OutputStmt(tuple(names), line_no))
         elif keyword == "GARBAGE":
-            names = tuple(resolve(*t) for t in line.names("garbage name"))
-            statements.append(GarbageStmt(names, line_no))
+            names = line.names("garbage name")
+            for index, name in enumerate(names, 1):
+                resolve(name, index)
+            statements.append(GarbageStmt(tuple(names), line_no))
         else:
-            raise NetlistSyntaxError(
-                f"unknown statement {keyword!r} "
-                f"(expected one of {', '.join(_KEYWORDS)})",
-                line_no,
-                keyword_column,
-            )
+            raise line.error(f"unknown statement {keyword!r} "
+                             f"(expected one of {', '.join(_KEYWORDS)})", 0)
     return NetlistDocument(tuple(statements))
 
 
@@ -301,7 +319,8 @@ def elaborate(
 
     def declare(names: tuple[str, ...], stmt: Statement) -> None:
         for name in names:
-            _declare(wires, _wire_name(name, stmt.line, 1), stmt.line, 1)
+            _wire_name(name, stmt.line, 1)
+            _declare(wires, name, stmt.line, 1)
 
     # The builder takes every input at once, so inputs are declared first.
     for stmt in doc.statements:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 
@@ -197,6 +200,41 @@ class TestSeal:
         p, _ = builder.add_gate(fg, list(builder.inputs))
         assert builder.describe(builder.inputs[0].source) == "input 'a'"
         assert builder.describe(p.source) == "FG#0 output P"
+
+    def test_sealed_builder_freed_by_refcount(self):
+        # Wires reach their builder only weakly, so with the cyclic
+        # collector off, dropping the builder and its wires frees it.
+        gc.disable()
+        try:
+            builder = new_circuit(["a", "b"])
+            p, q = builder.add_gate(catalog_by_name()["FG"], builder.inputs)
+            builder.mark_output(q, "q")
+            builder.mark_garbage(p)
+            circuit = builder.seal()
+            released = weakref.ref(builder)
+            assert repr(p) == "<Wire FG#0 output P (consumed)>"
+            del builder, q
+            assert released() is None
+            assert repr(p) == "<Wire ('gate', 0, 0) (consumed)>"
+        finally:
+            gc.enable()
+        assert circuit.simulate(BitWord((1, 0))) == (BitWord((1,)), BitWord((1,)))
+
+    def test_failed_seal_keeps_its_wires(self):
+        builder = new_circuit(["a", "b"])
+        p, q = builder.add_gate(catalog_by_name()["FG"], builder.inputs)
+        builder.mark_output(q, "q")
+        for _ in range(2):
+            with pytest.raises(ValidationFailed) as err:
+                builder.seal()
+            assert err.value.violations == [
+                "dangling wire: FG#0 output P",
+                "line count not conserved: 2 inputs + 0 constants"
+                " != 1 outputs + 0 garbage",
+            ]
+        assert repr(p) == "<Wire FG#0 output P (free)>"
+        builder.mark_garbage(p)
+        assert builder.seal().garbage == (("gate", 0, 0),)
 
 
 class TestSimulate:

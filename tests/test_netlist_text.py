@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sealed_circuits
 from revlogic.designs import (
@@ -406,7 +408,21 @@ PARSE_DIAGNOSTICS = [
      NetlistSyntaxError, "line 2, column 10: expected 0 or 1"),
     ("gate-outputs-end-before-comment", "INPUT a b\nGATE FG a b -> # none\n",
      NetlistSyntaxError, "line 2, column 15: expected at least one output name"),
+    # Any `str.isspace()` character that `splitlines` does not split on
+    # separates tokens, and counts one column.
+    ("nbsp-separates", "INPUT\u00a0a\u00a09b\n", NetlistSyntaxError,
+     "line 1, column 9: bad wire name '9b'"),
+    ("ideographic-space-separates", "INPUT a\nGATE\u3000FG a\u30009b -> p q\n",
+     NetlistSyntaxError, "line 2, column 11: bad wire name '9b'"),
+    ("unit-separator-separates", "INPUT a\x1fb\nOUTPUT b\x1fzz\n",
+     UseBeforeDeclaration, "line 2, column 10: wire 'zz' used before declaration"),
 ]
+
+# Every whitespace character that separates tokens within a line.
+INLINE_SPACES = "".join(
+    ch for ch in map(chr, range(sys.maxunicode + 1))
+    if ch.isspace() and len(f"a{ch}b".splitlines()) == 1
+)
 
 
 @pytest.mark.parametrize(
@@ -439,6 +455,23 @@ def test_emit_parse_elaborate_round_trips(circuit):
     assert rebuilt.output_labels == circuit.output_labels
     assert analyze(rebuilt) == analyze(circuit)
     assert rebuilt.mapping() == circuit.mapping()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sealed_circuits(), st.data())
+def test_any_inline_whitespace_separates_tokens(circuit, data):
+    try:
+        text = emit_netlist(circuit)
+    except ValueError:  # an output relabels an input; see above
+        return
+    pieces = text.split(" ")
+    separators = data.draw(st.lists(
+        st.text(INLINE_SPACES, min_size=1, max_size=3),
+        min_size=len(pieces) - 1, max_size=len(pieces) - 1,
+    ))
+    spaced = pieces[0] + "".join(
+        sep + piece for sep, piece in zip(separators, pieces[1:]))
+    assert parse_netlist(spaced) == parse_netlist(text)
 
 
 @pytest.mark.parametrize("build", [

@@ -1,11 +1,11 @@
 """Scalar `Circuit.simulate` against an independent reference.
 
-`simulate` has two tiers. A circuit's first `COMPILE_AFTER - 1` calls
-run each gate as a gather of its input slots, a lookup in
-`GateDef.bit_rows` and a slice store into its output pins; later calls
-run a compiled straight-line function in which each gate indexes its
-`GateDef.trie`, the truth table nested one input bit per level. The
-reference below walks the instances over a `{source: bit}` dict with
+`simulate` has two tiers, and both read each gate's `GateDef.trie`,
+the truth table nested one input bit per level. A circuit's first
+`COMPILE_AFTER - 1` calls walk each gate's trie one input slot at a
+time and slice-store the leaf into its output pins; later calls run a
+compiled straight-line function in which each walk is one indexing
+expression. The reference below walks the instances over a `{source: bit}` dict with
 `GateDef.apply`, which reads the truth table directly, so neither tier
 shares anything with it but the circuit. Both tiers, `mapping` and
 `BitWord.from_int` build their words without `BitWord`'s check, so
@@ -32,7 +32,7 @@ from revlogic.designs import (
     encode_bcd_operands,
 )
 from revlogic.gates import BitWord, GateDef, TruthTable, catalog_by_name, make_gate
-from revlogic.netlist import COMPILE_AFTER, WidthMismatch, new_circuit
+from revlogic.netlist import COMPILE_AFTER, Circuit, WidthMismatch, new_circuit
 
 
 def reference_simulate(circuit, word: BitWord) -> tuple[BitWord, BitWord]:
@@ -244,45 +244,6 @@ class TestCompiledTier:
             assert namespace[f"R{idx}"] is inst.gate.trie
 
 
-class TestBitRows:
-    def test_rows_match_truth_table(self):
-        for gate in (*catalog_by_name().values(), NOT, TOFFOLI5, ROT6):
-            for value in range(gate.table.size):
-                word = BitWord.from_int(value, gate.arity)
-                assert gate.bit_rows[word.bits] == gate.apply(word).bits
-
-    def test_filled_only_as_rows_are_met(self):
-        # A 16-input rotation: 2^16 rows in the truth table.
-        rows = tuple(((v << 1) | (v >> 15)) & 0xFFFF for v in range(1 << 16))
-        gate = GateDef("ROT16", TruthTable(16, rows))
-        builder = new_circuit([f"x{i}" for i in range(16)])
-        for k, wire in enumerate(builder.add_gate(gate, builder.inputs)):
-            builder.mark_output(wire, f"y{k}")
-        circuit = builder.seal()
-        for value in (0, 1, 0x8001, 0x1234, 1):
-            (out, _) = circuit.simulate(BitWord.from_int(value, 16))
-            assert out.to_int() == rows[value]
-        assert len(gate.bit_rows) == 4
-        # Compiled, the circuit reads the whole table as `GateDef.trie`,
-        # so compiled calls leave the lazy table as it is.
-        for value in itertools.islice(itertools.cycle((0, 1, 0x8001, 0x1234)),
-                                      COMPILE_AFTER):
-            (out, _) = circuit.simulate(BitWord.from_int(value, 16))
-            assert out.to_int() == rows[value]
-        assert circuit._kernel is not None
-        for value in (0xBEEF, 0xFFFF, 0x7FFE):
-            (out, _) = circuit.simulate(BitWord.from_int(value, 16))
-            assert out.to_int() == rows[value]
-        assert len(gate.bit_rows) == 4
-
-    @pytest.mark.parametrize("key", [(0,), (0, 1, 1), (0, 2), ("0", "1"), 1])
-    def test_bad_keys_rejected_and_not_stored(self, key):
-        rows = catalog_by_name()["FG"].bit_rows
-        with pytest.raises(KeyError):
-            rows[key]
-        assert key not in rows
-
-
 class TestTrie:
     def test_leaves_are_rows_of_the_truth_table(self):
         for gate in (*catalog_by_name().values(), NOT, TOFFOLI5, ROT6):
@@ -296,6 +257,27 @@ class TestTrie:
         tg, pg = catalog_by_name()["TG"], catalog_by_name()["PG"]
         assert tg.trie is tg.trie
         assert tg.trie[1][1][0] is pg.trie[1][0][1]  # both are (1, 1, 1)
+
+    def test_wide_gate_agrees_with_rows_on_both_tiers(self):
+        # A 16-input rotation: 2^16 rows, built whole into the trie that
+        # both tiers read, on the circuit's first call.
+        rows = tuple(((v << 1) | (v >> 15)) & 0xFFFF for v in range(1 << 16))
+        gate = GateDef("ROT16", TruthTable(16, rows))
+        builder = new_circuit([f"x{i}" for i in range(16)])
+        for k, wire in enumerate(builder.add_gate(gate, builder.inputs)):
+            builder.mark_output(wire, f"y{k}")
+        circuit = builder.seal()
+        values = (0, 1, 0x8001, 0x1234, 0xBEEF, 0xFFFF, 0x7FFE)
+        for value in itertools.islice(itertools.cycle(values), COMPILE_AFTER - 1):
+            (out, _) = circuit.simulate(BitWord.from_int(value, 16))
+            assert out.to_int() == rows[value]
+        assert circuit._kernel is None
+        ((trie, _, _, _),) = circuit._plan.steps
+        assert trie is gate.trie
+        for value in values:
+            (out, _) = circuit.simulate(BitWord.from_int(value, 16))
+            assert out.to_int() == rows[value]
+        assert circuit._kernel is not None
 
 
 def assert_checked(word: BitWord) -> None:
@@ -319,6 +301,25 @@ class TestUncheckedWords:
             returned.extend(pair)
         for word in returned:
             assert_checked(word)
+
+    def test_true_constant_reads_as_int_one(self):
+        # A circuit made directly, not through the builder, may hold a
+        # `True` constant; every tier reads it as the int 1.
+        circuit = Circuit(input_labels=("a",), constants=(True, 0), instances=(),
+                          outputs=(("a", ("in", 0)), ("k", ("const", 0))),
+                          garbage=(("const", 1),))
+        words = [BitWord((0,)), BitWord((1,))]
+        results = [circuit.simulate(word) for word in words]
+        assert circuit._kernel is None
+        for word in itertools.islice(itertools.cycle(words), COMPILE_AFTER):
+            circuit.simulate(word)
+        assert circuit._kernel is not None
+        results += [circuit.simulate(word) for word in words]
+        results += circuit.mapping()
+        for outputs, garbage in results:
+            assert outputs.bits[1] == 1 and garbage.bits == (0,)
+            assert_checked(outputs)
+            assert_checked(garbage)
 
 
 def old_encode(a: int, b: int, cin: int, digits: int) -> BitWord:
