@@ -174,10 +174,9 @@ def cmd_bcd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_FAIL
 
 
-def _recomputed_row() -> ReferenceRow:
+def _recomputed_row(circuit: Circuit) -> ReferenceRow:
     """Measure the built one-digit adder the way the reference table is laid
     out: per-stage gate/garbage counts plus the four totals."""
-    circuit = build_bcd_adder_digit()
     tags = bcd_digit_stage_tags()
     gates = Counter(tags.values())
     garbage = Counter(tags[source[1]] for source in circuit.garbage)
@@ -205,7 +204,8 @@ def _row_cells(row: ReferenceRow) -> list[str]:
 def cmd_bcd_table(args) -> int:
     costs = _load_costs(args.costs)
     rows = reference_table()
-    recomputed = _recomputed_row()
+    circuit = build_bcd_adder_digit()
+    recomputed = _recomputed_row(circuit)
     headers = [
         "design", "adder1 g/gb", "correction g/gb", "adder2 g/gb",
         "gates", "garbage", "constants", "delay",
@@ -222,7 +222,7 @@ def cmd_bcd_table(args) -> int:
         if field.name != "design_label"
         and getattr(proposed, field.name) != getattr(recomputed, field.name)
     ]
-    report = analyze(build_bcd_adder_digit(), costs)
+    report = analyze(circuit, costs)
     print(f"recomputed quantum cost (no reference value): {report.quantum_cost}")
     if mismatches:
         print(f"MISMATCH against proposed row: {', '.join(mismatches)}")

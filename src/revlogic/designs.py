@@ -192,15 +192,31 @@ def _add_ripple4(
     return c4, [s3, s2, s1, s0]
 
 
-def _seal_digit(add_block, carry_label: str) -> Circuit:
-    """Seal `add_block`'s one-digit block (it returns carry, [s3..s0]) on
-    inputs a3..a0, b3..b0, cin, with outputs `carry_label`, s3..s0."""
-    builder = new_circuit(["a3", "a2", "a1", "a0", "b3", "b2", "b1", "b0", "cin"])
+def _seal_adder(add_block, n: int, carry_label: str) -> Circuit:
+    """Seal n `add_block` digits, carry rippling between them.
+
+    `add_block(builder, a_bits, b_bits, cin)` places one digit and
+    returns (carry, [s3..s0]). The ports are a3..a0 and s3..s0 when n
+    is 1, and as `build_bcd_adder_n` lays them out otherwise.
+    """
+    digits = [""] if n == 1 else [f"{d}_" for d in range(n - 1, -1, -1)]
+
+    def ports(prefix: str) -> list[str]:
+        return [f"{prefix}{d}{i}" for d in digits for i in (3, 2, 1, 0)]
+
+    builder = new_circuit(ports("a") + ports("b") + ["cin"])
     ins = builder.inputs
-    carry, sums = add_block(builder, ins[0:4], ins[4:8], ins[8])
+    carry = ins[8 * n]
+    sums: list[Wire] = []
+    for d in range(n):
+        # Digit d's nibbles sit (n-1-d) nibbles into a's and b's ports.
+        start = (n - 1 - d) * 4
+        carry, digit = add_block(builder, ins[start : start + 4],
+                                 ins[4 * n + start : 4 * n + start + 4], carry)
+        sums[:0] = digit
     builder.mark_output(carry, carry_label)
-    for i, wire in enumerate(sums):
-        builder.mark_output(wire, f"s{3 - i}")
+    for wire, label in zip(sums, ports("s")):
+        builder.mark_output(wire, label)
     return builder.seal()
 
 
@@ -209,7 +225,7 @@ def build_ripple_adder4() -> Circuit:
 
     Inputs a3..a0, b3..b0, cin; outputs c4, s3..s0.
     """
-    return _seal_digit(_add_ripple4, "c4")
+    return _seal_adder(_add_ripple4, 1, "c4")
 
 
 def build_correction_stage() -> Circuit:
@@ -269,7 +285,7 @@ def build_bcd_adder_digit() -> Circuit:
 
     Inputs a3..a0, b3..b0, cin; outputs cout, s3..s0 (the BCD sum digit).
     """
-    return _seal_digit(_add_bcd_digit, "cout")
+    return _seal_adder(_add_bcd_digit, 1, "cout")
 
 
 def bcd_digit_stage_tags() -> dict[int, str]:
@@ -294,31 +310,7 @@ def build_bcd_adder_n(n: int) -> Circuit:
     """
     if not isinstance(n, int) or not 1 <= n <= MAX_DIGITS:
         raise BadDigitCount(f"digit count must be in [1, {MAX_DIGITS}], got {n!r}")
-    if n == 1:
-        return build_bcd_adder_digit()
-
-    labels = [f"a{d}_{i}" for d in range(n - 1, -1, -1) for i in (3, 2, 1, 0)]
-    labels += [f"b{d}_{i}" for d in range(n - 1, -1, -1) for i in (3, 2, 1, 0)]
-    labels += ["cin"]
-    builder = new_circuit(labels)
-    ins = builder.inputs
-
-    def nibble(base: int, d: int) -> tuple[Wire, Wire, Wire, Wire]:
-        # Labels run MSB digit first; digit d sits (n-1-d) nibbles in.
-        start = base + (n - 1 - d) * 4
-        return tuple(ins[start : start + 4])
-
-    carry: Wire = ins[8 * n]
-    sums_per_digit: list[list[Wire]] = []
-    for d in range(n):
-        carry, sums = _add_bcd_digit(builder, nibble(0, d), nibble(4 * n, d), carry)
-        sums_per_digit.append(sums)
-
-    builder.mark_output(carry, "cout")
-    for d in range(n - 1, -1, -1):
-        for i, wire in enumerate(sums_per_digit[d]):
-            builder.mark_output(wire, f"s{d}_{3 - i}")
-    return builder.seal()
+    return _seal_adder(_add_bcd_digit, n, "cout")
 
 
 def encode_bcd_operands(a: int, b: int, cin: int, digits: int = 1) -> BitWord:

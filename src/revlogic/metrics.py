@@ -52,18 +52,6 @@ class MetricsReport:
             f"{name}={getattr(self, name)}" for name in self.__dataclass_fields__
         )
 
-    def as_text(self) -> str:
-        """Aligned human-readable report."""
-        rows = [
-            ("gate count", self.gate_count),
-            ("garbage outputs", self.garbage_count),
-            ("constant inputs", self.constant_count),
-            ("quantum cost", self.quantum_cost),
-            ("delay (gate levels)", self.delay_levels),
-        ]
-        width = max(len(label) for label, _ in rows)
-        return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
-
 
 def _depths(
     circuit: Circuit, stage_tags: Mapping[int, str] | None = None

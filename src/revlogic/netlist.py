@@ -24,17 +24,21 @@ one.
 
 A sealed circuit simulates two ways over one cached slot layout
 (`_plan`): a flat value array holding the inputs, the constants, then
-each gate's output pins side by side. `simulate` is the scalar
-reference, in two tiers that read one table, `GateDef.trie`: the truth
-table as nested tuples, one input bit per level, so no key tuple is
-built or hashed. A circuit's first calls are interpreted: for one input
-word, each gate walks its trie one input slot at a time and stores the
-leaf, its output bits, into its contiguous pins with one slice
-assignment. On its `COMPILE_AFTER`th call a circuit compiles: it
-generates, `exec`s and caches one straight-line Python function with a
-local per slot, with no loop or store between gates, in which each
-gate's walk is one indexing expression (compiled-code simulation, as in
-Barzilai et al., "HSS -- A High-Speed Simulator", IEEE TCAD 1987).
+each gate's output pins side by side. The plan is plain data, one step
+per gate plus the output and garbage slots, and it is the only place a
+wire's slot is decided: every evaluator reads its results from those
+slots, and the compiled kernel is generated from the steps. `simulate`
+is the scalar reference, in two tiers that read one table,
+`GateDef.trie`: the truth table as nested tuples, one input bit per
+level, so no key tuple is built or hashed. A circuit's first calls are
+interpreted: for one input word, each gate walks its trie one input
+slot at a time and stores the leaf, its output bits, into its
+contiguous pins with one slice assignment. On its `COMPILE_AFTER`th
+call a circuit compiles: it generates, `exec`s and caches one
+straight-line Python function with a local per slot, with no loop or
+store between gates, in which each gate's walk is one indexing
+expression (compiled-code simulation, as in Barzilai et al., "HSS -- A
+High-Speed Simulator", IEEE TCAD 1987).
 Compiling costs tens of interpreted calls, so a circuit simulated only
 a few times never pays for it. Every bit either tier returns is an
 input bit, a constant or a table row's, all ints known to be 0 or 1, so
@@ -54,8 +58,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RevLogicError
 from .gates import BIT_BYTES, BitWord, GateDef, WidthMismatch
@@ -167,7 +170,8 @@ class CircuitBuilder:
         self.input_labels: tuple[str, ...] = tuple(labels)
         self._constants: list[int] = []
         self._instances: list[Instance] = []
-        self._outputs: list[tuple[str, Source]] = []
+        # Output sources by label, in marking order.
+        self._outputs: dict[str, Source] = {}
         self._garbage: list[Source] = []
         self._wires: list[Wire] = []
         self._sealed = False
@@ -252,12 +256,12 @@ class CircuitBuilder:
         self._own(wire)
         if not label:
             raise ValueError("output label must be nonempty")
-        if any(label == existing for existing, _ in self._outputs):
+        if label in self._outputs:
             raise DuplicateLabel(f"duplicate output label {label!r}")
         if wire.consumed:
             raise FanOutViolation(f"{self.describe(wire.source)} is already consumed")
         wire._consumed = True
-        self._outputs.append((label, wire.source))
+        self._outputs[label] = wire.source
 
     def mark_garbage(self, wire: Wire) -> None:
         """Consume a wire as an explicit garbage output."""
@@ -298,7 +302,7 @@ class CircuitBuilder:
             input_labels=self.input_labels,
             constants=tuple(self._constants),
             instances=tuple(self._instances),
-            outputs=tuple(self._outputs),
+            outputs=tuple(self._outputs.items()),
             garbage=tuple(self._garbage),
         )
 
@@ -308,35 +312,22 @@ def new_circuit(input_labels: Iterable[str]) -> CircuitBuilder:
     return CircuitBuilder(input_labels)
 
 
-def _gather(slots: list[int]) -> Callable[[list], tuple]:
-    """A function returning the values at `slots` as a tuple, in one C call.
-
-    `itemgetter` takes no empty index list and returns a bare value for
-    a single index, so those two cases get their own tuple builders.
-    """
-    if len(slots) > 1:
-        return itemgetter(*slots)
-    if slots:
-        (only,) = slots
-        return lambda values: (values[only],)
-    return lambda values: ()
-
-
 class _Plan(NamedTuple):
-    """A circuit's flat slot layout, shared by both simulators.
+    """A circuit's flat slot layout, the one every evaluator reads.
 
     Slots hold the inputs, then the constants, then each instance's
     output pins, contiguous per instance. `steps` has one
     `(trie, in_slots, lo, hi)` per instance, in order: its gate's
     `GateDef.trie`, its input slots in pin order, and its output slots
-    `lo` to `hi`. The two readers gather the output and garbage slots in
-    marking order. `fill` is what follows the inputs in a fresh value
-    array: the constants as the ints 0 and 1, then a zero per gate pin.
+    `lo` to `hi`. `outputs` and `garbage` are the slots of the output
+    and garbage wires, in marking order. `fill` is what follows the
+    inputs in a fresh value array: the constants as the ints 0 and 1,
+    then a zero per gate pin.
     """
 
     steps: tuple[tuple[tuple, tuple[int, ...], int, int], ...]
-    read_outputs: Callable[[list], tuple]
-    read_garbage: Callable[[list], tuple]
+    outputs: tuple[int, ...]
+    garbage: tuple[int, ...]
     fill: tuple[int, ...]
 
 
@@ -371,23 +362,22 @@ class Circuit:
         first = {"in": 0, "const": self.width}
         starts: list[int] = []
 
-        def slots(sources) -> list[int]:
-            return [starts[s[1]] + s[2] if s[0] == "gate" else first[s[0]] + s[1]
-                    for s in sources]
+        def slots(sources) -> tuple[int, ...]:
+            return tuple([starts[s[1]] + s[2] if s[0] == "gate" else first[s[0]] + s[1]
+                          for s in sources])
 
         lo = self.width + len(self.constants)
         steps = []
         for inst in self.instances:
             hi = lo + inst.gate.arity
-            steps.append((inst.gate.trie, tuple(slots(inst.sources)), lo, hi))
+            steps.append((inst.gate.trie, slots(inst.sources), lo, hi))
             starts.append(lo)
             lo = hi
-        # Truthiness, as the compiled tier and the planes read a constant.
+        # Truthiness, as the planes read a constant; the kernel's literals
+        # come from here too.
         fill = tuple(1 if c else 0 for c in self.constants)
-        return _Plan(tuple(steps),
-                     _gather(slots(s for _, s in self.outputs)),
-                     _gather(slots(self.garbage)),
-                     fill + (0,) * (lo - len(fill) - self.width))
+        return _Plan(tuple(steps), slots(s for _, s in self.outputs),
+                     slots(self.garbage), fill + (0,) * (lo - len(fill) - self.width))
 
     # Scalar tier state, set by `simulate` and not dataclass fields: the
     # calls interpreted so far, then the compiled kernel.
@@ -416,8 +406,8 @@ class Circuit:
                     for slot in in_slots:
                         node = node[values[slot]]
                     values[lo:hi] = node
-                return (_unchecked(plan.read_outputs(values)),
-                        _unchecked(plan.read_garbage(values)))
+                return (_unchecked(tuple([values[s] for s in plan.outputs])),
+                        _unchecked(tuple([values[s] for s in plan.garbage])))
             source, namespace = self._kernel_source()
             exec(source, namespace)
             kernel = namespace["kernel"]
@@ -426,42 +416,36 @@ class Circuit:
         return _unchecked(outputs), _unchecked(garbage)
 
     def __getstate__(self) -> dict:
-        # The plan's readers and the kernel may be lambdas or generated
-        # code, which pickle cannot write; a copy rebuilds its own.
+        # The plan is derived and holds whole tries, and the kernel is
+        # generated code, which pickle cannot write; a copy rebuilds both.
         return {k: v for k, v in vars(self).items() if k not in ("_plan", "_kernel")}
 
     def _kernel_source(self) -> tuple[str, dict[str, tuple]]:
-        """The circuit as one straight-line function `kernel`, and its globals.
+        """The plan as one straight-line function `kernel`, and its globals.
 
         `kernel` takes one argument per input bit and returns the
-        (outputs, garbage) bit tuples. Inputs are the locals `i<k>`, gate
-        pins `v<k>`, instance k's `GateDef.trie` the global `R<k>`, and
-        constants the literals 0 and 1, so the source holds only names
-        made here, never a label or gate name. A Feynman gate on inputs 0
-        and 2, say, becomes `v0, v1 = R0[i0][i2]`.
+        (outputs, garbage) bit tuples. Slot k is the local `v<k>`, except
+        that a constant's slot is the literal 0 or 1, and step k's trie is
+        the global `R<k>`, so the source holds only names made here, never
+        a label or gate name. A Feynman gate on inputs 0 and 2 of a
+        3-input circuit, say, becomes `v3, v4 = R0[v0][v2]`.
         """
-        args = [f"i{i}" for i in range(self.width)]
-        name: dict[Source, str] = {("in", i): arg for i, arg in enumerate(args)}
-        name.update((("const", j), "1" if bit else "0")
-                    for j, bit in enumerate(self.constants))
-        namespace: dict[str, tuple] = {}
+        plan = self._plan
+        constants = len(self.constants)
+        names = [f"v{slot}" for slot in range(self.width + len(plan.fill))]
+        names[self.width : self.width + constants] = map(str, plan.fill[:constants])
 
-        def listed(names: list[str]) -> str:
+        def listed(slots) -> str:
             # A tuple's items as source text; a single item keeps its comma.
-            return ", ".join(names) + ("," if len(names) == 1 else "")
+            return ", ".join([names[s] for s in slots]) + ("," if len(slots) == 1 else "")
 
-        lines = [f"def kernel({', '.join(args)}):"]
-        pins = 0
-        for idx, inst in enumerate(self.instances):
-            namespace[f"R{idx}"] = inst.gate.trie
-            outs = [f"v{pins + pin}" for pin in range(inst.gate.arity)]
-            pins += inst.gate.arity
-            path = "".join(f"[{name[s]}]" for s in inst.sources)
-            lines.append(f"    {listed(outs)} = R{idx}{path}")
-            name.update((("gate", idx, pin), out) for pin, out in enumerate(outs))
-        outputs = listed([name[s] for _, s in self.outputs])
-        garbage = listed([name[s] for s in self.garbage])
-        lines.append(f"    return ({outputs}), ({garbage})")
+        lines = [f"def kernel({', '.join(names[:self.width])}):"]
+        namespace: dict[str, tuple] = {}
+        for k, (trie, in_slots, lo, hi) in enumerate(plan.steps):
+            namespace[f"R{k}"] = trie
+            path = "".join([f"[{names[s]}]" for s in in_slots])
+            lines.append(f"    {listed(range(lo, hi))} = R{k}{path}")
+        lines.append(f"    return ({listed(plan.outputs)}), ({listed(plan.garbage)})")
         return "\n".join(lines), namespace
 
     def mapping(self) -> list[tuple[BitWord, BitWord]]:
@@ -528,7 +512,7 @@ class Circuit:
                         term = mask
                     acc ^= term
                 values[pin] = acc
-        return list(plan.read_outputs(values)), list(plan.read_garbage(values))
+        return [values[s] for s in plan.outputs], [values[s] for s in plan.garbage]
 
 
 def tile(block: int, length: int, repeats: int) -> int:

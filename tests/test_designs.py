@@ -300,6 +300,9 @@ class TestCascade:
     def test_one_digit_degenerate(self):
         assert analyze(build_bcd_adder_n(1)) == analyze(build_bcd_adder_digit())
 
+    def test_one_digit_is_the_digit_adder(self):
+        assert build_bcd_adder_n(1) == build_bcd_adder_digit()
+
     def test_bad_digit_counts(self):
         for n in (0, -1, 5):
             with pytest.raises(BadDigitCount):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
@@ -206,6 +207,20 @@ class TestCatalog:
         for gate in builtin_catalog():
             assert gate.formulas is not None
             assert len(gate.formulas) == gate.arity
+
+    def test_formulas_agree_with_tables(self):
+        # The published strings, which `gates` prints, read in their own
+        # notation: ' is NOT, ^ XOR, + OR and juxtaposition AND. As
+        # Python's &, ^ and |, AND binds tightest, then XOR.
+        for gate in builtin_catalog():
+            for pin, formula in enumerate(gate.formulas):
+                expr = re.sub(r"([A-D])'", r"(1^\1)", formula)
+                expr = re.sub(r"(?<=[A-D)])(?=[A-D(])", "&", expr).replace("+", "|")
+                assert set(expr) <= set("ABCD1^&|()"), expr
+                for value, row in enumerate(gate.table.rows):
+                    pins = dict(zip("ABCD", BitWord.from_int(value, gate.arity)))
+                    want = BitWord.from_int(row, gate.arity)[pin]
+                    assert eval(expr, {}, pins) == want, (gate.name, formula, value)
 
 
 class TestApplyAndInverse:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import time
 import weakref
 
 import pytest
@@ -124,8 +125,21 @@ class TestMarks:
     def test_duplicate_output_label(self):
         builder = new_circuit(["a", "b"])
         builder.mark_output(builder.inputs[0], "out")
-        with pytest.raises(DuplicateLabel):
+        with pytest.raises(DuplicateLabel) as err:
             builder.mark_output(builder.inputs[1], "out")
+        assert str(err.value) == "duplicate output label 'out'"
+
+    def test_many_outputs_mark_and_seal_in_linear_time(self):
+        # The repeated-label check must be a lookup: a scan of the earlier
+        # outputs makes marking quadratic, about 10 s of CPU for these
+        # 20 000 (2-CPU x86-64, CPython 3.11).
+        start = time.process_time()
+        builder = new_circuit([f"x{i}" for i in range(20_000)])
+        for i, wire in enumerate(builder.inputs):
+            builder.mark_output(wire, f"y{i}")
+        circuit = builder.seal()
+        assert time.process_time() - start < 2
+        assert circuit.output_labels[-1] == "y19999"
 
     def test_output_then_garbage_is_fanout(self):
         builder = new_circuit(["a"])
