@@ -13,11 +13,15 @@ conventional positional order (A,B,C,D) -> (P,Q,R,S).
 The built-in catalog provides the classic reversible gates (Feynman,
 Fredkin, Toffoli, New, Peres, HNG) plus SCL, a 4x4 gate that computes the
 decimal-carry correction for BCD addition while passing its first three
-inputs through untouched.
+inputs through untouched. Each catalog gate's truth table is computed from
+the switching functions that `revlogic gates` prints, e.g. SCL's
+`D^C(A+B)`: `'` is NOT, juxtaposition AND, `^` XOR and `+` OR, binding in
+that order (NOT tightest, OR loosest).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
@@ -65,16 +69,6 @@ class BitWord:
 
     def __post_init__(self):
         bits = tuple(self.bits)
-        try:
-            # Ints and bools pack into bytes, and 0/1 bytes read back as
-            # ints, so a valid word is checked and stored as ints at once.
-            packed = bytes(bits)
-        except (TypeError, ValueError):  # a float bit, a negative int, ...
-            pass
-        else:
-            if not packed.translate(None, b"\0\1"):
-                object.__setattr__(self, "bits", tuple(packed))
-                return
         for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"bit values must be 0 or 1, got {b!r}")
@@ -184,8 +178,9 @@ class GateDef:
     name from a cost table, the one place a price is set.
 
     `formulas` optionally carries per-output switching-function strings
-    (e.g. ``("A", "A^B")``) for display; it does not affect behavior or
-    equality.
+    (e.g. ``("A", "A^B")``). It takes no part in equality. For a catalog
+    gate the table is computed from these strings; for a `make_gate` gate
+    they are for display only.
     """
 
     name: str
@@ -310,77 +305,41 @@ def make_gate(
     return GateDef(name, TruthTable(arity, tuple(rows)), formulas=formulas)
 
 
-# Switching functions for the built-in catalog. ' is NOT, ^ XOR, + OR,
-# juxtaposition AND; pins are (A,B,C,D) -> (P,Q,R,S).
-_CATALOG_DEFS: tuple[tuple[str, int, tuple, tuple[str, ...]], ...] = (
-    (
-        "FG",
-        2,
-        (lambda a, b: a, lambda a, b: a ^ b),
-        ("A", "A^B"),
-    ),
-    (
-        "FRG",
-        3,
-        (
-            lambda a, b, c: a,
-            lambda a, b, c: ((a ^ 1) & b) ^ (a & c),
-            lambda a, b, c: ((a ^ 1) & c) ^ (a & b),
-        ),
-        ("A", "A'B^AC", "A'C^AB"),
-    ),
-    (
-        "TG",
-        3,
-        (lambda a, b, c: a, lambda a, b, c: b, lambda a, b, c: (a & b) ^ c),
-        ("A", "B", "AB^C"),
-    ),
-    (
-        "NG",
-        3,
-        (
-            lambda a, b, c: a,
-            lambda a, b, c: (a & b) ^ c,
-            lambda a, b, c: ((a ^ 1) & (c ^ 1)) ^ (b ^ 1),
-        ),
-        ("A", "AB^C", "A'C'^B'"),
-    ),
-    (
-        "PG",
-        3,
-        (lambda a, b, c: a, lambda a, b, c: a ^ b, lambda a, b, c: (a & b) ^ c),
-        ("A", "A^B", "AB^C"),
-    ),
-    (
-        "HNG",
-        4,
-        (
-            lambda a, b, c, d: a,
-            lambda a, b, c, d: b,
-            lambda a, b, c, d: a ^ b ^ c,
-            lambda a, b, c, d: ((a ^ b) & c) ^ (a & b) ^ d,
-        ),
-        ("A", "B", "A^B^C", "(A^B)C^AB^D"),
-    ),
-    (
-        "SCL",
-        4,
-        (
-            lambda a, b, c, d: a,
-            lambda a, b, c, d: b,
-            lambda a, b, c, d: c,
-            lambda a, b, c, d: d ^ (c & (a | b)),
-        ),
-        ("A", "B", "C", "D^C(A+B)"),
-    ),
+# The built-in catalog, each gate by its published switching functions,
+# pins (A,B,C,D) -> (P,Q,R,S). These strings are the gates' only
+# definition: `_pin_function` reads them into the truth tables.
+_CATALOG_DEFS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("FG", ("A", "A^B")),
+    ("FRG", ("A", "A'B^AC", "A'C^AB")),
+    ("TG", ("A", "B", "AB^C")),
+    ("NG", ("A", "AB^C", "A'C'^B'")),
+    ("PG", ("A", "A^B", "AB^C")),
+    ("HNG", ("A", "B", "A^B^C", "(A^B)C^AB^D")),
+    ("SCL", ("A", "B", "C", "D^C(A+B)")),
 )
+
+
+def _pin_function(formula: str) -> Callable[..., int]:
+    """A catalog formula as a function of the pins A, B, ... in order.
+
+    `X'` becomes `(1^X)`, adjacent operands get an `&` and `+` becomes
+    `|`; Python then binds `&` before `^` before `|`, as the notation
+    binds AND before XOR before OR. Anything but pins, 1, operators and
+    parentheses is refused before it is compiled.
+    """
+    expr = re.sub(r"([A-D])'", r"(1^\1)", formula)
+    expr = re.sub(r"(?<=[A-D)])(?=[A-D(])", "&", expr).replace("+", "|")
+    if not set(expr) <= set("ABCD1^&|()"):
+        raise ValueError(f"not a catalog formula: {formula!r}")
+    code = compile(expr, "<catalog formula>", "eval")
+    return lambda *pins: eval(code, {"__builtins__": {}}, dict(zip("ABCD", pins)))
 
 
 @cache
 def _catalog() -> tuple[GateDef, ...]:
     return tuple(
-        make_gate(name, arity, exprs, formulas=fml)
-        for name, arity, exprs, fml in _CATALOG_DEFS
+        make_gate(name, len(fml), [_pin_function(f) for f in fml], formulas=fml)
+        for name, fml in _CATALOG_DEFS
     )
 
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from revlogic import gates
 from revlogic.gates import (
     MAX_ARITY,
     BadArity,
@@ -18,6 +20,7 @@ from revlogic.gates import (
     NotBijective,
     TruthTable,
     WidthMismatch,
+    _pin_function,
     builtin_catalog,
     catalog_by_name,
     default_cost_table,
@@ -221,6 +224,28 @@ class TestCatalog:
                     pins = dict(zip("ABCD", BitWord.from_int(value, gate.arity)))
                     want = BitWord.from_int(row, gate.arity)[pin]
                     assert eval(expr, {}, pins) == want, (gate.name, formula, value)
+
+    def test_readme_table_matches_catalog(self):
+        # The README's catalog table is the one copy of the formulas kept
+        # outside the package. A row reads: | NAME (gloss) | arity | `formulas` |
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        section = readme.split("\n## Gate catalog\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| (\w+)[^|]*\| (\d+) \| `([^`]*)` \|$", section, re.M)
+        assert rows == [
+            (gate.name, str(gate.arity), ", ".join(gate.formulas))
+            for gate in builtin_catalog()
+        ]
+
+    @pytest.mark.parametrize("formula", ["__import__", "A;B", "A.B", "E", "A B", "A**B"])
+    def test_pin_function_refuses_other_text(self, formula, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(gates, "compile", lambda *args: compiled.append(args),
+                            raising=False)
+        with pytest.raises(ValueError, match="not a catalog formula"):
+            _pin_function(formula)
+        assert compiled == []
+        _pin_function("A^B")  # a catalog formula does reach the compiler
+        assert len(compiled) == 1
 
 
 class TestApplyAndInverse:
