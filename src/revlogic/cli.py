@@ -113,13 +113,8 @@ def cmd_check(args) -> int:
 def cmd_sim(args) -> int:
     circuit = _load_circuit(args.file)
     try:
-        word = BitWord.from_string(args.in_bits)
-    except ValueError as exc:
-        print(f"error: --in: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        outputs, garbage = circuit.simulate(word)
-    except WidthMismatch as exc:
+        outputs, garbage = circuit.simulate(BitWord.from_string(args.in_bits))
+    except (ValueError, WidthMismatch) as exc:
         print(f"error: --in: {exc}", file=sys.stderr)
         return EXIT_USAGE
     labeled = ", ".join(

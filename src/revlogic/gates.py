@@ -154,14 +154,10 @@ class TruthTable:
 def is_bijective(table: TruthTable) -> bool:
     """True iff the table is a permutation of {0,1}^n.
 
-    Uses a seen-bitmap sweep: every output must appear exactly once.
+    A table holds 2^n rows, each in range, so it is a permutation
+    exactly when no two rows are equal.
     """
-    seen = bytearray(table.size)
-    for out in table.rows:
-        if seen[out]:
-            return False
-        seen[out] = 1
-    return True
+    return len(set(table.rows)) == table.size
 
 
 @cache

@@ -105,11 +105,13 @@ def delay_decomposition(
 ) -> dict[str, int]:
     """Split delay(circuit) across pipeline stages.
 
-    `stage_tags` assigns every instance index a stage label. The stages
-    must form a linear pipeline: the stage-level graph has exactly one
-    topological order and the per-stage longest paths sum to the total
-    delay (i.e. every critical path passes through the stages in
-    sequence). Returns {stage: levels} in pipeline order.
+    `stage_tags` assigns every instance index a stage label. A stage's
+    reach is the deepest level, in the whole circuit, of any of its
+    instances; the pipeline order is the stages sorted by reach. The
+    split must form a linear pipeline: every wire runs forward in that
+    order, and the per-stage longest paths sum to the total delay (every
+    critical path passes through the stages in sequence). Otherwise it
+    raises StagesNotLinear. Returns {stage: levels} in pipeline order.
     """
     n = len(circuit.instances)
     if set(stage_tags) != set(range(n)):
@@ -124,44 +126,31 @@ def delay_decomposition(
     if n == 0:
         return {}
 
-    stages = list(dict.fromkeys(stage_tags[i] for i in range(n)))
-    succ: dict[str, set[str]] = {s: set() for s in stages}
-    indegree = {s: 0 for s in stages}
+    # With every wire running forward, the stage graph has no cycle. Then
+    # the stage depths sum to the delay only if one critical path crosses
+    # every stage once, in order, which makes that order the graph's only
+    # topological order. Along such a path each reach is the running sum
+    # of the stage depths, so sorting by reach finds the order.
+    reach: dict[str, int] = {}
+    for idx, depth in enumerate(_depths(circuit)):
+        reach[stage_tags[idx]] = max(reach.get(stage_tags[idx], 0), depth)
+    order = sorted(reach, key=reach.__getitem__)
+    rank = {stage: pos for pos, stage in enumerate(order)}
     for idx, inst in enumerate(circuit.instances):
         for source in inst.sources:
-            if source[0] != "gate":
-                continue
-            a, b = stage_tags[source[1]], stage_tags[idx]
-            if a != b and b not in succ[a]:
-                succ[a].add(b)
-                indegree[b] += 1
+            if source[0] == "gate" and rank[stage_tags[source[1]]] > rank[stage_tags[idx]]:
+                raise StagesNotLinear(
+                    "stage graph is not a linear pipeline (a wire runs from stage "
+                    f"{stage_tags[source[1]]!r} back to {stage_tags[idx]!r})"
+                )
 
-    # Kahn's algorithm, requiring a unique choice at every step: that is
-    # exactly the condition for the stage graph to be a single chain.
-    order: list[str] = []
-    remaining = dict(indegree)
-    while remaining:
-        ready = [s for s, d in remaining.items() if d == 0]
-        if len(ready) != 1:
-            raise StagesNotLinear(
-                "stage graph is not a linear pipeline "
-                f"(ambiguous or cyclic at {sorted(ready) or sorted(remaining)})"
-            )
-        stage = ready[0]
-        order.append(stage)
-        del remaining[stage]
-        for nxt in succ[stage]:
-            remaining[nxt] -= 1
-
-    contribution = {s: 0 for s in stages}
+    levels = dict.fromkeys(order, 0)
     for idx, depth in enumerate(_depths(circuit, stage_tags)):
-        stage = stage_tags[idx]
-        contribution[stage] = max(contribution[stage], depth)
-
-    total = delay(circuit)
-    if sum(contribution.values()) != total:
+        levels[stage_tags[idx]] = max(levels[stage_tags[idx]], depth)
+    total = max(reach.values())
+    if sum(levels.values()) != total:
         raise StagesNotLinear(
-            f"per-stage contributions sum to {sum(contribution.values())}, "
+            f"per-stage contributions sum to {sum(levels.values())}, "
             f"but the circuit delay is {total}; a critical path bypasses a stage"
         )
-    return {s: contribution[s] for s in order}
+    return levels

@@ -67,7 +67,7 @@ from .gates import BIT_BYTES, BitWord, GateDef, WidthMismatch
 ENUMERATION_LIMIT = 20
 
 # The call on which `simulate` compiles a circuit's kernel; the calls
-# before it are interpreted. Compiling costs as much as 40 to 75
+# before it are interpreted. Compiling costs as much as 55 to 120
 # interpreted calls on the circuits measured (the 1- and 4-digit adders
 # and random 100- and 1000-gate circuits; CPython 3.11.7). As in ski
 # rental, waiting until the calls already made cost more than a compile

@@ -113,11 +113,14 @@ class TestSim:
         assert "outputs: 11001" in out
 
     def test_bad_bits(self, fg_file, capsys):
-        assert main(["sim", fg_file, "--in", "1x"]) == EXIT_USAGE
-        assert "--in" in capsys.readouterr().err
+        assert main(["sim", fg_file, "--in", "1x"]) == EXIT_USAGE == 3
+        assert capsys.readouterr().err == (
+            "error: --in: bitstring may contain only 0 and 1: '1x'\n")
 
-    def test_wrong_width(self, fg_file):
-        assert main(["sim", fg_file, "--in", "101"]) == EXIT_USAGE
+    def test_wrong_width(self, fg_file, capsys):
+        assert main(["sim", fg_file, "--in", "101"]) == EXIT_USAGE == 3
+        assert capsys.readouterr().err == (
+            "error: --in: circuit has 2 inputs, got a 3-bit word\n")
 
     def test_in_required(self, fg_file):
         assert main(["sim", fg_file]) == EXIT_USAGE
@@ -361,3 +364,19 @@ def test_short_output_into_a_closed_pipe(argv, buffered):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (EXIT_FAIL, b"")
+
+
+def test_runs_on_the_standard_library_alone():
+    # -I ignores PYTHON* variables and the user site, -S skips site-packages,
+    # so only the standard library and `src` are importable.
+    src = os.path.dirname(os.path.dirname(revlogic.__file__))
+    probe = (f"import sys; sys.path.insert(0, {src!r}); "
+             "from revlogic.cli import main; "
+             "codes = [main(['gates']), main(['bcd', 'verify', '--digits', '2']), "
+             "main(['bcd', 'table'])]; "
+             "foreign = sorted({name.partition('.')[0] for name in sys.modules} "
+             "- sys.stdlib_module_names - {'revlogic', '__main__'}); "
+             "print(codes, foreign, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "[0, 0, 0] []\n")

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_from_plan, circuit_plans
 from revlogic.gates import catalog_by_name, make_gate
@@ -30,6 +31,15 @@ def _fg_chain(length):
     builder.mark_output(wire, "p")
     builder.mark_output(spare, "q")
     return builder.seal()
+
+
+def _levels(circuit):
+    """Each instance's level in the whole circuit, counted independently."""
+    levels = []
+    for inst in circuit.instances:
+        upstream = [levels[s[1]] for s in inst.sources if s[0] == "gate"]
+        levels.append(1 + max(upstream, default=0))
+    return levels
 
 
 def _pass_through():
@@ -139,6 +149,33 @@ class TestDelayDecomposition:
         expected = {"s": delay(circuit)} if circuit.instances else {}
         assert delay_decomposition(circuit, tags) == expected
 
+    @settings(max_examples=300)
+    @given(circuit_plans(), st.data())
+    def test_depth_bands_split_by_width(self, plan, data):
+        # Cutting the levels 1..delay into bands gives a linear pipeline
+        # whose stages contribute their band widths, in band order, however
+        # the bands are named. Naming the first and third band alike makes
+        # the stage graph cyclic.
+        builder, pool, _ = build_from_plan(plan)
+        for wire in pool:
+            builder.mark_garbage(wire)
+        circuit = builder.seal()
+        levels = _levels(circuit)
+        total = max(levels, default=0)
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(total - 1, 1)),
+                                        max_size=max(total - 1, 0))))
+        bounds = [0, *cuts, total]
+        names = data.draw(st.permutations([f"s{k}" for k in range(len(cuts) + 1)]))
+        band = [sum(level > cut for cut in cuts) for level in levels]
+        tags = {i: names[b] for i, b in enumerate(band)}
+        widths = [hi - lo for lo, hi in zip(bounds, bounds[1:])] if total else []
+        assert list(delay_decomposition(circuit, tags).items()) == list(
+            zip(names, widths))
+        if len(cuts) >= 2:
+            merged = {i: names[0 if b == 2 else b] for i, b in enumerate(band)}
+            with pytest.raises(StagesNotLinear):
+                delay_decomposition(circuit, merged)
+
     def test_parallel_gates_in_one_stage_contribute_one(self):
         fg = catalog_by_name()["FG"]
         builder = new_circuit(["a", "b", "c", "d"])
@@ -157,6 +194,19 @@ class TestDelayDecomposition:
         circuit = _fg_chain(2)
         tags = {0: "zzz", 1: "aaa"}
         assert list(delay_decomposition(circuit, tags)) == ["zzz", "aaa"]
+
+    def test_result_order_ignores_instance_order(self):
+        # The later stage's first gate is placed first, beside the chain.
+        fg = catalog_by_name()["FG"]
+        builder = new_circuit(["a", "b", "c", "d"])
+        a, b, c, d = builder.inputs
+        side = builder.add_gate(fg, [c, d])
+        chain = builder.add_gate(fg, builder.add_gate(fg, [a, b]))
+        for wire in side + chain:
+            builder.mark_garbage(wire)
+        tags = {0: "late", 1: "early", 2: "late"}
+        assert list(delay_decomposition(builder.seal(), tags).items()) == [
+            ("early", 1), ("late", 1)]
 
     def test_missing_tag_rejected(self):
         circuit = _fg_chain(2)
