@@ -201,6 +201,7 @@ def cmd_bcd_table(args) -> int:
     rows = reference_table()
     circuit = build_bcd_adder_digit()
     recomputed = _recomputed_row(circuit)
+    report = analyze(circuit, costs)
     headers = [
         "design", "adder1 g/gb", "correction g/gb", "adder2 g/gb",
         "gates", "garbage", "constants", "delay",
@@ -217,7 +218,6 @@ def cmd_bcd_table(args) -> int:
         if field.name != "design_label"
         and getattr(proposed, field.name) != getattr(recomputed, field.name)
     ]
-    report = analyze(circuit, costs)
     print(f"recomputed quantum cost (no reference value): {report.quantum_cost}")
     if mismatches:
         print(f"MISMATCH against proposed row: {', '.join(mismatches)}")

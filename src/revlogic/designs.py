@@ -391,10 +391,14 @@ def _nibble_planes(indicators: list[int]) -> list[int]:
     return bits
 
 
-def _add_digit_planes(pair_sums: list[int], carry: int) -> tuple[list[int], int]:
+def _add_digit_planes(a: list[int], b: list[int], carry: int) -> tuple[list[int], int]:
     """Decimal addition on planes: sum-digit bit planes (MSB first) and the
-    carry-out plane, given indicator planes [a_p + b_p == s] for s in 0..18
-    and the carry-in plane."""
+    carry-out plane, given the operands' indicator planes [a_p == x] and
+    [b_p == x] for x in 0..9 and the carry-in plane."""
+    pair_sums = [0] * 19
+    for x, a_plane in enumerate(a):
+        for y, b_plane in enumerate(b):
+            pair_sums[x + y] |= a_plane & b_plane
     no_carry = ~carry
     digit = [0] * 10
     carry_out = 0
@@ -426,15 +430,15 @@ def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
     failures in (a, b, cin) order, each re-run through the scalar
     `simulate` to build its record.
 
-    The cases run bit-parallel (`Circuit.simulate_planes`). When all of
-    them fit in one batch of `_BATCH_WORDS` words (n <= 2), every digit
-    goes into the shared planes and one call covers them all. Wider
-    adders run in 100 chunks, one per pair of top digits, which keeps
-    the planes at 2 * 100^(n-1) bits. Word j of a batch is the case whose
-    shared digits and carry-in satisfy j = (a_low * 10^s + b_low) * 2 + cin,
-    s being the number of shared digits. The expected output planes come
-    from decimal arithmetic on digit indicator planes, never from the
-    circuit; the shared digits' input and expected planes are built once.
+    The cases run bit-parallel (`Circuit.simulate_planes`). The planes of
+    the low s digits are shared by every batch: s = n when all cases fit
+    in `_BATCH_WORDS` words (n <= 2), else s = n - 1 and 100 batches fix
+    each pair of top digits. Word j of a batch is the case whose shared
+    digits and carry-in satisfy j = (a_low * 10^s + b_low) * 2 + cin. The
+    expected planes come from decimal arithmetic, never from the circuit:
+    the shared digits' from their indicator planes, built once, and those
+    above them picked from 0, all ones, the shared carry-out plane and its
+    complement by the fixed digits' sum with and without that carry.
     """
     circuit = build_bcd_adder_n(digits)
     # Digits held in the shared planes; a chunked run fixes the top one.
@@ -451,42 +455,34 @@ def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
     for p in range(shared):
         a_digit = _digit_planes(2 * low * 10**p, count)
         b_digit = _digit_planes(2 * 10**p, count)
-        pair_sums = [0] * 19
-        for x, a_plane in enumerate(a_digit):
-            for y, b_plane in enumerate(b_digit):
-                pair_sums[x + y] |= a_plane & b_plane
-        sum_bits, carry = _add_digit_planes(pair_sums, carry)
+        sum_bits, carry = _add_digit_planes(a_digit, b_digit, carry)
         a_lower[:0] = _nibble_planes(a_digit)
         b_lower[:0] = _nibble_planes(b_digit)
         want_lower[:0] = sum_bits
 
-    # Each batch: its top digits (0 when none are fixed), their input
-    # planes and the expected output planes.
-    if shared == digits:
-        batches = [(0, 0, [], [], [carry] + want_lower)]
-    else:
-        # A chunk's top digits are the same in all its words, so its
-        # expected outputs depend only on their sum.
-        want_by_top_sum = []
-        for s in range(19):
-            top_bits, cout = _add_digit_planes(
-                [mask if t == s else 0 for t in range(19)], carry)
-            want_by_top_sum.append([cout] + top_bits + want_lower)
-        fixed = [[mask if (x >> (3 - k)) & 1 else 0 for k in range(4)]
-                 for x in range(10)]
-        batches = ((x, y, fixed[x], fixed[y], want_by_top_sum[x + y])
-                   for x in range(10) for y in range(10))
+    # Each batch fixes the top `fixed` digits (none or one) to x and y, so
+    # their input planes are 0 or mask. Each expected plane above the shared
+    # digits is a bit of the decimal result of x + y where they do not carry
+    # and of x + y + 1 where they do.
+    fixed = digits - shared
+    top = 10**fixed
+    pick = {(0, 0): 0, (1, 1): mask, (0, 1): carry, (1, 0): mask ^ carry}
+    results = [_bcd_result_word(*divmod(s, top), fixed).bits for s in range(2 * top)]
+    top_in = [[pick[bit, bit] for bit in results[x][1:]] for x in range(top)]
+    want_by_sum = [[pick[pair] for pair in zip(results[s], results[s + 1])] + want_lower
+                   for s in range(2 * top - 1)]
 
     cases: list[tuple[int, int, int]] = []
-    for x, y, top_a, top_b, want in batches:
-        outputs, _ = circuit.simulate_planes(
-            top_a + a_lower + top_b + b_lower + [cin], count)
-        diff = 0
-        for got, expected in zip(outputs, want):
-            diff |= got ^ expected
-        for j in _set_bits(diff):
-            a_low, b_low = divmod(j >> 1, low)
-            cases.append((x * low + a_low, y * low + b_low, j & 1))
+    for x in range(top):
+        for y in range(top):
+            outputs, _ = circuit.simulate_planes(
+                top_in[x] + a_lower + top_in[y] + b_lower + [cin], count)
+            diff = 0
+            for got, expected in zip(outputs, want_by_sum[x + y]):
+                diff |= got ^ expected
+            for j in _set_bits(diff):
+                a_low, b_low = divmod(j >> 1, low)
+                cases.append((x * low + a_low, y * low + b_low, j & 1))
 
     failures: list[BcdFailure] = []
     for a, b, c in sorted(cases):

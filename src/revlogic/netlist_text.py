@@ -372,11 +372,9 @@ def elaborate(
         return builder.seal()
     except ValidationFailed as exc:
         loose = sorted(name for name, wire in wires.items() if not wire.consumed)
-        if loose:
-            raise ValidationFailed(
-                exc.violations + [f"unconsumed wire names: {', '.join(loose)}"]
-            ) from None
-        raise
+        raise ValidationFailed(
+            exc.violations + [f"unconsumed wire names: {', '.join(loose)}"]
+        ) from None
 
 
 def emit_netlist(circuit: Circuit) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -239,6 +240,20 @@ class TestBcdTable:
         assert main(["bcd", "table", "--costs", str(costs)]) == EXIT_OK
         assert "quantum cost (no reference value): 8" in capsys.readouterr().out
 
+    def test_missing_cost_entry_prints_no_table(self, tmp_path, capsys):
+        costs = tmp_path / "costs.txt"
+        costs.write_text("FG 1\nPG 4\nHNG 6\n")
+        assert main(["bcd", "table", "--costs", str(costs)]) == EXIT_FAIL
+        assert capsys.readouterr() == ("", "error: no cost entry for gate 'SCL'\n")
+
+    def test_mismatch_names_the_fields(self, monkeypatch, capsys):
+        rows = cli.reference_table()
+        rows[-1] = dataclasses.replace(rows[-1], correction_garbage=1, total_delay=9)
+        monkeypatch.setattr(cli, "reference_table", lambda: rows)
+        assert main(["bcd", "table"]) == EXIT_FAIL
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "MISMATCH against proposed row: correction_garbage, total_delay")
+
 
 class TestUsage:
     def test_no_command(self):
@@ -380,3 +395,16 @@ def test_runs_on_the_standard_library_alone():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "[0, 0, 0] []\n")
+
+
+def test_readme_python_example_runs():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (example,) = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.S | re.M)
+    done = subprocess.run([sys.executable, "-c", example], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    out, report = done.stdout.splitlines()
+    assert out == "11001"
+    assert report.startswith(
+        "MetricsReport(gate_count=8, garbage_count=10, constant_count=6,")

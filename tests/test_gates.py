@@ -128,6 +128,12 @@ class TestMakeGate:
         with pytest.raises(BadArity):
             make_gate("BAD", 2, (lambda a, b: a,))
 
+    @pytest.mark.parametrize("arity", [0, 17])
+    def test_arity_out_of_range(self, arity):
+        with pytest.raises(BadArity) as err:
+            make_gate("BAD", arity, [lambda *bits: bits[0]] * arity)
+        assert str(err.value) == f"arity must be in [1, 16], got {arity}"
+
     def test_rejects_non_bit_result(self):
         with pytest.raises(ValueError):
             make_gate("BAD", 1, (lambda a: 2 * a + 1,))

@@ -129,6 +129,12 @@ class TestMarks:
             builder.mark_output(builder.inputs[1], "out")
         assert str(err.value) == "duplicate output label 'out'"
 
+    def test_empty_output_label(self):
+        builder = new_circuit(["a"])
+        with pytest.raises(ValueError) as err:
+            builder.mark_output(builder.inputs[0], "")
+        assert str(err.value) == "output label must be nonempty"
+
     def test_many_outputs_mark_and_seal_in_linear_time(self):
         # The repeated-label check must be a lookup: a scan of the earlier
         # outputs makes marking quadratic, about 10 s of CPU for these

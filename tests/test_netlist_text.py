@@ -292,6 +292,22 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit_netlist(circuit)
 
+    def test_label_that_is_not_a_wire_name_rejected(self):
+        builder = new_circuit(["a b"])
+        builder.mark_output(builder.inputs[0], "a b")
+        with pytest.raises(ValueError) as err:
+            emit_netlist(builder.seal())
+        assert str(err.value) == "label 'a b' is not expressible as a wire name"
+
+    def test_output_label_colliding_with_a_wire_name_rejected(self):
+        builder = new_circuit(["a", "b"])
+        p, q = builder.add_gate(catalog_by_name()["FG"], builder.inputs)
+        builder.mark_output(q, "a")
+        builder.mark_garbage(p)
+        with pytest.raises(ValueError) as err:
+            emit_netlist(builder.seal())
+        assert str(err.value) == "output label 'a' collides with a wire name"
+
     def test_generated_names_avoid_collisions(self):
         # Inputs squat on the generator's w0/c0 names; emit must step
         # around them and still round-trip.
