@@ -369,12 +369,13 @@ def parse_cost_table(text: str) -> dict[str, int]:
                 f"line {lineno}: expected '<gate-name> <cost>', got {raw.strip()!r}"
             )
         name, cost_text = parts
-        try:
-            value = int(cost_text)
-        except ValueError:
+        # ASCII digits only: int() would also take "1_000", "+5" and
+        # non-ASCII decimal digits.
+        if not re.fullmatch(r"-?[0-9]+", cost_text):
             raise CostTableError(
                 f"line {lineno}: cost for {name!r} is not an integer: {cost_text!r}"
-            ) from None
+            )
+        value = int(cost_text)
         if value < 0:
             raise CostTableError(f"line {lineno}: cost for {name!r} must be nonnegative")
         if name in costs:

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from revlogic.designs import (
     BadDigitCount,
-    BcdCase,
     ReferenceRow,
-    all_bcd_cases,
     bcd_digit_stage_tags,
     build_bcd_adder_digit,
     build_bcd_adder_n,
@@ -106,29 +105,17 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_bcd_add_number(a, b, cin, digits)
 
-
-class TestBcdCase:
-    def test_from_operands(self):
-        case = BcdCase.from_operands(7, 8, 0)
-        assert case.expected_cout == 1
-        assert case.expected_sum == 5
-
-    def test_inconsistent_case_rejected(self):
-        with pytest.raises(ValueError):
-            BcdCase(1, 1, 0, 1, 2)
-
-    def test_bad_digit_rejected(self):
-        with pytest.raises(ValueError):
-            BcdCase(11, 0, 0, 1, 1)
-
-    def test_float_carry_rejected(self):
-        with pytest.raises(ValueError):
-            BcdCase(1, 2, 1.0, 0, 4)
-
-    def test_all_cases(self):
-        cases = all_bcd_cases()
-        assert len(cases) == 200
-        assert len(set(cases)) == 200
+    # A bool is an int, but True is no digit count.
+    @pytest.mark.parametrize("call, error", [
+        (lambda: oracle_bcd_add_number(1, 2, 0, True), ValueError),
+        (lambda: build_bcd_adder_n(True), BadDigitCount),
+        (lambda: verify_bcd_adder(True), BadDigitCount),
+        (lambda: decode_bcd_result(BitWord((1,)), 0), ValueError),
+        (lambda: decode_bcd_result(BitWord.from_int(0, 5), True), ValueError),
+    ], ids=["oracle", "build", "verify", "decode-zero", "decode-bool"])
+    def test_digit_count_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestCorrectionEquations:
@@ -157,13 +144,13 @@ class TestCorrectionEquations:
     def test_equal_on_reachable_states(self):
         # The reachable (s3,s2,s1,c4) states come from the binary sum
         # of two BCD digits plus carry: 0..19.
-        for case in all_bcd_cases():
-            total = case.a + case.b + case.cin
+        for a, b, cin in itertools.product(range(10), range(10), (0, 1)):
+            total = a + b + cin
             c4, s3, s2, s1 = [(total >> k) & 1 for k in (4, 3, 2, 1)]
             v1 = eval_correction_eq1(s3, s2, s1, c4)
             v2 = eval_correction_eq2(s3, s2, s1, c4)
             assert v1 == v2
-            assert v1 == case.expected_cout
+            assert v1 == oracle_bcd_add(a, b, cin)[0]
 
     def test_disagree_somewhere_off_domain(self):
         disagreements = [
@@ -271,11 +258,9 @@ class TestBcdAdderDigit:
 
     def test_all_200_cases_match_plain_arithmetic(self):
         circuit = build_bcd_adder_digit()
-        for case in all_bcd_cases():
-            word = encode_bcd_operands(case.a, case.b, case.cin)
-            outputs, _ = circuit.simulate(word)
-            cout, total = decode_bcd_result(outputs)
-            assert cout * 10 + total == case.a + case.b + case.cin
+        for a, b, cin in itertools.product(range(10), range(10), (0, 1)):
+            outputs, _ = circuit.simulate(encode_bcd_operands(a, b, cin))
+            assert decode_bcd_result(outputs) == oracle_bcd_add(a, b, cin)
 
     def test_verify_helper_agrees(self):
         total, failures = verify_bcd_adder(1)

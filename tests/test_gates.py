@@ -323,11 +323,15 @@ class TestCostTable:
             parse_cost_table("FG 1 2\n")
 
     def test_rejects_non_integer(self):
-        with pytest.raises(CostTableError):
-            parse_cost_table("FG one\n")
+        # int() takes all but "one": underscores, a sign, Arabic-Indic and
+        # full-width digits.
+        for cost in ("one", "1_000", "+5", "\u0663", "\uff11"):
+            message = f"line 1: cost for 'FG' is not an integer: '{cost}'"
+            with pytest.raises(CostTableError, match=f"^{re.escape(message)}$"):
+                parse_cost_table(f"FG {cost}\n")
 
     def test_rejects_negative(self):
-        with pytest.raises(CostTableError):
+        with pytest.raises(CostTableError, match="must be nonnegative"):
             parse_cost_table("FG -1\n")
 
     def test_rejects_duplicate(self):
