@@ -2,7 +2,7 @@
 
 The package splits into five layers:
 
-* `gates`: reversible gates as bijective truth tables, plus the cost
+* `gates`: reversible gates as permutations of n-bit words, plus the cost
   table format.
 * `netlist`: fan-out-free circuit construction, validation, simulation.
 * `metrics`: gate count, garbage, constants, quantum cost, delay.
@@ -18,12 +18,10 @@ from .gates import (
     CostTableError,
     GateDef,
     NotBijective,
-    TruthTable,
     WidthMismatch,
     builtin_catalog,
     catalog_by_name,
     default_cost_table,
-    is_bijective,
     load_cost_table,
     make_gate,
     parse_cost_table,
@@ -90,12 +88,10 @@ __all__ = [
     "CostTableError",
     "GateDef",
     "NotBijective",
-    "TruthTable",
     "WidthMismatch",
     "builtin_catalog",
     "catalog_by_name",
     "default_cost_table",
-    "is_bijective",
     "load_cost_table",
     "make_gate",
     "parse_cost_table",

@@ -2,18 +2,19 @@
 
 A reversible gate has as many outputs as inputs and computes a bijection
 on {0,1}^n, so the input word can always be recovered from the output
-word. Gates are stored as exhaustive truth tables (2^n rows), which keeps
-application, inversion, and bijectivity checking exact and cheap for the
-small arities used in gate-level design.
+word. A gate is its rows: the exhaustive truth table, one output word for
+each of the 2^n input words, which keeps application, inversion, and
+bijectivity checking exact and cheap for the small arities used in
+gate-level design.
 
 Bit ordering is most-significant-bit first everywhere: in `BitWord`, in
-truth-table indices, and in printed bitstrings. Gate pins follow the
+row indices, and in printed bitstrings. Gate pins follow the
 conventional positional order (A,B,C,D) -> (P,Q,R,S).
 
 The built-in catalog provides the classic reversible gates (Feynman,
 Fredkin, Toffoli, New, Peres, HNG) plus SCL, a 4x4 gate that computes the
 decimal-carry correction for BCD addition while passing its first three
-inputs through untouched. Each catalog gate's truth table is computed from
+inputs through untouched. Each catalog gate's rows are computed from
 the switching functions that `revlogic gates` prints, e.g. SCL's
 `D^C(A+B)`: `'` is NOT, juxtaposition AND, `^` XOR and `+` OR, binding in
 that order (NOT tightest, OR loosest).
@@ -103,7 +104,7 @@ class BitWord:
     def from_string(cls, text: str) -> BitWord:
         if not all(ch in "01" for ch in text):
             raise ValueError(f"bitstring may contain only 0 and 1: {text!r}")
-        return cls(tuple(int(ch) for ch in text))
+        return cls._unchecked(tuple(text.encode().translate(BIT_BYTES)))
 
     def to_int(self) -> int:
         return int(str(self) or "0", 2)
@@ -121,45 +122,6 @@ class BitWord:
         return "".join("1" if b else "0" for b in self.bits)
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    """Total mapping from every n-bit word to an n-bit word.
-
-    `rows[i]` is the output word (as an MSB-first integer) for the input
-    word whose MSB-first integer value is `i`. The table need not be a
-    permutation; `is_bijective` decides that, and `GateDef` enforces it.
-    """
-
-    arity: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 1 <= self.arity <= MAX_ARITY:
-            raise BadArity(f"arity must be in [1, {MAX_ARITY}], got {self.arity}")
-        object.__setattr__(self, "rows", tuple(self.rows))
-        size = 1 << self.arity
-        if len(self.rows) != size:
-            raise ValueError(
-                f"table for arity {self.arity} needs {size} rows, got {len(self.rows)}"
-            )
-        for out in self.rows:
-            if not 0 <= out < size:
-                raise ValueError(f"output word {out} does not fit in {self.arity} bits")
-
-    @property
-    def size(self) -> int:
-        return 1 << self.arity
-
-
-def is_bijective(table: TruthTable) -> bool:
-    """True iff the table is a permutation of {0,1}^n.
-
-    A table holds 2^n rows, each in range, so it is a permutation
-    exactly when no two rows are equal.
-    """
-    return len(set(table.rows)) == table.size
-
-
 @cache
 def _words_of_arity(arity: int) -> tuple[tuple[int, ...], ...]:
     """Every `arity`-bit word as its bit tuple, indexed by its value."""
@@ -168,34 +130,50 @@ def _words_of_arity(arity: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class GateDef:
-    """A named reversible gate: a bijective truth table.
+    """A named reversible gate: its rows, a permutation of the n-bit words.
+
+    `rows[i]` is the output word (as an MSB-first integer) for the input
+    word whose MSB-first integer value is `i`, so there are 2^n rows for
+    arity n, and no two are equal. `arity` is derived from the row count
+    when the gate is made.
 
     Its quantum cost is not stored here: `metrics.analyze` prices it by
     name from a cost table, the one place a price is set.
 
     `formulas` optionally carries per-output switching-function strings
     (e.g. ``("A", "A^B")``). It takes no part in equality. For a catalog
-    gate the table is computed from these strings; for a `make_gate` gate
+    gate the rows are computed from these strings; for a `make_gate` gate
     they are for display only.
     """
 
     name: str
-    table: TruthTable
+    rows: tuple[int, ...]
     formulas: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        rows = tuple(self.rows)
+        size = len(rows)
+        if not 2 <= size <= 1 << MAX_ARITY:
+            raise BadArity(
+                f"gate {self.name!r}: needs 2^n rows for an arity n in "
+                f"[1, {MAX_ARITY}], got {size}"
+            )
+        if size & (size - 1):
+            raise ValueError(f"gate {self.name!r}: {size} rows is not a power of two")
+        arity = size.bit_length() - 1
+        for out in rows:
+            if not 0 <= out < size:
+                raise ValueError(f"output word {out} does not fit in {arity} bits")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "arity", arity)
         if not self.name:
             raise ValueError("gate name must be nonempty")
         if self.formulas is not None:
             object.__setattr__(self, "formulas", tuple(self.formulas))
-            if len(self.formulas) != self.table.arity:
+            if len(self.formulas) != arity:
                 raise ValueError("need one formula per output pin")
-        if not is_bijective(self.table):
+        if len(set(rows)) != size:
             raise NotBijective(f"gate {self.name!r}: truth table is not a permutation")
-
-    @property
-    def arity(self) -> int:
-        return self.table.arity
 
     @cached_property
     def anf(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -205,15 +183,15 @@ class GateDef:
         input pin indices, and the empty tuple is the constant 1. The
         pin's value is the XOR over its monomials of the AND of the
         inputs each names. Computed once per gate by the Möbius
-        transform of the pin's column of the truth table.
+        transform of the pin's bit column of `rows`.
         """
         n = self.arity
         pins = []
         for k in range(n):
-            coeffs = [(out >> (n - 1 - k)) & 1 for out in self.table.rows]
+            coeffs = [(out >> (n - 1 - k)) & 1 for out in self.rows]
             for b in range(n):
                 step = 1 << b
-                for word in range(self.table.size):
+                for word in range(len(self.rows)):
                     if word & step:
                         coeffs[word] ^= coeffs[word ^ step]
             pins.append(tuple(
@@ -224,16 +202,16 @@ class GateDef:
 
     @cached_property
     def trie(self) -> tuple:
-        """The truth table as nested pairs, indexed one input bit per level.
+        """The rows as nested pairs, indexed one input bit per level.
 
         `trie[b0][b1]...[bn-1]` is the output-bit tuple for the input bits
         b0 ... bn-1 (MSB-first), so both scalar tiers of
         `Circuit.simulate` index it with plain bits and build, hash and
-        compare no key. It is built whole, from `table.rows`, on first
+        compare no key. It is built whole, from `rows`, on first
         use, and its leaves are shared by every gate of the same arity.
         """
         leaves = _words_of_arity(self.arity)
-        nodes = [leaves[out] for out in self.table.rows]
+        nodes = [leaves[out] for out in self.rows]
         # Pairing neighbours groups words by their last bit; after `arity`
         # rounds one node is left, branching on the first bit.
         while len(nodes) > 1:
@@ -241,12 +219,12 @@ class GateDef:
         return nodes[0]
 
     def apply(self, word: BitWord) -> BitWord:
-        """Map an input word through the gate's truth table."""
+        """Map an input word through the gate's rows."""
         if word.width != self.arity:
             raise WidthMismatch(
                 f"gate {self.name} expects {self.arity} bits, got {word.width}"
             )
-        return BitWord.from_int(self.table.rows[word.to_int()], self.arity)
+        return BitWord.from_int(self.rows[word.to_int()], self.arity)
 
     def inverse(self) -> GateDef:
         """The gate computing the inverse permutation.
@@ -254,17 +232,16 @@ class GateDef:
         Self-inverse gates come back as the same object, so e.g. the
         inverse of a Feynman gate compares equal to the original.
         """
-        inv_rows = [0] * self.table.size
-        for src, dst in enumerate(self.table.rows):
+        inv_rows = [0] * len(self.rows)
+        for src, dst in enumerate(self.rows):
             inv_rows[dst] = src
-        inv_table = TruthTable(self.arity, tuple(inv_rows))
-        if inv_table.rows == self.table.rows:
+        if tuple(inv_rows) == self.rows:
             return self
         if self.name.endswith("_inv"):
             inv_name = self.name[: -len("_inv")]
         else:
             inv_name = self.name + "_inv"
-        return GateDef(inv_name, inv_table)
+        return GateDef(inv_name, tuple(inv_rows))
 
 
 def make_gate(
@@ -278,8 +255,8 @@ def make_gate(
     Each entry of `outputs` is a callable taking `arity` bit arguments
     (the inputs A, B, ... in order) and returning the corresponding
     output bit. The expressions are evaluated over all 2^arity input
-    words; construction fails with NotBijective if the resulting table
-    is not a permutation. The gate carries no cost; see `GateDef`.
+    words; construction fails with NotBijective if the resulting rows
+    are not a permutation. The gate carries no cost; see `GateDef`.
     """
     if not 1 <= arity <= MAX_ARITY:
         raise BadArity(f"arity must be in [1, {MAX_ARITY}], got {arity}")
@@ -298,12 +275,12 @@ def make_gate(
                 raise ValueError(f"gate {name!r}: expression returned {bit!r}, not a bit")
             out = (out << 1) | bit
         rows.append(out)
-    return GateDef(name, TruthTable(arity, tuple(rows)), formulas=formulas)
+    return GateDef(name, tuple(rows), formulas=formulas)
 
 
 # The built-in catalog, each gate by its published switching functions,
 # pins (A,B,C,D) -> (P,Q,R,S). These strings are the gates' only
-# definition: `_pin_function` reads them into the truth tables.
+# definition: `_pin_function` reads them into the gates' rows.
 _CATALOG_DEFS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("FG", ("A", "A^B")),
     ("FRG", ("A", "A'B^AC", "A'C^AB")),

@@ -522,6 +522,10 @@ def tile(block: int, length: int, repeats: int) -> int:
     built by doubling the copy count with shifts and ORs: big-int division
     is quadratic in CPython, doubling is O(result size * log repeats).
     """
+    if length < 1:
+        raise ValueError(f"tile length must be at least 1, got {length}")
+    if repeats < 0:
+        raise ValueError(f"tile repeats must be nonnegative, got {repeats}")
     result, filled = 0, 0
     piece, copies = block, 1
     while repeats:

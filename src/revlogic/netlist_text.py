@@ -350,7 +350,7 @@ def elaborate(
                 wires[stmt.name] = builder.add_constant(stmt.value)
             elif isinstance(stmt, GateStmt):
                 gate = _gate(catalog, stmt.gate, stmt.line, 1)
-                if len(stmt.inputs) != gate.arity or len(stmt.outputs) != gate.arity:
+                if not len(stmt.inputs) == len(stmt.outputs) == gate.arity:
                     raise ArityMismatch(
                         f"gate {gate.name} has arity {gate.arity}, "
                         f"statement wires {len(stmt.inputs)} inputs "

@@ -27,7 +27,7 @@ from revlogic.designs import (
     oracle_bcd_add,
     verify_bcd_adder,
 )
-from revlogic.gates import BitWord, builtin_catalog, is_bijective
+from revlogic.gates import BitWord, builtin_catalog
 from revlogic.metrics import analyze, delay_decomposition
 from revlogic.netlist import FanOutViolation, ValidationFailed
 
@@ -81,7 +81,7 @@ def test_criterion_4_gate_catalog_soundness(capsys):
     gates = builtin_catalog()
     sound = True
     for gate in gates:
-        sound &= is_bijective(gate.table)
+        sound &= len(set(gate.rows)) == len(gate.rows)
         inverse = gate.inverse()
         for value in range(1 << gate.arity):
             word = BitWord.from_int(value, gate.arity)

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import os
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import revlogic
 from revlogic import cli
 from revlogic.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from revlogic.designs import build_bcd_adder_digit
 from revlogic.errors import RevLogicError
+from revlogic.gates import builtin_catalog, parse_cost_table
 from revlogic.metrics import analyze
+from revlogic.netlist_text import _KEYWORDS, decode_netlist, elaborate, parse_netlist
 
 FG_NETLIST = "INPUT a b\nGATE FG a b -> p q\nOUTPUT q\nGARBAGE p\n"
 
@@ -272,6 +278,89 @@ class TestUsage:
         monkeypatch.setattr(cli, "verify_bcd_adder", fail)
         assert main(["bcd", "verify"]) == EXIT_FAIL
         assert capsys.readouterr().err == "error: boom\n"
+
+
+# The fuzz alphabet: every keyword and catalog name, the punctuation, a
+# pool of six wire names, a bad name, and separators that `str.split` and
+# `str.splitlines` treat in different ways.
+_FUZZ_GATES = tuple(g.name for g in builtin_catalog())
+_FUZZ_POOL = ("a", "b", "c", "p", "q", "r")
+_FUZZ_WORDS = (*_KEYWORDS, *_FUZZ_GATES, *_FUZZ_POOL, "->", "=", "0", "1", "#", "9b")
+# A space is drawn most often, so that most lines stay whole.
+_FUZZ_SEPARATORS = (" ",) * 8 + ("\n", "\t", "\u00a0", "\x0b", "\x1c", "\x85")
+
+
+def _fuzz_line(*parts):
+    """One line: the words each part draws, joined by one drawn separator."""
+    return st.builds(lambda sep, *drawn: sep.join(w for words in drawn for w in words),
+                     st.sampled_from(_FUZZ_SEPARATORS), *parts)
+
+
+def _one(words):
+    return st.sampled_from(words).map(lambda word: (word,))
+
+
+def _splice(first, rest, junk, at):
+    text = "\n".join((first, *rest)).encode()
+    return text[:at] + junk + text[at:]
+
+
+# Name lists draw the bad name too, so that each place a name is read checks it.
+_names = st.lists(st.sampled_from((*_FUZZ_POOL, "9b")), min_size=1, max_size=4, unique=True)
+# Statements shaped like the grammar's, so that many drawn files get past
+# the parser into elaboration, mixed with a keyword and any words.
+_fuzz_input = _fuzz_line(st.just(("INPUT",)), _names)
+_fuzz_statement = st.one_of(
+    _fuzz_input,
+    _fuzz_line(st.just(("CONST",)), _one(_FUZZ_POOL), st.just(("=",)), _one(("0", "1"))),
+    _fuzz_line(st.just(("GATE",)), _one(_FUZZ_GATES), _names, st.just(("->",)), _names),
+    _fuzz_line(_one(("OUTPUT", "GARBAGE")), _names),
+    _fuzz_line(_one(_KEYWORDS), st.lists(st.sampled_from(_FUZZ_WORDS), max_size=6)),
+)
+# An INPUT line and up to seven statements; half the files have a few
+# arbitrary bytes spliced in.
+_fuzz_netlist = st.builds(
+    _splice, _fuzz_input, st.lists(_fuzz_statement, max_size=7),
+    st.one_of(st.just(b""), st.binary(min_size=1, max_size=3)), st.integers(0, 200))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=_fuzz_netlist, in_bits=st.text("01", max_size=7))
+def test_fuzzed_netlists_exit_cleanly(tmp_path_factory, data, in_bits):
+    """Any file, read as a netlist or as a cost table, gives a CLI exit code
+    and at most error lines: never a traceback. The library readers raise
+    only revlogic's own errors."""
+    try:
+        text = decode_netlist(data)
+    except RevLogicError:
+        text = data.decode("utf-8", "replace")
+    circuit = None
+    try:
+        circuit = elaborate(parse_netlist(text))
+    except RevLogicError:
+        pass
+    try:
+        parse_cost_table(text)
+    except RevLogicError:
+        pass
+    path = tmp_path_factory.mktemp("fuzz") / "drawn.nl"
+    path.write_bytes(data)
+    name = str(path)
+    runs = [["check", name], ["metrics", name], ["metrics", name, "--costs", name],
+            ["sim", name, "--in", in_bits]]
+    if circuit is not None:
+        runs.append(["sim", name, "--in", "0" * circuit.width])
+    # Keywords, gate names and bytes glued into names are wire names too,
+    # so a drawn INPUT line can be wider than the pool; `truth` is run
+    # only where it prints at most 64 rows.
+    if circuit is None or circuit.width <= 6:
+        runs.append(["truth", name])
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_USAGE), (argv, data)
+        assert "Traceback" not in err.getvalue(), (argv, data)
 
 
 # A fresh interpreter imports the same revlogic as this one.

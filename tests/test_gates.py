@@ -1,4 +1,4 @@
-"""Gate-core tests: words, tables, bijectivity, the catalog, costs."""
+"""Gate-core tests: words, gate rows, bijectivity, the catalog, costs."""
 
 from __future__ import annotations
 
@@ -18,13 +18,11 @@ from revlogic.gates import (
     CostTableError,
     GateDef,
     NotBijective,
-    TruthTable,
     WidthMismatch,
     _pin_function,
     builtin_catalog,
     catalog_by_name,
     default_cost_table,
-    is_bijective,
     load_cost_table,
     make_gate,
     parse_cost_table,
@@ -44,8 +42,13 @@ class TestBitWord:
 
     def test_from_string(self):
         assert BitWord.from_string("101").bits == (1, 0, 1)
-        with pytest.raises(ValueError):
-            BitWord.from_string("10x")
+        for text in ("", "0", "1", "0110"):
+            word = BitWord.from_string(text)
+            assert word == BitWord(tuple(int(ch) for ch in text))
+            assert all(type(b) is int for b in word.bits)
+        for text in ("10x", "1 0", "2", "\uff11"):
+            with pytest.raises(ValueError, match="^bitstring may contain only 0 and 1: "):
+                BitWord.from_string(text)
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
@@ -74,51 +77,66 @@ class TestBitWord:
 
 
 class TestTruthTable:
+    """A gate is its truth table's rows; `GateDef` checks their shape."""
+
     def test_arity_bounds(self):
-        with pytest.raises(BadArity):
-            TruthTable(0, ())
-        with pytest.raises(BadArity):
-            TruthTable(MAX_ARITY + 1, ())
+        for rows in ((), (0,), tuple(range(1 << (MAX_ARITY + 1)))):
+            with pytest.raises(BadArity):
+                GateDef("G", rows)
+        assert GateDef("G", (1, 0)).arity == 1
+        assert GateDef("G", tuple(range(1 << MAX_ARITY))).arity == MAX_ARITY
 
     def test_row_count(self):
-        with pytest.raises(ValueError):
-            TruthTable(2, (0, 1, 2))
+        # A count that is not a power of two is no arity at all.
+        for size in (3, 5, 6, 7, 12):
+            with pytest.raises(ValueError, match="is not a power of two"):
+                GateDef("G", tuple(range(size)))
 
     def test_row_range(self):
-        with pytest.raises(ValueError):
-            TruthTable(1, (0, 2))
+        for rows in ((0, 2), (-1, 0), (0, 1, 2, 4)):
+            with pytest.raises(ValueError, match="does not fit in"):
+                GateDef("G", rows)
 
 
 class TestIsBijective:
+    """`GateDef` accepts exactly the rows that are a permutation."""
+
     def test_identity(self):
-        assert is_bijective(TruthTable(2, (0, 1, 2, 3)))
+        assert GateDef("I", (0, 1, 2, 3)).rows == (0, 1, 2, 3)
 
     def test_all_zeros(self):
-        assert not is_bijective(TruthTable(2, (0, 0, 0, 0)))
+        with pytest.raises(NotBijective, match=r"^gate 'Z': truth table is not a permutation$"):
+            GateDef("Z", (0, 0, 0, 0))
 
     def test_swap(self):
-        assert is_bijective(TruthTable(1, (1, 0)))
+        assert GateDef("NOT", [1, 0]).rows == (1, 0)
 
     @given(st.integers(1, 4).flatmap(
         lambda n: st.permutations(list(range(1 << n)))))
     def test_permutations_are_bijective(self, rows):
-        arity = (len(rows) - 1).bit_length()
-        assert is_bijective(TruthTable(arity, tuple(rows)))
+        gate = GateDef("P", rows)
+        assert gate.rows == tuple(rows)
+        assert gate.arity == (len(rows) - 1).bit_length()
 
     @given(st.integers(1, 4).flatmap(
         lambda n: st.lists(st.integers(0, (1 << n) - 1),
                            min_size=1 << n, max_size=1 << n)))
     def test_agrees_with_sort_check(self, rows):
         # Independent criterion: a permutation's sorted outputs are 0..2^n-1.
-        arity = (len(rows) - 1).bit_length()
         expected = sorted(rows) == list(range(len(rows)))
-        assert is_bijective(TruthTable(arity, tuple(rows))) == expected
+        try:
+            GateDef("P", rows)
+        except NotBijective:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expected
 
 
 class TestMakeGate:
     def test_xor_gate(self):
         gate = make_gate("X", 2, (lambda a, b: a, lambda a, b: a ^ b))
-        assert gate.table.rows == (0, 1, 3, 2)
+        assert gate.rows == (0, 1, 3, 2)
 
     def test_rejects_non_bijection(self):
         with pytest.raises(NotBijective):
@@ -149,7 +167,7 @@ class TestCatalog:
 
     def test_all_bijective(self):
         for gate in builtin_catalog():
-            assert is_bijective(gate.table), gate.name
+            assert sorted(gate.rows) == list(range(1 << gate.arity)), gate.name
 
     def test_fg_is_xor(self):
         fg = catalog_by_name()["FG"]
@@ -226,7 +244,7 @@ class TestCatalog:
                 expr = re.sub(r"([A-D])'", r"(1^\1)", formula)
                 expr = re.sub(r"(?<=[A-D)])(?=[A-D(])", "&", expr).replace("+", "|")
                 assert set(expr) <= set("ABCD1^&|()"), expr
-                for value, row in enumerate(gate.table.rows):
+                for value, row in enumerate(gate.rows):
                     pins = dict(zip("ABCD", BitWord.from_int(value, gate.arity)))
                     want = BitWord.from_int(row, gate.arity)[pin]
                     assert eval(expr, {}, pins) == want, (gate.name, formula, value)
@@ -281,7 +299,7 @@ class TestApplyAndInverse:
 
     @given(st.permutations(list(range(8))))
     def test_inverse_of_random_permutation(self, rows):
-        gate = GateDef("R", TruthTable(3, tuple(rows)))
+        gate = GateDef("R", tuple(rows))
         inv = gate.inverse()
         for value in range(8):
             word = BitWord.from_int(value, 3)
@@ -291,21 +309,21 @@ class TestApplyAndInverse:
 class TestGateDefValidation:
     def test_rejects_non_bijective_table(self):
         with pytest.raises(NotBijective):
-            GateDef("BAD", TruthTable(1, (0, 0)))
+            GateDef("BAD", (0, 0))
 
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError):
-            GateDef("", TruthTable(1, (0, 1)))
+            GateDef("", (0, 1))
 
     def test_carries_no_cost(self):
         # Quantum cost lives only in cost tables; see metrics.analyze.
-        assert [f.name for f in dataclasses.fields(GateDef)] == ["name", "table", "formulas"]
+        assert [f.name for f in dataclasses.fields(GateDef)] == ["name", "rows", "formulas"]
         with pytest.raises(TypeError):
             make_gate("X", 1, (lambda a: a,), cost=5)
 
     def test_formula_count_checked(self):
         with pytest.raises(ValueError):
-            GateDef("G", TruthTable(1, (0, 1)), formulas=("A", "B"))
+            GateDef("G", (0, 1), formulas=("A", "B"))
 
 
 class TestCostTable:

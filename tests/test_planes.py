@@ -100,7 +100,7 @@ class TestMapping:
 
 def test_anf_reproduces_every_catalog_table():
     for gate in builtin_catalog():
-        for word in range(gate.table.size):
+        for word in range(len(gate.rows)):
             ins = [(word >> (gate.arity - 1 - p)) & 1 for p in range(gate.arity)]
             out = 0
             for monomials in gate.anf:
@@ -108,7 +108,7 @@ def test_anf_reproduces_every_catalog_table():
                 for monomial in monomials:
                     bit ^= all(ins[p] for p in monomial)
                 out = (out << 1) | bit
-            assert out == gate.table.rows[word], (gate.name, word)
+            assert out == gate.rows[word], (gate.name, word)
 
 
 @pytest.mark.parametrize("block, length, repeats", [(0b10, 2, 5), (0b011, 3, 4),
@@ -116,6 +116,14 @@ def test_anf_reproduces_every_catalog_table():
 def test_tile_is_block_times_repunit(block, length, repeats):
     repunit = ((1 << length * repeats) - 1) // ((1 << length) - 1)
     assert tile(block, length, repeats) == block * repunit
+
+
+@pytest.mark.parametrize("length, repeats, argument", [(1, -1, "repeats"), (3, -5, "repeats"),
+                                                       (0, 3, "length"), (-2, 3, "length")])
+def test_tile_rejects_bad_arguments(length, repeats, argument):
+    # A negative count would otherwise double the piece without end.
+    with pytest.raises(ValueError, match=f"^tile {argument} must be "):
+        tile(1, length, repeats)
 
 
 class _PlanesBuilt(Exception):

@@ -31,7 +31,7 @@ from revlogic.designs import (
     build_correction_stage,
     encode_bcd_operands,
 )
-from revlogic.gates import BitWord, GateDef, TruthTable, catalog_by_name, make_gate
+from revlogic.gates import BitWord, GateDef, catalog_by_name, make_gate
 from revlogic.netlist import COMPILE_AFTER, Circuit, WidthMismatch, new_circuit
 
 
@@ -253,7 +253,7 @@ class TestBitRows:
             for k, wire in enumerate(builder.add_gate(gate, builder.inputs)):
                 builder.mark_output(wire, f"y{k}")
             circuit = builder.seal()
-            for value in range(gate.table.size):
+            for value in range(len(gate.rows)):
                 word = BitWord.from_int(value, gate.arity)
                 (out, garbage) = circuit.simulate(word)
                 assert out.bits == gate.apply(word).bits
@@ -264,7 +264,7 @@ class TestBitRows:
 class TestTrie:
     def test_leaves_are_rows_of_the_truth_table(self):
         for gate in (*catalog_by_name().values(), NOT, TOFFOLI5, ROT6):
-            for value in range(gate.table.size):
+            for value in range(len(gate.rows)):
                 node = gate.trie
                 for bit in BitWord.from_int(value, gate.arity):
                     node = node[bit]
@@ -279,7 +279,7 @@ class TestTrie:
         # A 16-input rotation: 2^16 rows, built whole into the trie that
         # both tiers read, on the circuit's first call.
         rows = tuple(((v << 1) | (v >> 15)) & 0xFFFF for v in range(1 << 16))
-        gate = GateDef("ROT16", TruthTable(16, rows))
+        gate = GateDef("ROT16", rows)
         builder = new_circuit([f"x{i}" for i in range(16)])
         for k, wire in enumerate(builder.add_gate(gate, builder.inputs)):
             builder.mark_output(wire, f"y{k}")
