@@ -36,6 +36,7 @@ MAX_ARITY = 16
 # Maps the ASCII digits of a bit string to bytes 0/1, so that
 # `format(...).encode().translate(BIT_BYTES)` iterates as 0/1 ints.
 BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class NotBijective(RevLogicError):
@@ -119,7 +120,7 @@ class BitWord:
         return self.bits[i]
 
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return bytes(self.bits).translate(_BIT_TEXT).decode()
 
 
 @cache
@@ -161,7 +162,9 @@ class GateDef:
         if size & (size - 1):
             raise ValueError(f"gate {self.name!r}: {size} rows is not a power of two")
         arity = size.bit_length() - 1
-        for out in rows:
+        for i, out in enumerate(rows):
+            if not isinstance(out, int):
+                raise ValueError(f"gate {self.name!r}: row {i} is {out!r}, not an int")
             if not 0 <= out < size:
                 raise ValueError(f"output word {out} does not fit in {arity} bits")
         object.__setattr__(self, "rows", rows)
@@ -254,7 +257,8 @@ def make_gate(
 
     Each entry of `outputs` is a callable taking `arity` bit arguments
     (the inputs A, B, ... in order) and returning the corresponding
-    output bit. The expressions are evaluated over all 2^arity input
+    output bit: anything equal to 0 or 1, stored as the int, as in
+    `BitWord`. The expressions are evaluated over all 2^arity input
     words; construction fails with NotBijective if the resulting rows
     are not a permutation. The gate carries no cost; see `GateDef`.
     """
@@ -273,7 +277,7 @@ def make_gate(
             bit = fn(*ins)
             if bit not in (0, 1):
                 raise ValueError(f"gate {name!r}: expression returned {bit!r}, not a bit")
-            out = (out << 1) | bit
+            out = (out << 1) | (bit == 1)
         rows.append(out)
     return GateDef(name, tuple(rows), formulas=formulas)
 

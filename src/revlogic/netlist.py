@@ -125,19 +125,17 @@ class Instance:
 class Wire:
     """Handle for a signal inside a builder; valid for one consumption.
 
-    `_index` is the wire's position in its builder's list of issued
-    wires; a wire made by hand keeps -1. `_builder` is the builder's weak
-    reference to itself, so builder and wires form no cycle and are
-    freed by refcount, without waiting for the cyclic collector.
+    It is its builder's when it is a key of the builder's issued-wire
+    table. `_builder` is the builder's weak reference to itself, so the
+    two form no cycle and are freed by refcount alone.
     """
 
-    __slots__ = ("source", "_builder", "_consumed", "_index")
+    __slots__ = ("source", "_builder", "_consumed")
 
-    def __init__(self, source: Source, builder: CircuitBuilder, index: int = -1):
+    def __init__(self, source: Source, builder: CircuitBuilder):
         self.source = source
         self._builder = builder._ref
         self._consumed = False
-        self._index = index
 
     @property
     def consumed(self) -> bool:
@@ -153,7 +151,8 @@ class Wire:
 class CircuitBuilder:
     """Accumulates gates and wire marks; `seal()` yields the Circuit.
 
-    Use `new_circuit` to create one.
+    Use `new_circuit` to create one. It accepts exactly the wires that
+    are keys of `_wires`, its table of issued wires in issue order.
     """
 
     def __init__(self, input_labels: Iterable[str]):
@@ -173,29 +172,36 @@ class CircuitBuilder:
         # Output sources by label, in marking order.
         self._outputs: dict[str, Source] = {}
         self._garbage: list[Source] = []
-        self._wires: list[Wire] = []
+        self._wires: dict[Wire, None] = {}
         self._sealed = False
         self._ref = weakref.ref(self)
-        self.inputs = tuple(self._new_wire(("in", i)) for i in range(len(labels)))
+        self.inputs = self._issue([("in", i) for i in range(len(labels))])
 
     @property
     def constant_count(self) -> int:
         return len(self._constants)
 
-    def _new_wire(self, source: Source) -> Wire:
-        wire = Wire(source, self, len(self._wires))
-        self._wires.append(wire)
-        return wire
+    def _issue(self, sources: Iterable[Source]) -> tuple[Wire, ...]:
+        wires = tuple([Wire(source, self) for source in sources])
+        for wire in wires:
+            self._wires[wire] = None
+        return wires
 
     def _check_open(self) -> None:
         if self._sealed:
             raise ValueError("builder already sealed")
 
-    def _own(self, wire: Wire) -> None:
-        # A hand-made wire's index -1 names the last issued wire, not it.
-        if (not isinstance(wire, Wire) or wire._builder is not self._ref
-                or self._wires[wire._index] is not wire):
-            raise ValueError("wire was not issued by this builder")
+    def _free(self, wires: Iterable[Wire]) -> None:
+        """Check that each wire was issued here and is not yet consumed."""
+        for wire in wires:
+            try:
+                issued = wire in self._wires
+            except TypeError:  # unhashable, so never issued
+                issued = False
+            if not issued:
+                raise ValueError("wire was not issued by this builder")
+            if wire._consumed:
+                raise FanOutViolation(f"{self.describe(wire.source)} is already consumed")
 
     def describe(self, source: Source) -> str:
         """Human-readable name for a wire source, used in diagnostics."""
@@ -215,7 +221,7 @@ class CircuitBuilder:
         if value not in (0, 1):
             raise ValueError(f"constant must be 0 or 1, got {value!r}")
         self._constants.append(int(value))
-        return self._new_wire(("const", len(self._constants) - 1))
+        return self._issue([("const", len(self._constants) - 1)])[0]
 
     def add_gate(self, gate: GateDef, inputs: Sequence[Wire]) -> tuple[Wire, ...]:
         """Place a gate instance; consumes the input wires, returns outputs.
@@ -231,12 +237,7 @@ class CircuitBuilder:
             raise ArityMismatch(
                 f"gate {gate.name} has arity {arity}, got {len(wires)} wires"
             )
-        for wire in wires:
-            self._own(wire)
-            if wire._consumed:
-                raise FanOutViolation(
-                    f"{self.describe(wire.source)} is already consumed"
-                )
+        self._free(wires)
         if len(set(map(id, wires))) != arity:
             raise FanOutViolation(
                 f"gate {gate.name}: the same wire was passed to two pins"
@@ -245,30 +246,23 @@ class CircuitBuilder:
             wire._consumed = True
         idx = len(self._instances)
         self._instances.append(Instance(gate, tuple([w.source for w in wires])))
-        first = len(self._wires)
-        outs = tuple([Wire(("gate", idx, pin), self, first + pin) for pin in range(arity)])
-        self._wires.extend(outs)
-        return outs
+        return self._issue([("gate", idx, pin) for pin in range(arity)])
 
     def mark_output(self, wire: Wire, label: str) -> None:
         """Consume a wire as the primary output named `label`."""
         self._check_open()
-        self._own(wire)
         if not label:
             raise ValueError("output label must be nonempty")
         if label in self._outputs:
             raise DuplicateLabel(f"duplicate output label {label!r}")
-        if wire.consumed:
-            raise FanOutViolation(f"{self.describe(wire.source)} is already consumed")
+        self._free((wire,))
         wire._consumed = True
         self._outputs[label] = wire.source
 
     def mark_garbage(self, wire: Wire) -> None:
         """Consume a wire as an explicit garbage output."""
         self._check_open()
-        self._own(wire)
-        if wire.consumed:
-            raise FanOutViolation(f"{self.describe(wire.source)} is already consumed")
+        self._free((wire,))
         wire._consumed = True
         self._garbage.append(wire.source)
 

@@ -156,6 +156,13 @@ class TestMakeGate:
         with pytest.raises(ValueError):
             make_gate("BAD", 1, (lambda a: 2 * a + 1,))
 
+    def test_bits_stored_as_ints(self):
+        # 1.0 equals 1, so it is a bit, but `|` takes no float.
+        gate = make_gate("X", 1, [lambda a: 1.0 - a])
+        assert gate.rows == (1, 0) and {type(row) for row in gate.rows} == {int}
+        assert gate.trie == ((1,), (0,))
+        assert gate.apply(BitWord((0,))) == BitWord((1,))
+
 
 class TestCatalog:
     def test_names_and_arities(self):
@@ -324,6 +331,19 @@ class TestGateDefValidation:
     def test_formula_count_checked(self):
         with pytest.raises(ValueError):
             GateDef("G", (0, 1), formulas=("A", "B"))
+
+    @pytest.mark.parametrize("rows, message", [
+        ((1.0, 0.0), "gate 'F': row 0 is 1.0, not an int"),
+        (("1", "0"), "gate 'F': row 0 is '1', not an int"),
+        ((0, 1, 2.0, 3), "gate 'F': row 2 is 2.0, not an int"),
+    ])
+    def test_rejects_rows_that_are_not_ints(self, rows, message):
+        with pytest.raises(ValueError) as err:
+            GateDef("F", rows)
+        assert str(err.value) == message
+
+    def test_accepts_bool_rows(self):
+        assert GateDef("F", (True, False)).apply(BitWord((1,))) == BitWord((0,))
 
 
 class TestCostTable:

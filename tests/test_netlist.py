@@ -160,6 +160,85 @@ class TestMarks:
             builder.mark_output(builder.inputs[0], "out")
 
 
+def _add_gate(*names):
+    return lambda builder, wires: builder.add_gate(catalog_by_name()["FG"],
+                                                   [wires[n] for n in names])
+
+
+def _mark_output(name, label):
+    return lambda builder, wires: builder.mark_output(wires[name], label)
+
+
+def _mark_garbage(name):
+    return lambda builder, wires: builder.mark_garbage(wires[name])
+
+
+_NOT_ISSUED = (ValueError, "wire was not issued by this builder")
+_SEALED = (ValueError, "builder already sealed")
+_C_CONSUMED = (FanOutViolation, "input 'c' is already consumed")
+
+# Every builder call with one defect, and the exception it must raise. The
+# calls run on a builder over inputs a, b and c, whose c is already output
+# 'x'. "made" is a `Wire` made by hand, "foreign" another builder's input,
+# "source" a's source tuple and "listed" that source as an unhashable list.
+# For "sealed" the builder is first sealed, which consumes a and b too.
+_SINGLE_DEFECTS = [
+    ("add_gate", "sealed", _add_gate("a", "b"), _SEALED),
+    ("add_gate", "arity", _add_gate("a"), (ArityMismatch, "gate FG has arity 2, got 1 wires")),
+    ("add_gate", "made", _add_gate("made", "b"), _NOT_ISSUED),
+    ("add_gate", "foreign", _add_gate("a", "foreign"), _NOT_ISSUED),
+    ("add_gate", "source", _add_gate("source", "b"), _NOT_ISSUED),
+    ("add_gate", "listed", _add_gate("a", "listed"), _NOT_ISSUED),
+    ("add_gate", "consumed", _add_gate("a", "c"), _C_CONSUMED),
+    ("add_gate", "twice", _add_gate("a", "a"),
+     (FanOutViolation, "gate FG: the same wire was passed to two pins")),
+    ("mark_output", "sealed", _mark_output("a", "y"), _SEALED),
+    ("mark_output", "made", _mark_output("made", "y"), _NOT_ISSUED),
+    ("mark_output", "foreign", _mark_output("foreign", "y"), _NOT_ISSUED),
+    ("mark_output", "source", _mark_output("source", "y"), _NOT_ISSUED),
+    ("mark_output", "listed", _mark_output("listed", "y"), _NOT_ISSUED),
+    ("mark_output", "consumed", _mark_output("c", "y"), _C_CONSUMED),
+    ("mark_output", "empty label", _mark_output("a", ""),
+     (ValueError, "output label must be nonempty")),
+    ("mark_output", "repeated label", _mark_output("a", "x"),
+     (DuplicateLabel, "duplicate output label 'x'")),
+    ("mark_garbage", "sealed", _mark_garbage("a"), _SEALED),
+    ("mark_garbage", "made", _mark_garbage("made"), _NOT_ISSUED),
+    ("mark_garbage", "foreign", _mark_garbage("foreign"), _NOT_ISSUED),
+    ("mark_garbage", "source", _mark_garbage("source"), _NOT_ISSUED),
+    ("mark_garbage", "listed", _mark_garbage("listed"), _NOT_ISSUED),
+    ("mark_garbage", "consumed", _mark_garbage("c"), _C_CONSUMED),
+]
+
+
+@pytest.mark.parametrize("defect, act, expected", [
+    pytest.param(defect, act, expected, id=f"{call}-{defect}")
+    for call, defect, act, expected in _SINGLE_DEFECTS
+])
+def test_single_defect_call_raises_and_changes_nothing(defect, act, expected):
+    builder = new_circuit(["a", "b", "c"])
+    other = new_circuit(["a"])
+    a, b, c = builder.inputs
+    builder.mark_output(c, "x")
+    if defect == "sealed":
+        builder.mark_output(a, "a")
+        builder.mark_garbage(b)
+        builder.seal()
+    wires = {"a": a, "b": b, "c": c, "made": Wire(a.source, builder),
+             "foreign": other.inputs[0], "source": a.source, "listed": list(a.source)}
+
+    def state():
+        return ([(w, w.consumed) for w in builder._wires], list(builder._instances),
+                dict(builder._outputs), list(builder._garbage), list(builder._constants))
+
+    before = state()
+    with pytest.raises(expected[0]) as err:
+        act(builder, wires)
+    assert (type(err.value), str(err.value)) == expected
+    assert state() == before
+    assert not wires["made"].consumed and not other.inputs[0].consumed
+
+
 class TestSeal:
     def test_dangling_wire(self):
         builder = new_circuit(["a", "b"])
@@ -206,7 +285,6 @@ class TestSeal:
         assert builder.seal().instances == ()
 
     def test_rejects_wires_of_another_builder(self):
-        # The foreign wire's index is past the end of this builder's list.
         other = new_circuit(["x", "y", "z"])
         builder = new_circuit(["a"])
         for wire in (other.inputs[2], other.inputs[0]):

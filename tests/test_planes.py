@@ -8,6 +8,7 @@ on planes; every test here checks them word for word against scalar
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,20 @@ def verify_circuit(monkeypatch, circuit, digits: int):
     return verify_bcd_adder(digits)
 
 
+@functools.cache
+def two_digit_mutant(index: int):
+    """The 2-digit adder with constant `index` flipped, and its one-batch verify.
+
+    Each mutant's verify is run once and shared by the tests that read it;
+    none of them changes the result.
+    """
+    mutant = flipped(build_bcd_adder_n(2), index)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(designs, "build_bcd_adder_n", lambda n: mutant)
+        patch.setattr(designs, "_BATCH_WORDS", 20000)
+        return mutant, verify_bcd_adder(2)
+
+
 class TestVerifyAgainstScalar:
     @pytest.mark.parametrize("digits", [1, 2])
     def test_shipped_adder_passes_both(self, digits):
@@ -204,9 +219,8 @@ class TestVerifyAgainstScalar:
             assert [f[:3] for f in failures] == reference, index
 
     @pytest.mark.parametrize("index", range(12))
-    def test_two_digit_mutants_fail_in_both(self, monkeypatch, index):
-        mutant = flipped(build_bcd_adder_n(2), index)
-        _, failures = verify_circuit(monkeypatch, mutant, 2)
+    def test_two_digit_mutants_fail_in_both(self, index):
+        mutant, (_, failures) = two_digit_mutant(index)
         first = next(scalar_failures(mutant, 2), None)
         assert first is not None
         assert failures and failures[0][:3] == first
@@ -240,18 +254,15 @@ class TestVerifyAgainstScalar:
 
     @pytest.mark.parametrize("index", range(12))
     def test_two_digit_mutants_chunked_as_in_one_batch(self, monkeypatch, index):
-        mutant = flipped(build_bcd_adder_n(2), index)
-        monkeypatch.setattr(designs, "_BATCH_WORDS", 20000)
-        total, one_batch = verify_circuit(monkeypatch, mutant, 2)
+        mutant, (total, one_batch) = two_digit_mutant(index)
         assert total == 20000 and one_batch
         monkeypatch.setattr(designs, "_BATCH_WORDS", 200)
         assert verify_circuit(monkeypatch, mutant, 2) == (total, one_batch)
 
-    def test_aliased_outputs_count_as_failures(self, monkeypatch):
+    def test_aliased_outputs_count_as_failures(self):
         # 0 + 9 + 1 outputs 0 0000 1010: the low nibble is not BCD but
         # decodes to 10, the right number. Only the bits show the fault.
-        mutant = flipped(build_bcd_adder_n(2), 3)
-        total, failures = verify_circuit(monkeypatch, mutant, 2)
+        _, (total, failures) = two_digit_mutant(3)
         assert total == 20000
         record = next(f for f in failures if f[:3] == (0, 9, 1))
         assert record.got == record.want == (0, 10)
