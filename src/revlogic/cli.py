@@ -31,6 +31,7 @@ import os
 import sys
 from collections import Counter
 from functools import cache
+from itertools import islice, repeat
 from typing import Mapping
 
 from .designs import (
@@ -87,6 +88,11 @@ def _load_circuit(path: str) -> Circuit:
     return elaborate(parse_netlist(decode_netlist(data)))
 
 
+def _shown(path: str) -> str:
+    """`path` as UTF-8 text, a byte that is not UTF-8 escaped (`\\xff`)."""
+    return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def _load_costs(path: str | None) -> Mapping[str, int] | None:
     return load_cost_table(path) if path else None
 
@@ -104,7 +110,7 @@ def cmd_gates(args) -> int:
 def cmd_check(args) -> int:
     circuit = _load_circuit(args.file)
     print(
-        f"{args.file}: valid ({len(circuit.instances)} gates, "
+        f"{_shown(args.file)}: valid ({len(circuit.instances)} gates, "
         f"{len(circuit.garbage)} garbage, {len(circuit.constants)} constants)"
     )
     return EXIT_OK
@@ -127,16 +133,17 @@ def cmd_sim(args) -> int:
 
 def cmd_truth(args) -> int:
     circuit = _load_circuit(args.file)
-    rows = circuit.mapping()
+    inputs, outputs, garbage = circuit._columns(inputs=True)
     print(f"# inputs:  {' '.join(circuit.input_labels)}")
     print(f"# outputs: {' '.join(circuit.output_labels)}")
     print(f"# garbage wires: {len(circuit.garbage)}")
-    for value, (outputs, garbage) in enumerate(rows):
-        word = BitWord.from_int(value, circuit.width)
-        if garbage.width:
-            print(f"{word} -> {outputs} | {garbage}")
-        else:
-            print(f"{word} -> {outputs}")
+    # Row j joins character j of every column; writing by blocks never holds the table.
+    columns = [*inputs, repeat(" -> "), *outputs]
+    if garbage:
+        columns += [repeat(" | "), *garbage]
+    rows = map("".join, zip(*columns))
+    while block := list(islice(rows, 4096)):
+        sys.stdout.write("\n".join(block) + "\n")
     return EXIT_OK
 
 
@@ -152,7 +159,7 @@ def cmd_bcd_build(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.output}")
+        print(f"wrote {_shown(args.output)}")
     else:
         print(text, end="")
     return EXIT_OK

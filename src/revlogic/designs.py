@@ -244,7 +244,7 @@ def build_bcd_adder_digit() -> Circuit:
 
     Inputs a3..a0, b3..b0, cin; outputs cout, s3..s0 (the BCD sum digit).
     """
-    return _seal_adder(_add_bcd_digit, 1, "cout")
+    return build_bcd_adder_n(1)
 
 
 def bcd_digit_stage_tags() -> dict[int, str]:

@@ -49,8 +49,8 @@ j is that line's value in word j, and evaluates each gate pin once for
 the whole batch as the XOR of ANDs of its algebraic normal form
 (`GateDef.anf`), so the cost per gate is a few big-int operations
 however many words the planes hold. Scalar and plane simulation thus
-derive from the truth table and the ANF independently. `mapping()` runs
-the kernel once over all 2^width words.
+derive from the truth table and the ANF independently. `mapping()` and the
+CLI's `truth` share `_columns`, one kernel run over all 2^width words.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RevLogicError
@@ -442,17 +443,14 @@ class Circuit:
         lines.append(f"    return ({listed(plan.outputs)}), ({listed(plan.garbage)})")
         return "\n".join(lines), namespace
 
-    def mapping(self) -> list[tuple[BitWord, BitWord]]:
-        """The (outputs, garbage) pair for every primary-input word.
-
-        Entry `i` corresponds to the input word with integer value `i`
-        (MSB-first). Refuses circuits wider than ENUMERATION_LIMIT.
-        """
+    def _columns(self, inputs: bool = False) -> list[list[str]]:
+        """All 2^width input words in one plane batch, as '0'/'1' columns: the
+        input (only if `inputs`), output and garbage lines, each rendered once,
+        character j being the line's value in the input word with integer
+        value j (MSB-first). Refuses more than ENUMERATION_LIMIT inputs."""
         if self.width > ENUMERATION_LIMIT:
-            raise TooWide(
-                f"{self.width} primary inputs exceed the exhaustive "
-                f"enumeration bound of {ENUMERATION_LIMIT}"
-            )
+            raise TooWide(f"{self.width} primary inputs exceed the exhaustive "
+                          f"enumeration bound of {ENUMERATION_LIMIT}")
         count = 1 << self.width
         # Input i is bit (width-1-i) of the word value: runs of 2^(width-1-i)
         # zeros then as many ones, repeated.
@@ -461,10 +459,21 @@ class Circuit:
             run = 1 << (self.width - 1 - i)
             planes.append(tile(((1 << run) - 1) << run, 2 * run, count // (2 * run)))
         outputs, garbage = self.simulate_planes(planes, count)
-        return [
-            (_unchecked(out), _unchecked(junk))
-            for out, junk in zip(_words(outputs, count), _words(garbage, count))
-        ]
+        spec = f"0{count}b"
+        return [[format(plane, spec)[::-1] for plane in lines]
+                for lines in (planes if inputs else [], outputs, garbage)]
+
+    def mapping(self) -> list[tuple[BitWord, BitWord]]:
+        """The (outputs, garbage) pair for every primary-input word.
+
+        Entry `i` corresponds to the input word with integer value `i`
+        (MSB-first). Refuses circuits wider than ENUMERATION_LIMIT.
+        """
+        # Bytes iterate as 0/1 ints. A side without lines repeats (); the other
+        # ends the zip. The columns are freed before any word is built.
+        outputs, garbage = [list(zip(*[c.encode().translate(BIT_BYTES) for c in side]))
+                            if side else repeat(()) for side in self._columns()[1:]]
+        return [(_unchecked(out), _unchecked(junk)) for out, junk in zip(outputs, garbage)]
 
     def simulate_planes(
         self, planes: Sequence[int], count: int
@@ -531,19 +540,3 @@ def tile(block: int, length: int, repeats: int) -> int:
             piece |= piece << (copies * length)
             copies *= 2
     return result
-
-
-def _words(planes: Sequence[int], count: int) -> list[tuple[int, ...]]:
-    """Transpose `count`-word planes into one bit tuple per word, word 0 first.
-
-    Each plane is rendered once as a bit string, so the cost is linear in
-    planes * count; shifting a bit out of a big int per word would be
-    quadratic in count.
-    """
-    if not planes:
-        return [()] * count
-    columns = [
-        format(plane, f"0{count}b")[::-1].encode().translate(BIT_BYTES)
-        for plane in planes
-    ]
-    return list(zip(*columns))

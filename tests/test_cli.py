@@ -11,17 +11,20 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import revlogic
+from conftest import sealed_circuits
 from revlogic import cli
 from revlogic.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from revlogic.designs import build_bcd_adder_digit
 from revlogic.errors import RevLogicError
-from revlogic.gates import builtin_catalog, parse_cost_table
+from revlogic.gates import BitWord, builtin_catalog, catalog_by_name, parse_cost_table
 from revlogic.metrics import analyze
-from revlogic.netlist_text import _KEYWORDS, decode_netlist, elaborate, parse_netlist
+from revlogic.netlist import new_circuit
+from revlogic.netlist_text import (
+    _KEYWORDS, decode_netlist, elaborate, emit_netlist, parse_netlist)
 
 FG_NETLIST = "INPUT a b\nGATE FG a b -> p q\nOUTPUT q\nGARBAGE p\n"
 
@@ -133,7 +136,46 @@ class TestSim:
         assert main(["sim", fg_file]) == EXIT_USAGE
 
 
+def _fg_circuit(outputs: int):
+    """FG on inputs a and b; its first `outputs` pins are outputs, the rest garbage."""
+    builder = new_circuit(["a", "b"])
+    for pin, wire in enumerate(builder.add_gate(catalog_by_name()["FG"], builder.inputs)):
+        if pin < outputs:
+            builder.mark_output(wire, f"o{pin}")
+        else:
+            builder.mark_garbage(wire)
+    return builder.seal()
+
+
+def _scalar_truth(circuit) -> str:
+    """What `revlogic truth` prints, from one `Circuit.simulate` call per word."""
+    lines = [f"# inputs:  {' '.join(circuit.input_labels)}",
+             f"# outputs: {' '.join(circuit.output_labels)}",
+             f"# garbage wires: {len(circuit.garbage)}"]
+    for value in range(1 << circuit.width):
+        word = BitWord.from_int(value, circuit.width)
+        outputs, garbage = circuit.simulate(word)
+        lines.append(f"{word} -> {outputs}" + (f" | {garbage}" if circuit.garbage else ""))
+    return "".join(line + "\n" for line in lines)
+
+
 class TestTruth:
+    @settings(max_examples=150, deadline=None)
+    @given(circuit=sealed_circuits())
+    @example(circuit=_fg_circuit(0))  # no outputs
+    @example(circuit=_fg_circuit(2))  # no garbage
+    def test_matches_the_scalar_reference(self, tmp_path_factory, circuit):
+        try:
+            text = emit_netlist(circuit)
+        except ValueError:  # an output that relabels an input
+            assume(False)
+        path = tmp_path_factory.mktemp("truth") / "circuit.nl"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["truth", str(path)]) == EXIT_OK
+        assert out.getvalue() == _scalar_truth(circuit)
+
     def test_fg_table(self, fg_file, capsys):
         assert main(["truth", fg_file]) == EXIT_OK
         out = capsys.readouterr().out
@@ -146,7 +188,9 @@ class TestTruth:
         assert main(["bcd", "build", "--digits", "3", "-o", str(path)]) == EXIT_OK
         capsys.readouterr()
         assert main(["truth", str(path)]) == EXIT_FAIL
-        assert "enumeration" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "enumeration" in err
 
 
 class TestMetrics:
@@ -448,6 +492,27 @@ def test_closed_stdout_is_not_a_usage_error(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (EXIT_FAIL, b"")
+
+
+@pytest.mark.parametrize("name, shown", [(b"x\xff.nl", "x\\xff.nl"),
+                                         ("\u00e9.nl".encode(), "\u00e9.nl")],
+                         ids=["not-utf8", "utf8"])
+@pytest.mark.parametrize("command", ["check", "bcd build -o"])
+def test_path_printed_on_a_utf8_stdout(tmp_path, command, name, shown):
+    # Argv carries a byte that is not UTF-8 as a lone surrogate, which a
+    # strict UTF-8 stdout cannot encode; it is printed escaped instead.
+    if command == "check":
+        (tmp_path / os.fsdecode(name)).write_text(FG_NETLIST)
+        want = f"{shown}: valid (1 gates, 1 garbage, 0 constants)\n"
+    else:
+        want = f"wrote {shown}\n"
+    done = subprocess.run([sys.executable, "-m", "revlogic.cli", *command.split(), name],
+                          env=dict(SRC_ENV, PYTHONIOENCODING="utf-8"), cwd=tmp_path,
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout.decode(), done.stderr) == (EXIT_OK, want, b"")
+    if command != "check":
+        built = (tmp_path / os.fsdecode(name)).read_text()
+        assert built == emit_netlist(build_bcd_adder_digit())
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
