@@ -89,8 +89,10 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _shown(path: str) -> str:
-    """`path` as UTF-8 text, a byte that is not UTF-8 escaped (`\\xff`)."""
-    return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    """`path`, escaped (`\\xff`) where it is not UTF-8 or stdout cannot write it."""
+    text = path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    return text.encode(encoding, "backslashreplace").decode(encoding)
 
 
 def _load_costs(path: str | None) -> Mapping[str, int] | None:

@@ -297,11 +297,11 @@ def decode_bcd_result(outputs: BitWord, digits: int = 1) -> tuple[int, int]:
             f"expected {4 * digits + 1} output bits for {digits} digit(s), "
             f"got {outputs.width}"
         )
-    bits = outputs.bits
     value = 0
     for i in range(1, 4 * digits, 4):
-        value = value * 10 + 8 * bits[i] + 4 * bits[i + 1] + 2 * bits[i + 2] + bits[i + 3]
-    return bits[0], value
+        b3, b2, b1, b0 = outputs[i : i + 4]
+        value = value * 10 + 8 * b3 + 4 * b2 + 2 * b1 + b0
+    return outputs[0], value
 
 
 class BcdFailure(NamedTuple):
@@ -363,8 +363,6 @@ def _add_digit_planes(a: list[int], b: list[int], carry: int) -> tuple[list[int]
     digit = [0] * 10
     carry_out = 0
     for s, plane in enumerate(pair_sums):
-        if not plane:
-            continue
         for total, words in ((s, plane & no_carry), (s + 1, plane & carry)):
             digit[total % 10] |= words
             if total >= 10:
@@ -427,7 +425,7 @@ def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
     fixed = digits - shared
     top = 10**fixed
     pick = {(0, 0): 0, (1, 1): mask, (0, 1): carry, (1, 0): mask ^ carry}
-    results = [_bcd_result_word(*divmod(s, top), fixed).bits for s in range(2 * top)]
+    results = [_bcd_result_word(*divmod(s, top), fixed) for s in range(2 * top)]
     top_in = [[pick[bit, bit] for bit in results[x][1:]] for x in range(top)]
     want_by_sum = [[pick[pair] for pair in zip(results[s], results[s + 1])] + want_lower
                    for s in range(2 * top - 1)]

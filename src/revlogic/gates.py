@@ -7,8 +7,9 @@ each of the 2^n input words, which keeps application, inversion, and
 bijectivity checking exact and cheap for the small arities used in
 gate-level design.
 
-Bit ordering is most-significant-bit first everywhere: in `BitWord`, in
-row indices, and in printed bitstrings. Gate pins follow the
+A `BitWord` is the tuple of its bits, the ints 0 and 1. Bit ordering
+is most-significant-bit first everywhere: in `BitWord`, in row indices,
+and in printed bitstrings. Gate pins follow the
 conventional positional order (A,B,C,D) -> (P,Q,R,S).
 
 The built-in catalog provides the classic reversible gates (Feynman,
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import RevLogicError, _utf8_position
 
@@ -55,9 +56,9 @@ class CostTableError(RevLogicError):
     """Malformed cost-table text."""
 
 
-@dataclass(frozen=True)
-class BitWord:
-    """An immutable, fixed-width vector of bits, most significant first.
+class BitWord(tuple):
+    """A fixed-width word as the tuple of its bits, the ints 0 and 1, most
+    significant first; it equals, hashes and orders like that plain tuple.
 
     Width 0 is permitted so that circuits without garbage (or without
     primary outputs) can still report a uniform word type; gate I/O is
@@ -67,29 +68,32 @@ class BitWord:
     it is stored as the int 0 or 1.
     """
 
-    bits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        bits = tuple(self.bits)
+    def __new__(cls, bits: Iterable) -> BitWord:
+        bits = tuple(bits)
         for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-        object.__setattr__(self, "bits", tuple(1 if b == 1 else 0 for b in bits))
+        return tuple.__new__(cls, [1 if b == 1 else 0 for b in bits])
 
     @classmethod
-    def _unchecked(cls, bits: tuple[int, ...]) -> BitWord:
-        """The word over `bits`, a tuple known to hold only the ints 0 and 1.
+    def _unchecked(cls, bits: Iterable[int]) -> BitWord:
+        """The word over `bits`, known to hold only the ints 0 and 1.
 
         For bits the library made itself, such as truth-table rows and
-        bit planes: it skips `__post_init__`'s copy and check.
+        bit planes: it skips `__new__`'s check.
         """
-        word = object.__new__(cls)
-        word.__dict__["bits"] = bits
-        return word
+        return tuple.__new__(cls, bits)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The bits as a plain tuple."""
+        return tuple(self)
 
     @property
     def width(self) -> int:
-        return len(self.bits)
+        return len(self)
 
     @classmethod
     def from_int(cls, value: int, width: int) -> BitWord:
@@ -99,28 +103,22 @@ class BitWord:
             raise ValueError(f"value {value} does not fit in {width} bits")
         # The leading 1 keeps width 0 (and leading zeros) exact.
         return cls._unchecked(
-            tuple(format(value | 1 << width, "b")[1:].encode().translate(BIT_BYTES)))
+            format(value | 1 << width, "b")[1:].encode().translate(BIT_BYTES))
 
     @classmethod
     def from_string(cls, text: str) -> BitWord:
         if not all(ch in "01" for ch in text):
             raise ValueError(f"bitstring may contain only 0 and 1: {text!r}")
-        return cls._unchecked(tuple(text.encode().translate(BIT_BYTES)))
+        return cls._unchecked(text.encode().translate(BIT_BYTES))
 
     def to_int(self) -> int:
         return int(str(self) or "0", 2)
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __getitem__(self, i):
-        return self.bits[i]
+    def __repr__(self) -> str:
+        return f"BitWord(bits={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return bytes(self.bits).translate(_BIT_TEXT).decode()
+        return bytes(self).translate(_BIT_TEXT).decode()
 
 
 @cache

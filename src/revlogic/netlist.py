@@ -49,8 +49,9 @@ j is that line's value in word j, and evaluates each gate pin once for
 the whole batch as the XOR of ANDs of its algebraic normal form
 (`GateDef.anf`), so the cost per gate is a few big-int operations
 however many words the planes hold. Scalar and plane simulation thus
-derive from the truth table and the ANF independently. `mapping()` and the
-CLI's `truth` share `_columns`, one kernel run over all 2^width words.
+derive from the truth table and the ANF independently. `mapping()` zips
+`_columns`, one kernel run over all 2^width words that the CLI's `truth`
+shares, straight into its result words.
 """
 
 from __future__ import annotations
@@ -396,18 +397,18 @@ class Circuit:
             if calls < COMPILE_AFTER:
                 object.__setattr__(self, "_interpreted", calls)
                 plan = self._plan
-                values = [*inputs.bits, *plan.fill]
+                values = [*inputs, *plan.fill]
                 for node, in_slots, lo, hi in plan.steps:
                     for slot in in_slots:
                         node = node[values[slot]]
                     values[lo:hi] = node
-                return (_unchecked(tuple([values[s] for s in plan.outputs])),
-                        _unchecked(tuple([values[s] for s in plan.garbage])))
+                return (_unchecked([values[s] for s in plan.outputs]),
+                        _unchecked([values[s] for s in plan.garbage]))
             source, namespace = self._kernel_source()
             exec(source, namespace)
             kernel = namespace["kernel"]
             object.__setattr__(self, "_kernel", kernel)
-        outputs, garbage = kernel(*inputs.bits)
+        outputs, garbage = kernel(*inputs)
         return _unchecked(outputs), _unchecked(garbage)
 
     def __getstate__(self) -> dict:
@@ -469,11 +470,11 @@ class Circuit:
         Entry `i` corresponds to the input word with integer value `i`
         (MSB-first). Refuses circuits wider than ENUMERATION_LIMIT.
         """
-        # Bytes iterate as 0/1 ints. A side without lines repeats (); the other
-        # ends the zip. The columns are freed before any word is built.
-        outputs, garbage = [list(zip(*[c.encode().translate(BIT_BYTES) for c in side]))
-                            if side else repeat(()) for side in self._columns()[1:]]
-        return [(_unchecked(out), _unchecked(junk)) for out, junk in zip(outputs, garbage)]
+        # Bytes iterate as 0/1 ints; a side with no lines repeats the empty word.
+        outputs, garbage = [
+            map(_unchecked, zip(*[c.encode().translate(BIT_BYTES) for c in side]))
+            if side else repeat(_unchecked(())) for side in self._columns()[1:]]
+        return list(zip(outputs, garbage))
 
     def simulate_planes(
         self, planes: Sequence[int], count: int

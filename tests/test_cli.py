@@ -515,6 +515,20 @@ def test_path_printed_on_a_utf8_stdout(tmp_path, command, name, shown):
         assert built == emit_netlist(build_bcd_adder_digit())
 
 
+@pytest.mark.parametrize("command, want", [
+    ("check", "\\xe9.nl: valid (8 gates, 10 garbage, 6 constants)\n"),
+    ("bcd build -o", "wrote \\xe9.nl\n")], ids=["check", "bcd-build"])
+def test_path_printed_on_an_ascii_stdout(tmp_path, command, want):
+    # A character the stdout encoding cannot write is printed escaped.
+    if command == "check":
+        (tmp_path / "\u00e9.nl").write_text(emit_netlist(build_bcd_adder_digit()))
+    done = subprocess.run([sys.executable, "-m", "revlogic.cli", *command.split(),
+                           "\u00e9.nl"], env=dict(SRC_ENV, PYTHONIOENCODING="ascii"),
+                          cwd=tmp_path, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout.decode("ascii"), done.stderr) == (EXIT_OK, want, b"")
+    assert (tmp_path / "\u00e9.nl").read_text() == emit_netlist(build_bcd_adder_digit())
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["--help"], ["bcd", "--help"], ["gates"]],
                          ids=" ".join)

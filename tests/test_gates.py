@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import re
 from pathlib import Path
 
@@ -53,6 +55,28 @@ class TestBitWord:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitWord((0, 2))
+        for bits, shown in (((0, 2), "2"), ("10", "'1'"), ([[1]], "[1]"), ((0.5,), "0.5")):
+            message = f"bit values must be 0 or 1, got {shown}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                BitWord(bits)
+        for args in ((), (5,), (None,), ((1, 0), 3)):
+            with pytest.raises(TypeError):
+                BitWord(*args)
+
+    def test_is_the_tuple_of_its_bits(self):
+        word = BitWord(bits=(1, 0))
+        assert isinstance(word, tuple)
+        assert word == tuple(word) == (1, 0) and hash(word) == hash((1, 0))
+        assert (0, 1) < word < (1, 1) and sorted([word, (0, 1)]) == [(0, 1), word]
+        assert repr(word) == "BitWord(bits=(1, 0))"
+        assert type(word.bits) is tuple and word.bits == (1, 0)
+        for name in ("bits", "width", "other"):
+            with pytest.raises(AttributeError):
+                setattr(word, name, (1,))
+        for copied in [copy.deepcopy(word)] + [
+                pickle.loads(pickle.dumps(word, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+            assert type(copied) is BitWord and copied == word
 
     def test_value_must_fit(self):
         with pytest.raises(ValueError):

@@ -243,6 +243,20 @@ class TestVerifyAgainstScalar:
         assert len(seen) == calls
         assert sum(seen) == 2 * 100**digits
 
+    def test_plane_error_that_scalar_does_not_repeat_raises(self, monkeypatch):
+        # Bit 0 of the first output plane is cout for 0 + 0 + 0; scalar
+        # `simulate` gets that case right, so the planes are at fault.
+        simulate_planes = Circuit.simulate_planes
+
+        def first_bit_flipped(circuit, planes, count):
+            outputs, garbage = simulate_planes(circuit, planes, count)
+            return [outputs[0] ^ 1, *outputs[1:]], garbage
+
+        monkeypatch.setattr(Circuit, "simulate_planes", first_bit_flipped)
+        with pytest.raises(RuntimeError, match=r"^plane and scalar simulation "
+                                               r"disagree on 0 \+ 0 \+ 0$"):
+            verify_bcd_adder(1)
+
     def test_one_digit_mutants_chunked_as_in_one_batch(self, monkeypatch):
         adder = build_bcd_adder_n(1)
         for index in range(len(adder.constants)):
