@@ -89,8 +89,10 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _shown(path: str) -> str:
-    """`path`, escaped (`\\xff`) where it is not UTF-8 or stdout cannot write it."""
+    """`path`, escaped (`\\xff`, `\\n`) where it is not UTF-8, not printable or
+    not writable on stdout."""
     text = path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    text = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
     encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
     return text.encode(encoding, "backslashreplace").decode(encoding)
 
@@ -322,6 +324,8 @@ def main(argv=None) -> int:
             print(f"  {violation}", file=sys.stderr)
         return EXIT_FAIL
     except (BadDigitCount, OSError) as exc:
+        if getattr(exc, "filename", None) is not None:
+            exc = f"[Errno {exc.errno}] {exc.strerror}: '{_shown(exc.filename)}'"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RevLogicError as exc:

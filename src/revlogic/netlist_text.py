@@ -11,18 +11,18 @@ whitespace-separated):
 
 Wire names match ``[A-Za-z_][A-Za-z0-9_]*`` and must be unique. Every
 name must be declared (by INPUT, CONST, or a GATE output list) before it
-is used, which makes feedback impossible to express. The no-fan-out rule
-and the gate arities are enforced during elaboration, the rest at parse
-time. `parse_netlist` diagnostics carry a 1-based line and column;
-`elaborate`'s builder errors read ``line N: ...`` with no column, and
-its checks on a document built in code, which keeps no columns, give
-column 1.
+is used, which makes feedback impossible to express.
 
 `decode_netlist` turns file bytes into text (a byte that is not UTF-8
-is a located error), `parse_netlist` turns text into a
-`NetlistDocument`, `elaborate` drives the circuit builder to a sealed
-`Circuit`, and `emit_netlist` renders a circuit back to text such that
-re-elaborating reproduces its behavior and metrics exactly.
+is a located error), `parse_netlist` splits text into a
+`NetlistDocument` of token lines, `elaborate` checks those lines and
+drives the circuit builder to a sealed `Circuit`, and `emit_netlist`
+renders a circuit back to text such that re-elaborating reproduces its
+behavior and metrics exactly.
+
+`elaborate` is the only validator; it reports the first defect in its
+pass order. Text diagnostics carry a 1-based line and column, builder
+errors (fan-out, arity) read ``line N: ...`` with no column.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Mapping, Union
+from typing import Mapping
 
 from .errors import RevLogicError, _utf8_position
 from .gates import GateDef, catalog_by_name
@@ -73,54 +73,6 @@ class UnknownGateName(LocatedError):
     """A GATE statement names a gate missing from the catalog."""
 
 
-@dataclass(frozen=True)
-class InputStmt:
-    names: tuple[str, ...]
-    line: int
-
-
-@dataclass(frozen=True)
-class ConstStmt:
-    name: str
-    value: int
-    line: int
-
-
-@dataclass(frozen=True)
-class GateStmt:
-    gate: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    line: int
-
-
-@dataclass(frozen=True)
-class OutputStmt:
-    names: tuple[str, ...]
-    line: int
-
-
-@dataclass(frozen=True)
-class GarbageStmt:
-    names: tuple[str, ...]
-    line: int
-
-
-Statement = Union[InputStmt, ConstStmt, GateStmt, OutputStmt, GarbageStmt]
-
-
-@dataclass(frozen=True)
-class NetlistDocument:
-    """Parsed netlist: validated statements in source order."""
-
-    statements: tuple[Statement, ...]
-
-    @property
-    def input_labels(self) -> tuple[str, ...]:
-        inputs = [s for s in self.statements if isinstance(s, InputStmt)]
-        return tuple(name for stmt in inputs for name in stmt.names)
-
-
 class _Line:
     """Token cursor over one comment-stripped source line.
 
@@ -153,6 +105,11 @@ class _Line:
         self.pos += 1
         return self.tokens[self.pos - 1]
 
+    def check_name(self, index: int) -> None:
+        """Raise the located error unless token `index` is a well-formed wire name."""
+        if not NAME_RE.fullmatch(self.tokens[index]):
+            raise self.error(f"bad wire name {self.tokens[index]!r}", index)
+
     def names(self, what: str) -> list[str]:
         """Take the rest of the line: one or more wire names, each well formed."""
         rest = self.tokens[self.pos :]
@@ -160,42 +117,41 @@ class _Line:
             raise self.error(f"expected at least one {what}")
         # Tokens hold no space, so the joined list matches name by name.
         if not _NAMES_RE.fullmatch(" ".join(rest)):
-            for index, text in enumerate(rest, self.pos):
-                if not NAME_RE.fullmatch(text):
-                    _wire_name(text, self.line_no, self.column(index))
+            for index in range(self.pos, len(self.tokens)):
+                self.check_name(index)
         self.pos = len(self.tokens)
         return rest
 
-    def finish(self) -> None:
-        if self.pos < len(self.tokens):
-            raise self.error(f"unexpected token {self.tokens[self.pos]!r}", self.pos)
+    def declare(self, table: dict, names: list[str], first: int) -> None:
+        """Enter `names`, from token `first`, in `table` unbound; no repeats."""
+        for index, name in enumerate(names, first):
+            if name in table:
+                raise self.error(f"wire {name!r} already declared", index)
+            table[name] = None
+
+    def resolve(self, wires: dict[str, Wire | None], index: int) -> Wire:
+        """The wire that token `index` names; its form is checked first."""
+        wire = wires.get(self.tokens[index])
+        if wire is None:
+            self.check_name(index)
+            raise UseBeforeDeclaration(
+                f"wire {self.tokens[index]!r} used before declaration",
+                self.line_no, self.column(index))
+        return wire
 
 
-def _wire_name(text: str, line: int, column: int) -> None:
-    """Raise the located error unless `text` is a well-formed wire name."""
-    if not NAME_RE.fullmatch(text):
-        raise NetlistSyntaxError(f"bad wire name {text!r}", line, column)
+@dataclass(frozen=True)
+class NetlistDocument:
+    """Tokenized netlist: its nonblank lines, comments stripped, in source order."""
 
-
-def _declare(table: dict, name: str, line: int, column: int) -> None:
-    """Enter a new wire name in `table`, not yet bound; a repeat is an error."""
-    if name in table:
-        raise NetlistSyntaxError(f"wire {name!r} already declared", line, column)
-    table[name] = None
-
-
-def _gate(catalog: Mapping[str, GateDef], name: str, line: int, column: int) -> GateDef:
-    gate = catalog.get(name)
-    if gate is None:
-        raise UnknownGateName(f"unknown gate {name!r}", line, column)
-    return gate
+    lines: tuple[_Line, ...]
 
 
 def decode_netlist(data: bytes) -> str:
     """Decode netlist file contents as UTF-8.
 
     An invalid byte is a NetlistSyntaxError at its line and column,
-    counted the way `parse_netlist` counts them.
+    counted the way `elaborate` counts them.
     """
     try:
         return data.decode("utf-8")
@@ -206,167 +162,104 @@ def decode_netlist(data: bytes) -> str:
         ) from None
 
 
-def parse_netlist(
-    text: str, catalog: Mapping[str, GateDef] | None = None
-) -> NetlistDocument:
-    """Parse netlist text into a document, validating names and order.
+def parse_netlist(text: str) -> NetlistDocument:
+    """Split netlist text into its token lines; this checks nothing.
 
-    Checks statement shape, wire-name uniqueness, declaration-before-use,
-    that no wire is named as an output twice, and gate-name existence;
-    gate arities and fan-out are elaboration concerns. `catalog`
-    defaults to the built-in gate catalog.
+    Comments and blank lines are dropped. Every check, with its line
+    and column, is `elaborate`'s.
     """
-    if catalog is None:
-        catalog = catalog_by_name()
-    # A name's form is checked once, before it is declared, so a declared
-    # name needs no second check. A failed inline check calls its shared
-    # helper with the token's column, which raises the diagnostic.
-    declared: dict[str, None] = {}
-    output_names: set[str] = set()
-    statements: list[Statement] = []
-
-    def declare(names: list[str], first: int) -> tuple[str, ...]:
-        for index, name in enumerate(names, first):
-            if name in declared:
-                _declare(declared, name, line_no, line.column(index))
-            declared[name] = None
-        return tuple(names)
-
-    def resolve(name: str, index: int) -> str:
-        if name not in declared:
-            raise UseBeforeDeclaration(f"wire {name!r} used before declaration",
-                                       line_no, line.column(index))
-        return name
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _Line(raw, line_no)
-        if not line.tokens:
-            continue
-        keyword = line.take("statement keyword")
-        if keyword == "INPUT":
-            names = declare(line.names("input name"), 1)
-            statements.append(InputStmt(names, line_no))
-        elif keyword == "CONST":
-            name = line.take("constant name")
-            if line.take("'='") != "=":
-                raise line.error("expected '='", 2)
-            value = line.take("0 or 1")
-            if value not in ("0", "1"):
-                raise line.error(f"constant value must be 0 or 1, got {value!r}", 3)
-            line.finish()
-            if not NAME_RE.fullmatch(name):
-                _wire_name(name, line_no, line.column(1))
-            declare([name], 1)
-            statements.append(ConstStmt(name, int(value), line_no))
-        elif keyword == "GATE":
-            gate = line.take("gate name")
-            if gate not in catalog:
-                _gate(catalog, gate, line_no, line.column(1))
-            try:
-                arrow = line.tokens.index("->", 2)
-            except ValueError:
-                raise line.error("expected input wire or '->'") from None
-            if arrow == 2:
-                raise line.error("gate needs at least one input before '->'", 0)
-            inputs = tuple(line.tokens[2:arrow])
-            # Unlike a name list, inputs are checked one by one, form
-            # first; a declared name has passed the form check already.
-            for index, name in enumerate(inputs, 2):
-                if name not in declared:
-                    _wire_name(name, line_no, line.column(index))
-                    resolve(name, index)
-            line.pos = arrow + 1
-            outputs = declare(line.names("output name"), arrow + 1)
-            statements.append(GateStmt(gate, inputs, outputs, line_no))
-        elif keyword == "OUTPUT":
-            names = line.names("output name")
-            for index, name in enumerate(names, 1):
-                if resolve(name, index) in output_names:
-                    raise line.error(f"wire {name!r} is already an output", index)
-                output_names.add(name)
-            statements.append(OutputStmt(tuple(names), line_no))
-        elif keyword == "GARBAGE":
-            names = line.names("garbage name")
-            for index, name in enumerate(names, 1):
-                resolve(name, index)
-            statements.append(GarbageStmt(tuple(names), line_no))
-        else:
-            raise line.error(f"unknown statement {keyword!r} "
-                             f"(expected one of {', '.join(_KEYWORDS)})", 0)
-    return NetlistDocument(tuple(statements))
+    lines = (_Line(raw, line_no) for line_no, raw in enumerate(text.splitlines(), 1))
+    return NetlistDocument(tuple(line for line in lines if line.tokens))
 
 
 def elaborate(
     doc: NetlistDocument, catalog: Mapping[str, GateDef] | None = None
 ) -> Circuit:
-    """Build and seal the circuit a document describes.
+    """Check a document, then build and seal the circuit it describes.
 
-    Structural errors (fan-out, arity, repeated output labels, dangling
-    wires) surface as the netlist module's exception types with source
-    locations prepended. A document built in code rather than parsed
-    gets located errors for what `parse_netlist` would have rejected
-    too, at column 1: a bad or repeated wire name, a constant that is
-    not a bit, an undeclared wire or an unknown gate.
+    The builder takes every input at once, so a first pass checks each
+    line's keyword and each INPUT line's names, in line order, and then
+    that some INPUT line exists. The second walks the lines (and an
+    OUTPUT or GARBAGE line's names) in order, raising at the first
+    defect: a malformed statement, bad or repeated name, use before
+    declaration or unknown gate as a located error, a fan-out or arity
+    error as the netlist module's type with ``line N: `` prepended.
+    Dangling wires fail sealing, their names listed. `catalog` defaults
+    to the built-in gate catalog. A document can be elaborated again.
     """
     if catalog is None:
         catalog = catalog_by_name()
-    input_labels = doc.input_labels
-    if not input_labels:
+    labels: dict[str, None] = {}
+    for line in doc.lines:
+        keyword = line.tokens[0]
+        if keyword not in _KEYWORDS:
+            raise line.error(f"unknown statement {keyword!r} "
+                             f"(expected one of {', '.join(_KEYWORDS)})", 0)
+        if keyword == "INPUT":
+            line.pos = 1
+            line.declare(labels, line.names("input name"), 1)
+    if not labels:
         raise NetlistSyntaxError("netlist has no INPUT declarations", 1, 1)
-    # The one declaration table: each name is entered unbound when
-    # declared and bound to its wire as soon as the builder issues it.
+    builder = new_circuit(labels)
+    inputs = iter(builder.inputs)
+    # The one name table: each name is entered unbound when declared and
+    # bound to its wire as soon as the builder issues it. An input is
+    # declared when the walk reaches its INPUT line.
     wires: dict[str, Wire | None] = {}
 
-    def declare(names: tuple[str, ...], stmt: Statement) -> None:
-        for name in names:
-            _wire_name(name, stmt.line, 1)
-            _declare(wires, name, stmt.line, 1)
-
-    # The builder takes every input at once, so inputs are declared first.
-    for stmt in doc.statements:
-        if isinstance(stmt, InputStmt):
-            declare(stmt.names, stmt)
-    builder = new_circuit(input_labels)
-    wires.update(zip(input_labels, builder.inputs))
-
-    def wire(name: str, stmt: Statement) -> Wire:
+    for line in doc.lines:
+        keyword = line.tokens[0]
+        line.pos = 1
         try:
-            return wires[name]
-        except KeyError:
-            raise UseBeforeDeclaration(
-                f"wire {name!r} used before declaration", stmt.line, 1
-            ) from None
-
-    for stmt in doc.statements:
-        try:
-            if isinstance(stmt, ConstStmt):
-                declare((stmt.name,), stmt)
-                if stmt.value not in (0, 1):
-                    raise NetlistSyntaxError(
-                        f"constant value must be 0 or 1, got {stmt.value!r}",
-                        stmt.line,
-                        1,
-                    )
-                wires[stmt.name] = builder.add_constant(stmt.value)
-            elif isinstance(stmt, GateStmt):
-                gate = _gate(catalog, stmt.gate, stmt.line, 1)
-                if not len(stmt.inputs) == len(stmt.outputs) == gate.arity:
-                    raise ArityMismatch(
-                        f"gate {gate.name} has arity {gate.arity}, "
-                        f"statement wires {len(stmt.inputs)} inputs "
-                        f"and {len(stmt.outputs)} outputs"
-                    )
-                ins = [wire(n, stmt) for n in stmt.inputs]
-                declare(stmt.outputs, stmt)
-                wires.update(zip(stmt.outputs, builder.add_gate(gate, ins)))
-            elif isinstance(stmt, OutputStmt):
-                for name in stmt.names:
-                    builder.mark_output(wire(name, stmt), name)
-            elif isinstance(stmt, GarbageStmt):
-                for name in stmt.names:
-                    builder.mark_garbage(wire(name, stmt))
-        except (ArityMismatch, DuplicateLabel, FanOutViolation) as exc:
-            raise type(exc)(f"line {stmt.line}: {exc}") from None
+            if keyword == "INPUT":
+                names = line.tokens[1:]
+                line.declare(wires, names, 1)
+                wires.update(zip(names, inputs))
+            elif keyword == "CONST":
+                name = line.take("constant name")
+                if line.take("'='") != "=":
+                    raise line.error("expected '='", 2)
+                value = line.take("0 or 1")
+                if value not in ("0", "1"):
+                    raise line.error(f"constant value must be 0 or 1, got {value!r}", 3)
+                if len(line.tokens) > 4:
+                    raise line.error(f"unexpected token {line.tokens[4]!r}", 4)
+                line.check_name(1)
+                line.declare(wires, [name], 1)
+                wires[name] = builder.add_constant(int(value))
+            elif keyword == "GATE":
+                gate = catalog.get(line.take("gate name"))
+                if gate is None:
+                    raise UnknownGateName(f"unknown gate {line.tokens[1]!r}",
+                                          line.line_no, line.column(1))
+                try:
+                    arrow = line.tokens.index("->", 2)
+                except ValueError:
+                    raise line.error("expected input wire or '->'") from None
+                if arrow == 2:
+                    raise line.error("gate needs at least one input before '->'", 0)
+                ins = [line.resolve(wires, index) for index in range(2, arrow)]
+                line.pos = arrow + 1
+                outs = line.names("output name")
+                line.declare(wires, outs, arrow + 1)
+                if not len(ins) == len(outs) == gate.arity:
+                    raise ArityMismatch(f"gate {gate.name} has arity {gate.arity}, "
+                                        f"statement wires {len(ins)} inputs and "
+                                        f"{len(outs)} outputs")
+                wires.update(zip(outs, builder.add_gate(gate, ins)))
+            elif keyword == "OUTPUT":
+                for index, name in enumerate(line.names("output name"), 1):
+                    try:
+                        builder.mark_output(line.resolve(wires, index), name)
+                    except DuplicateLabel:
+                        raise line.error(
+                            f"wire {name!r} is already an output", index) from None
+            else:
+                line.names("garbage name")
+                for index in range(1, len(line.tokens)):
+                    builder.mark_garbage(line.resolve(wires, index))
+        except (ArityMismatch, FanOutViolation) as exc:
+            raise type(exc)(f"line {line.line_no}: {exc}") from None
 
     try:
         return builder.seal()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import io
 import os
 import re
@@ -80,6 +81,18 @@ class TestCheck:
         assert main(["check", "/no/such/file.nl"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, shown", [(b"x\xff.nl", "x\\xff.nl"),
+                                             (b"a\nb.nl", "a\\nb.nl")],
+                             ids=["not-utf8", "newline"])
+    def test_missing_path_printed_escaped(self, tmp_path, monkeypatch, capsys, name, shown):
+        # Argv carries the byte 0xff as a lone surrogate; the error line
+        # shows it, and a newline, as `_shown` does on stdout.
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", os.fsdecode(name)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "", f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{shown}'\n")
+
     def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.nl"
         path.write_bytes(b"INPUT a b\nGATE FG a b -> p q\nOUTPUT q # caf\xe9\nGARBAGE p\n")
@@ -99,6 +112,14 @@ class TestCheck:
         path.write_text("INPUT a b\nOUTPUT a\nGARBAGE a b\n")
         assert main(["check", str(path)]) == EXIT_FAIL
         assert capsys.readouterr().err == "error: line 3: input 'a' is already consumed\n"
+
+    def test_defects_reported_in_pass_order(self, tmp_path, capsys):
+        # A builder error on line 2 comes before line 3's bad name.
+        path = tmp_path / "two.nl"
+        path.write_text("INPUT a b\nGATE FG a a -> p q\nOUTPUT 9x\n")
+        assert main(["check", str(path)]) == EXIT_FAIL
+        assert capsys.readouterr() == (
+            "", "error: line 2: gate FG: the same wire was passed to two pins\n")
 
     def test_gate_statement_with_wrong_arity(self, tmp_path, capsys):
         path = tmp_path / "arity.nl"
@@ -495,12 +516,14 @@ def test_closed_stdout_is_not_a_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("name, shown", [(b"x\xff.nl", "x\\xff.nl"),
-                                         ("\u00e9.nl".encode(), "\u00e9.nl")],
-                         ids=["not-utf8", "utf8"])
+                                         ("\u00e9.nl".encode(), "\u00e9.nl"),
+                                         (b"a\nb.nl", "a\\nb.nl")],
+                         ids=["not-utf8", "utf8", "newline"])
 @pytest.mark.parametrize("command", ["check", "bcd build -o"])
 def test_path_printed_on_a_utf8_stdout(tmp_path, command, name, shown):
     # Argv carries a byte that is not UTF-8 as a lone surrogate, which a
-    # strict UTF-8 stdout cannot encode; it is printed escaped instead.
+    # strict UTF-8 stdout cannot encode; it is printed escaped instead, as
+    # is a newline, which would split the line.
     if command == "check":
         (tmp_path / os.fsdecode(name)).write_text(FG_NETLIST)
         want = f"{shown}: valid (1 gates, 1 garbage, 0 constants)\n"

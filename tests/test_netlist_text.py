@@ -19,22 +19,14 @@ from revlogic.designs import (
 )
 from revlogic.gates import catalog_by_name, make_gate
 from revlogic.metrics import analyze
-from revlogic.errors import RevLogicError
 from revlogic.netlist import (
     ArityMismatch,
-    DuplicateLabel,
     FanOutViolation,
     ValidationFailed,
     new_circuit,
 )
 from revlogic.netlist_text import (
-    ConstStmt,
-    GateStmt,
-    GarbageStmt,
-    InputStmt,
-    NetlistDocument,
     NetlistSyntaxError,
-    OutputStmt,
     UnknownGateName,
     UseBeforeDeclaration,
     decode_netlist,
@@ -58,83 +50,88 @@ GARBAGE g1 g2
 class TestParse:
     def test_minimal_document(self):
         doc = parse_netlist(MINIMAL)
-        kinds = [type(s) for s in doc.statements]
-        assert kinds == [InputStmt, GateStmt, OutputStmt, GarbageStmt]
-        assert doc.input_labels == ("a", "b")
+        assert [(line.line_no, line.tokens) for line in doc.lines] == [
+            (1, ["INPUT", "a", "b"]),
+            (2, ["GATE", "FG", "a", "b", "->", "p", "q"]),
+            (3, ["OUTPUT", "q"]),
+            (4, ["GARBAGE", "p"]),
+        ]
+        assert elaborate(doc).input_labels == ("a", "b")
 
     def test_statement_fields(self):
-        doc = parse_netlist(MINIMAL)
-        gate = doc.statements[1]
-        assert gate.gate == "FG"
-        assert gate.inputs == ("a", "b")
-        assert gate.outputs == ("p", "q")
-        assert gate.line == 2
+        circuit = elaborate(parse_netlist(MINIMAL))
+        [gate] = circuit.instances
+        assert gate.gate.name == "FG"
+        assert gate.sources == (("in", 0), ("in", 1))
+        assert circuit.outputs == (("q", ("gate", 0, 1)),)
+        assert circuit.garbage == (("gate", 0, 0),)
 
     def test_const_statement(self):
-        doc = parse_netlist("INPUT a\nCONST z = 1\nOUTPUT a z\n")
-        const = doc.statements[1]
-        assert isinstance(const, ConstStmt)
-        assert (const.name, const.value) == ("z", 1)
+        circuit = elaborate(parse_netlist("INPUT a\nCONST z = 1\nOUTPUT a z\n"))
+        assert circuit.constants == (1,)
+        assert circuit.outputs == (("a", ("in", 0)), ("z", ("const", 0)))
 
     def test_comments_and_blank_lines(self):
         text = "# leading comment\n\nINPUT a  # trailing\n\nOUTPUT a\n"
         doc = parse_netlist(text)
-        assert len(doc.statements) == 2
+        assert [line.line_no for line in doc.lines] == [3, 5]
+        assert doc.lines[0].tokens == ["INPUT", "a"]
 
     def test_unknown_keyword(self):
         with pytest.raises(NetlistSyntaxError) as err:
-            parse_netlist("WIRE a\n")
+            elaborate(parse_netlist("WIRE a\n"))
         assert err.value.line == 1
         assert err.value.column == 1
 
     def test_bad_wire_name(self):
         with pytest.raises(NetlistSyntaxError) as err:
-            parse_netlist("INPUT 9lives\n")
+            elaborate(parse_netlist("INPUT 9lives\n"))
         assert err.value.column == 7
 
     def test_input_needs_names(self):
         with pytest.raises(NetlistSyntaxError):
-            parse_netlist("INPUT\n")
+            elaborate(parse_netlist("INPUT\n"))
 
     def test_const_needs_equals(self):
         with pytest.raises(NetlistSyntaxError):
-            parse_netlist("INPUT a\nCONST z 0\n")
+            elaborate(parse_netlist("INPUT a\nCONST z 0\n"))
 
     def test_const_value_checked(self):
         with pytest.raises(NetlistSyntaxError) as err:
-            parse_netlist("INPUT a\nCONST z = 2\n")
+            elaborate(parse_netlist("INPUT a\nCONST z = 2\n"))
         assert err.value.line == 2
 
     def test_const_extra_tokens(self):
         with pytest.raises(NetlistSyntaxError):
-            parse_netlist("INPUT a\nCONST z = 0 1\n")
+            elaborate(parse_netlist("INPUT a\nCONST z = 0 1\n"))
 
     def test_gate_without_arrow(self):
         with pytest.raises(NetlistSyntaxError) as err:
-            parse_netlist("INPUT a b\nGATE FG a b\n")
+            elaborate(parse_netlist("INPUT a b\nGATE FG a b\n"))
         assert err.value.line == 2
 
     def test_gate_without_inputs(self):
         with pytest.raises(NetlistSyntaxError):
-            parse_netlist("INPUT a b\nGATE FG -> p q\n")
+            elaborate(parse_netlist("INPUT a b\nGATE FG -> p q\n"))
 
     def test_unknown_gate(self):
         with pytest.raises(UnknownGateName) as err:
-            parse_netlist("INPUT a b\nGATE XX a b -> p q\n")
+            elaborate(parse_netlist("INPUT a b\nGATE XX a b -> p q\n"))
         assert (err.value.line, err.value.column) == (2, 6)
 
     def test_use_before_declaration(self):
         with pytest.raises(UseBeforeDeclaration) as err:
-            parse_netlist("INPUT a\nOUTPUT b\n")
+            elaborate(parse_netlist("INPUT a\nOUTPUT b\n"))
         assert err.value.line == 2
         with pytest.raises(UseBeforeDeclaration):
-            parse_netlist("INPUT a b\nGATE FG a q -> p q\n")
+            elaborate(parse_netlist("INPUT a b\nGATE FG a q -> p q\n"))
         with pytest.raises(UseBeforeDeclaration):
-            parse_netlist("INPUT a\nGARBAGE zz\n")
+            elaborate(parse_netlist("INPUT a\nGARBAGE zz\n"))
 
     def test_output_named_twice(self):
         with pytest.raises(NetlistSyntaxError) as err:
-            parse_netlist("INPUT a b\nGATE FG a b -> p q\nOUTPUT q\nOUTPUT p q\n")
+            elaborate(parse_netlist(
+                "INPUT a b\nGATE FG a b -> p q\nOUTPUT q\nOUTPUT p q\n"))
         assert (err.value.line, err.value.column) == (4, 10)
 
     def test_decode_locates_bad_bytes(self):
@@ -145,21 +142,21 @@ class TestParse:
 
     def test_redeclaration(self):
         with pytest.raises(NetlistSyntaxError):
-            parse_netlist("INPUT a a\n")
+            elaborate(parse_netlist("INPUT a a\n"))
         with pytest.raises(NetlistSyntaxError):
-            parse_netlist("INPUT a b\nGATE FG a b -> a q\n")
+            elaborate(parse_netlist("INPUT a b\nGATE FG a b -> a q\n"))
         with pytest.raises(NetlistSyntaxError):
-            parse_netlist("INPUT a\nCONST a = 0\n")
+            elaborate(parse_netlist("INPUT a\nCONST a = 0\n"))
 
     def test_custom_catalog(self):
         xor3 = make_gate("XOR3", 3, (
             lambda a, b, c: a, lambda a, b, c: b, lambda a, b, c: a ^ b ^ c))
-        doc = parse_netlist(
-            "INPUT a b c\nGATE XOR3 a b c -> p q r\nOUTPUT p q r\n",
-            catalog={"XOR3": xor3},
-        )
+        doc = parse_netlist("INPUT a b c\nGATE XOR3 a b c -> p q r\nOUTPUT p q r\n")
         circuit = elaborate(doc, catalog={"XOR3": xor3})
         assert len(circuit.instances) == 1
+        with pytest.raises(UnknownGateName):
+            elaborate(parse_netlist("INPUT a b\nGATE FG a b -> p q\n"),
+                      catalog={"XOR3": xor3})
 
 
 class TestElaborate:
@@ -201,52 +198,46 @@ class TestElaborate:
         circuit = elaborate(parse_netlist(MINIMAL))
         assert circuit.output_labels == ("q",)
 
-    # Documents built in code skip parse_netlist's name checks, so
-    # elaborate must locate these itself.
-    def test_repeated_output_in_document_located(self):
-        doc = NetlistDocument((
-            InputStmt(("a", "b"), 1),
-            OutputStmt(("a",), 2),
-            OutputStmt(("a", "b"), 3),
-        ))
-        with pytest.raises(DuplicateLabel) as err:
-            elaborate(doc)
-        assert str(err.value) == "line 3: duplicate output label 'a'"
+    # Keywords and INPUT lines are checked first, in line order, then that
+    # an INPUT line exists; every other defect comes in line order, so a
+    # builder error can come before a later line's bad name. An OUTPUT or
+    # GARBAGE line marks its names left to right.
+    @pytest.mark.parametrize("text, error, message", [
+        ("INPUT a b\nGATE FG a a -> p q\nOUTPUT 9x\n", FanOutViolation,
+         "line 2: gate FG: the same wire was passed to two pins"),
+        ("INPUT a b\nGATE FG a a -> p q\nINPUT 9x\n", NetlistSyntaxError,
+         "line 3, column 7: bad wire name '9x'"),
+        ("INPUT a b\nGATE FG a a -> p q\nWIRE x\n", NetlistSyntaxError,
+         "line 3, column 1: unknown statement 'WIRE' "
+         "(expected one of INPUT, CONST, GATE, OUTPUT, GARBAGE)"),
+        ("GATE XX a -> p\n", NetlistSyntaxError,
+         "line 1, column 1: netlist has no INPUT declarations"),
+        ("OUTPUT zz\nINPUT a\n", UseBeforeDeclaration,
+         "line 1, column 8: wire 'zz' used before declaration"),
+        ("OUTPUT a\nINPUT a\n", UseBeforeDeclaration,
+         "line 1, column 8: wire 'a' used before declaration"),
+        ("CONST a = 0\nINPUT a\n", NetlistSyntaxError,
+         "line 2, column 7: wire 'a' already declared"),
+        ("INPUT a\nGARBAGE a a zz\n", FanOutViolation,
+         "line 2: input 'a' is already consumed"),
+    ], ids=["builder-error-before-later-bad-name", "input-lines-first",
+            "keywords-first", "no-input-before-unknown-gate",
+            "use-before-declaration", "input-declared-where-it-stands",
+            "input-redeclares-earlier-const", "names-marked-left-to-right"])
+    def test_defects_reported_in_pass_order(self, text, error, message):
+        with pytest.raises(error) as err:
+            elaborate(parse_netlist(text))
+        assert type(err.value) is error
+        assert str(err.value) == message
 
-    def test_undeclared_wire_in_document_located(self):
-        doc = NetlistDocument((
-            InputStmt(("a", "b"), 1),
-            GateStmt("FG", ("a", "q"), ("p", "r"), 2),
-        ))
-        with pytest.raises(UseBeforeDeclaration) as err:
-            elaborate(doc)
-        assert err.value.line == 2
-        assert "'q'" in str(err.value)
-
-    @pytest.mark.parametrize("statements, line, message", [
-        ((InputStmt(("a",), 1), InputStmt(("b", "a"), 2)), 2,
-         "wire 'a' already declared"),
-        ((InputStmt(("a", "b c"), 1),), 1, "bad wire name 'b c'"),
-        ((InputStmt(("a", "b"), 1), ConstStmt("z", 2, 2)), 2,
-         "constant value must be 0 or 1, got 2"),
-        ((InputStmt(("a", "b"), 1), GateStmt("FG", ("a", "b"), ("p", "a"), 3)), 3,
-         "wire 'a' already declared"),
-    ])
-    def test_bad_declaration_in_document_located(self, statements, line, message):
-        with pytest.raises(NetlistSyntaxError) as err:
-            elaborate(NetlistDocument(statements))
-        assert err.value.line == line
-        assert message in str(err.value)
-
-    def test_unknown_gate_in_document_located(self):
-        doc = NetlistDocument((
-            InputStmt(("a", "b"), 1),
-            GateStmt("XYZ", ("a", "b"), ("p", "q"), 2),
-        ))
-        with pytest.raises(UnknownGateName) as err:
-            elaborate(doc)
-        assert err.value.line == 2
-        assert isinstance(err.value, RevLogicError)
+    def test_document_elaborates_twice(self):
+        doc = parse_netlist(FULL_ADDER)
+        assert elaborate(doc) == elaborate(doc)
+        bad = parse_netlist("INPUT a b\nGATE FG a b -> p q\nOUTPUT q p q\n")
+        for _ in range(2):
+            with pytest.raises(NetlistSyntaxError) as err:
+                elaborate(bad)
+            assert str(err.value) == "line 3, column 12: wire 'q' is already an output"
 
 
 class TestEmit:
@@ -273,14 +264,9 @@ class TestEmit:
         assert rebuilt.mapping() == circuit.mapping()
 
     def test_true_constant_round_trips(self):
-        doc = NetlistDocument((
-            InputStmt(("a",), 1),
-            ConstStmt("z", True, 2),
-            GateStmt("FG", ("z", "a"), ("p", "q"), 3),
-            OutputStmt(("q",), 4),
-            GarbageStmt(("p",), 5),
-        ))
-        circuit = elaborate(doc)
+        circuit = elaborate(parse_netlist(
+            "INPUT a\nCONST z = 1\nGATE FG z a -> p q\nOUTPUT q\nGARBAGE p\n"))
+        assert circuit.constants == (1,)
         rebuilt = elaborate(parse_netlist(emit_netlist(circuit)))
         assert rebuilt.constants == (1,)
         assert rebuilt.mapping() == circuit.mapping()
@@ -447,7 +433,7 @@ INLINE_SPACES = "".join(
 )
 def test_parse_diagnostic_is_exact(text, error, message):
     with pytest.raises(error) as err:
-        parse_netlist(text)
+        elaborate(parse_netlist(text))
     assert type(err.value) is error
     assert str(err.value) == message
 
@@ -487,7 +473,10 @@ def test_any_inline_whitespace_separates_tokens(circuit, data):
     ))
     spaced = pieces[0] + "".join(
         sep + piece for sep, piece in zip(separators, pieces[1:]))
-    assert parse_netlist(spaced) == parse_netlist(text)
+    def token_lines(text):
+        return [(line.line_no, line.tokens) for line in parse_netlist(text).lines]
+
+    assert token_lines(spaced) == token_lines(text)
 
 
 @pytest.mark.parametrize("build", [
