@@ -27,7 +27,8 @@ A sealed circuit simulates two ways over one cached slot layout
 each gate's output pins side by side. The plan is plain data, one step
 per gate plus the output and garbage slots, and it is the only place a
 wire's slot is decided: every evaluator reads its results from those
-slots, and the compiled kernel is generated from the steps. `simulate`
+slots, the compiled kernel is generated from the steps, and the text
+format's `emit_netlist` names one wire per slot. `simulate`
 is the scalar reference, in two tiers that read one table,
 `GateDef.trie`: the truth table as nested tuples, one input bit per
 level, so no key tuple is built or hashed. A circuit's first calls are
@@ -309,7 +310,7 @@ def new_circuit(input_labels: Iterable[str]) -> CircuitBuilder:
 
 
 class _Plan(NamedTuple):
-    """A circuit's flat slot layout, the one every evaluator reads.
+    """A circuit's flat slot layout, the one every evaluator and emission read.
 
     Slots hold the inputs, then the constants, then each instance's
     output pins, contiguous per instance. `steps` has one

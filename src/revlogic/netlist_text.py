@@ -18,7 +18,9 @@ is a located error), `parse_netlist` splits text into a
 `NetlistDocument` of token lines, `elaborate` checks those lines and
 drives the circuit builder to a sealed `Circuit`, and `emit_netlist`
 renders a circuit back to text such that re-elaborating reproduces its
-behavior and metrics exactly.
+behavior and metrics exactly. Emission names one wire per slot of the
+circuit's plan, generating the names it needs in slot order; a parsed
+document is immutable, as `elaborate` reads its tokens by index.
 
 `elaborate` is the only validator; it reports the first defect in its
 pass order. Text diagnostics carry a 1-based line and column, builder
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import Mapping
 
 from .errors import RevLogicError, _utf8_position
@@ -74,20 +76,20 @@ class UnknownGateName(LocatedError):
 
 
 class _Line:
-    """Token cursor over one comment-stripped source line.
+    """One comment-stripped source line, read by token index.
 
     Tokens are the line's `str.split()` words, plain strings. A token's
     1-based column is found from its index, by re-running `_TOKEN_RE`
-    over the line, only when a diagnostic needs it.
+    over the line, only when a diagnostic needs it. Elaboration writes
+    nothing here.
     """
 
-    __slots__ = ("text", "tokens", "line_no", "pos")
+    __slots__ = ("text", "tokens", "line_no")
 
     def __init__(self, text: str, line_no: int):
         self.text = text.split("#", 1)[0]
         self.tokens = self.text.split()
         self.line_no = line_no
-        self.pos = 0
 
     def column(self, index: int) -> int:
         match = next(islice(_TOKEN_RE.finditer(self.text), index, None))
@@ -99,27 +101,26 @@ class _Line:
         return NetlistSyntaxError(
             message, self.line_no, end if index is None else self.column(index))
 
-    def take(self, what: str) -> str:
-        if self.pos >= len(self.tokens):
+    def token(self, index: int, what: str) -> str:
+        """Token `index`; a line that ends before it expected `what`."""
+        if index >= len(self.tokens):
             raise self.error(f"expected {what}")
-        self.pos += 1
-        return self.tokens[self.pos - 1]
+        return self.tokens[index]
 
     def check_name(self, index: int) -> None:
         """Raise the located error unless token `index` is a well-formed wire name."""
         if not NAME_RE.fullmatch(self.tokens[index]):
             raise self.error(f"bad wire name {self.tokens[index]!r}", index)
 
-    def names(self, what: str) -> list[str]:
-        """Take the rest of the line: one or more wire names, each well formed."""
-        rest = self.tokens[self.pos :]
+    def names(self, first: int, what: str) -> list[str]:
+        """The tokens from `first` on: one or more wire names, each well formed."""
+        rest = self.tokens[first:]
         if not rest:
             raise self.error(f"expected at least one {what}")
         # Tokens hold no space, so the joined list matches name by name.
         if not _NAMES_RE.fullmatch(" ".join(rest)):
-            for index in range(self.pos, len(self.tokens)):
+            for index in range(first, len(self.tokens)):
                 self.check_name(index)
-        self.pos = len(self.tokens)
         return rest
 
     def declare(self, table: dict, names: list[str], first: int) -> None:
@@ -185,7 +186,8 @@ def elaborate(
     declaration or unknown gate as a located error, a fan-out or arity
     error as the netlist module's type with ``line N: `` prepended.
     Dangling wires fail sealing, their names listed. `catalog` defaults
-    to the built-in gate catalog. A document can be elaborated again.
+    to the built-in gate catalog. Nothing is written to the document, so
+    it can be elaborated again, or from several threads at once.
     """
     if catalog is None:
         catalog = catalog_by_name()
@@ -196,8 +198,7 @@ def elaborate(
             raise line.error(f"unknown statement {keyword!r} "
                              f"(expected one of {', '.join(_KEYWORDS)})", 0)
         if keyword == "INPUT":
-            line.pos = 1
-            line.declare(labels, line.names("input name"), 1)
+            line.declare(labels, line.names(1, "input name"), 1)
     if not labels:
         raise NetlistSyntaxError("netlist has no INPUT declarations", 1, 1)
     builder = new_circuit(labels)
@@ -209,17 +210,16 @@ def elaborate(
 
     for line in doc.lines:
         keyword = line.tokens[0]
-        line.pos = 1
         try:
             if keyword == "INPUT":
                 names = line.tokens[1:]
                 line.declare(wires, names, 1)
                 wires.update(zip(names, inputs))
             elif keyword == "CONST":
-                name = line.take("constant name")
-                if line.take("'='") != "=":
+                name = line.token(1, "constant name")
+                if line.token(2, "'='") != "=":
                     raise line.error("expected '='", 2)
-                value = line.take("0 or 1")
+                value = line.token(3, "0 or 1")
                 if value not in ("0", "1"):
                     raise line.error(f"constant value must be 0 or 1, got {value!r}", 3)
                 if len(line.tokens) > 4:
@@ -228,7 +228,7 @@ def elaborate(
                 line.declare(wires, [name], 1)
                 wires[name] = builder.add_constant(int(value))
             elif keyword == "GATE":
-                gate = catalog.get(line.take("gate name"))
+                gate = catalog.get(line.token(1, "gate name"))
                 if gate is None:
                     raise UnknownGateName(f"unknown gate {line.tokens[1]!r}",
                                           line.line_no, line.column(1))
@@ -239,8 +239,7 @@ def elaborate(
                 if arrow == 2:
                     raise line.error("gate needs at least one input before '->'", 0)
                 ins = [line.resolve(wires, index) for index in range(2, arrow)]
-                line.pos = arrow + 1
-                outs = line.names("output name")
+                outs = line.names(arrow + 1, "output name")
                 line.declare(wires, outs, arrow + 1)
                 if not len(ins) == len(outs) == gate.arity:
                     raise ArityMismatch(f"gate {gate.name} has arity {gate.arity}, "
@@ -248,14 +247,14 @@ def elaborate(
                                         f"{len(outs)} outputs")
                 wires.update(zip(outs, builder.add_gate(gate, ins)))
             elif keyword == "OUTPUT":
-                for index, name in enumerate(line.names("output name"), 1):
+                for index, name in enumerate(line.names(1, "output name"), 1):
                     try:
                         builder.mark_output(line.resolve(wires, index), name)
                     except DuplicateLabel:
                         raise line.error(
                             f"wire {name!r} is already an output", index) from None
             else:
-                line.names("garbage name")
+                line.names(1, "garbage name")
                 for index in range(1, len(line.tokens)):
                     builder.mark_garbage(line.resolve(wires, index))
         except (ArityMismatch, FanOutViolation) as exc:
@@ -273,54 +272,51 @@ def elaborate(
 def emit_netlist(circuit: Circuit) -> str:
     """Render a circuit as netlist text that elaborates back to it.
 
-    Internal wires get generated names (w0, w1, ...), constants c0,
-    c1, ...; wires that feed primary outputs take their output label so
-    the OUTPUT line reads naturally. Circuits whose labels cannot serve
-    as wire names (or that relabel an input as an output) cannot be
+    The text names one wire per slot of the circuit's plan: an input
+    its label, a wire that feeds a primary output that output's label,
+    so the OUTPUT line reads naturally, and every other slot, in slot
+    order, a generated name: c0, c1, ... for constants and w0, w1, ...
+    for gate outputs, skipping names already in use. Circuits whose
+    labels cannot serve as wire names, whose gate names are not single
+    tokens free of `#`, or that relabel an input as an output cannot be
     expressed and raise ValueError.
     """
     for label in circuit.input_labels + circuit.output_labels:
         if not NAME_RE.fullmatch(label):
             raise ValueError(f"label {label!r} is not expressible as a wire name")
 
-    names = {("in", i): label for i, label in enumerate(circuit.input_labels)}
+    plan = circuit._plan
+    width = circuit.width
+    names: list[str | None] = [*circuit.input_labels, *[None] * len(plan.fill)]
     used = set(circuit.input_labels)
-    for label, source in circuit.outputs:
-        if source[0] == "in" and names[source] != label:
-            raise ValueError(
-                f"output {label!r} relabels input {names[source]!r}; "
-                "the text format cannot express that"
-            )
-        if source[0] != "in":
-            if label in used:
-                raise ValueError(f"output label {label!r} collides with a wire name")
-            names[source] = label
+    for label, slot in zip(circuit.output_labels, plan.outputs):
+        if slot < width:
+            if names[slot] != label:
+                raise ValueError(
+                    f"output {label!r} relabels input {names[slot]!r}; "
+                    "the text format cannot express that"
+                )
+        elif label in used:
+            raise ValueError(f"output label {label!r} collides with a wire name")
+        else:
+            names[slot] = label
             used.add(label)
-
-    counters = {"c": 0, "w": 0}
-
-    def fresh(prefix: str) -> str:
-        while True:
-            name = f"{prefix}{counters[prefix]}"
-            counters[prefix] += 1
-            if name not in used:
-                used.add(name)
-                return name
-
-    def name_of(source: tuple) -> str:
-        if source not in names:
-            names[source] = fresh("c" if source[0] == "const" else "w")
-        return names[source]
+    first_pin = width + len(circuit.constants)
+    candidates = {"c": map("c{}".format, count()), "w": map("w{}".format, count())}
+    names = [name or next(n for n in candidates["c" if slot < first_pin else "w"]
+                          if n not in used) for slot, name in enumerate(names)]
 
     lines = ["INPUT " + " ".join(circuit.input_labels)]
-    for j, value in enumerate(circuit.constants):
-        lines.append(f"CONST {name_of(('const', j))} = {value}")
-    for idx, inst in enumerate(circuit.instances):
-        ins = " ".join(name_of(s) for s in inst.sources)
-        outs = " ".join(name_of(("gate", idx, pin)) for pin in range(inst.gate.arity))
-        lines.append(f"GATE {inst.gate.name} {ins} -> {outs}")
-    if circuit.outputs:
-        lines.append("OUTPUT " + " ".join(name_of(s) for _, s in circuit.outputs))
-    if circuit.garbage:
-        lines.append("GARBAGE " + " ".join(name_of(s) for s in circuit.garbage))
+    lines += [f"CONST {name} = {bit}"
+              for name, bit in zip(names[width:first_pin], plan.fill)]
+    for inst, (_, in_slots, lo, hi) in zip(circuit.instances, plan.steps):
+        gate = inst.gate.name
+        if gate.split() != [gate] or "#" in gate:
+            raise ValueError(f"gate name {gate!r} is not expressible as a token")
+        ins = " ".join([names[s] for s in in_slots])
+        lines.append(f"GATE {gate} {ins} -> {' '.join(names[lo:hi])}")
+    if plan.outputs:
+        lines.append("OUTPUT " + " ".join([names[s] for s in plan.outputs]))
+    if plan.garbage:
+        lines.append("GARBAGE " + " ".join([names[s] for s in plan.garbage]))
     return "\n".join(lines) + "\n"

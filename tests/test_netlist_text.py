@@ -21,7 +21,9 @@ from revlogic.gates import catalog_by_name, make_gate
 from revlogic.metrics import analyze
 from revlogic.netlist import (
     ArityMismatch,
+    Circuit,
     FanOutViolation,
+    Instance,
     ValidationFailed,
     new_circuit,
 )
@@ -264,10 +266,16 @@ class TestEmit:
         assert rebuilt.mapping() == circuit.mapping()
 
     def test_true_constant_round_trips(self):
-        circuit = elaborate(parse_netlist(
-            "INPUT a\nCONST z = 1\nGATE FG z a -> p q\nOUTPUT q\nGARBAGE p\n"))
-        assert circuit.constants == (1,)
-        rebuilt = elaborate(parse_netlist(emit_netlist(circuit)))
+        # A hand-made circuit may hold a bool constant; it simulates as
+        # its int and must be written as one.
+        fg = catalog_by_name()["FG"]
+        circuit = Circuit(
+            input_labels=("a",), constants=(True,),
+            instances=(Instance(fg, (("const", 0), ("in", 0))),),
+            outputs=(("q", ("gate", 0, 1)),), garbage=(("gate", 0, 0),))
+        text = emit_netlist(circuit)
+        assert "CONST c0 = 1\n" in text
+        rebuilt = elaborate(parse_netlist(text))
         assert rebuilt.constants == (1,)
         assert rebuilt.mapping() == circuit.mapping()
 
@@ -318,6 +326,56 @@ class TestEmit:
         assert len(names) == 5
         rebuilt = elaborate(parse_netlist(text))
         assert rebuilt.mapping() == circuit.mapping()
+
+    def test_digit_adder_text_is_pinned(self):
+        # Generated names follow slot order: constants c0.., then each
+        # gate's pins w0.. unless a pin feeds a primary output.
+        assert emit_netlist(build_bcd_adder_digit()) == """\
+INPUT a3 a2 a1 a0 b3 b2 b1 b0 cin
+CONST c0 = 0
+CONST c1 = 0
+CONST c2 = 0
+CONST c3 = 0
+CONST c4 = 0
+CONST c5 = 0
+GATE HNG a0 b0 cin c0 -> w0 w1 s0 w2
+GATE HNG a1 b1 w2 c1 -> w3 w4 w5 w6
+GATE HNG a2 b2 w6 c2 -> w7 w8 w9 w10
+GATE HNG a3 b3 w10 c3 -> w11 w12 w13 w14
+GATE SCL w5 w9 w13 w14 -> w15 w16 w17 w18
+GATE PG w18 w15 c4 -> w19 s1 w20
+GATE HNG w16 w19 w20 c5 -> w21 cout s2 w22
+GATE FG w22 w17 -> w23 s3
+OUTPUT cout s3 s2 s1 s0
+GARBAGE w0 w1 w3 w4 w7 w8 w11 w12 w21 w23
+"""
+
+    def test_generated_names_skip_labels_pinned(self):
+        # Inputs and output labels squat on c0, c1, w0 and w1.
+        builder = new_circuit(["w0", "c1", "x"])
+        one = builder.add_constant(1)
+        p, q, r = builder.add_gate(catalog_by_name()["TG"], [*builder.inputs[:2], one])
+        builder.mark_output(r, "w1")
+        builder.mark_output(p, "c0")
+        builder.mark_output(builder.inputs[2], "x")
+        builder.mark_garbage(q)
+        circuit = builder.seal()
+        text = emit_netlist(circuit)
+        assert text == ("INPUT w0 c1 x\nCONST c2 = 1\nGATE TG w0 c1 c2 -> c0 w2 w1\n"
+                        "OUTPUT w1 c0 x\nGARBAGE w2\n")
+        assert elaborate(parse_netlist(text)).mapping() == circuit.mapping()
+
+    @pytest.mark.parametrize("name", ["X Y", "N#1", "X\u00a0Y", "#", " FG"],
+                             ids=["space", "hash", "no-break-space", "bare-hash", "padded"])
+    def test_gate_name_that_is_not_a_token_rejected(self, name):
+        gate = make_gate(name, 2, (lambda a, b: a, lambda a, b: a ^ b))
+        builder = new_circuit(["a", "b"])
+        p, q = builder.add_gate(gate, builder.inputs)
+        builder.mark_output(q, "q")
+        builder.mark_garbage(p)
+        with pytest.raises(ValueError) as err:
+            emit_netlist(builder.seal())
+        assert str(err.value) == f"gate name {name!r} is not expressible as a token"
 
 
 # Every parse diagnostic, pinned to its exception type and exact text.
