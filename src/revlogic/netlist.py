@@ -25,13 +25,14 @@ one.
 A sealed circuit simulates two ways over one cached slot layout
 (`_plan`): a flat value array holding the inputs, the constants, then
 each gate's output pins side by side. The plan is plain data, one step
-per gate plus the output and garbage slots, and it is the only place a
-wire's slot is decided: every evaluator reads its results from those
-slots, the compiled kernel is generated from the steps, and the text
-format's `emit_netlist` names one wire per slot. `simulate`
-is the scalar reference, in two tiers that read one table,
-`GateDef.trie`: the truth table as nested tuples, one input bit per
-level, so no key tuple is built or hashed. A circuit's first calls are
+per gate, holding the gate and its slots, plus the output and garbage
+slots, and it is the only place a wire's slot is decided: every
+evaluator reads its gates and results from those steps, the compiled
+kernel is generated from them, and the text format's `emit_netlist`
+names one wire per slot. `simulate` is the scalar reference, in two
+tiers that read one table, `GateDef.trie`: the truth table as nested
+tuples, one input bit per level, so no key tuple is built or hashed.
+Only these tiers build a trie. A circuit's first calls are
 interpreted: for one input word, each gate walks its trie one input
 slot at a time and stores the leaf, its output bits, into its
 contiguous pins with one slice assignment. On its `COMPILE_AFTER`th
@@ -314,15 +315,15 @@ class _Plan(NamedTuple):
 
     Slots hold the inputs, then the constants, then each instance's
     output pins, contiguous per instance. `steps` has one
-    `(trie, in_slots, lo, hi)` per instance, in order: its gate's
-    `GateDef.trie`, its input slots in pin order, and its output slots
-    `lo` to `hi`. `outputs` and `garbage` are the slots of the output
-    and garbage wires, in marking order. `fill` is what follows the
-    inputs in a fresh value array: the constants as the ints 0 and 1,
-    then a zero per gate pin.
+    `(gate, in_slots, lo, hi)` per instance, in order: its `GateDef`,
+    its input slots in pin order, and its output slots `lo` to `hi`.
+    `outputs` and `garbage` are the slots of the output and garbage
+    wires, in marking order. `fill` is what follows the inputs in a
+    fresh value array: the constants as the ints 0 and 1, then a zero
+    per gate pin.
     """
 
-    steps: tuple[tuple[tuple, tuple[int, ...], int, int], ...]
+    steps: tuple[tuple[GateDef, tuple[int, ...], int, int], ...]
     outputs: tuple[int, ...]
     garbage: tuple[int, ...]
     fill: tuple[int, ...]
@@ -367,11 +368,11 @@ class Circuit:
         steps = []
         for inst in self.instances:
             hi = lo + inst.gate.arity
-            steps.append((inst.gate.trie, slots(inst.sources), lo, hi))
+            steps.append((inst.gate, slots(inst.sources), lo, hi))
             starts.append(lo)
             lo = hi
-        # Truthiness, as the planes read a constant; the kernel's literals
-        # come from here too.
+        # A constant's value is decided here alone, by truthiness; both
+        # scalar tiers, the planes and emission read it from `fill`.
         fill = tuple(1 if c else 0 for c in self.constants)
         return _Plan(tuple(steps), slots(s for _, s in self.outputs),
                      slots(self.garbage), fill + (0,) * (lo - len(fill) - self.width))
@@ -399,7 +400,8 @@ class Circuit:
                 object.__setattr__(self, "_interpreted", calls)
                 plan = self._plan
                 values = [*inputs, *plan.fill]
-                for node, in_slots, lo, hi in plan.steps:
+                for gate, in_slots, lo, hi in plan.steps:
+                    node = gate.trie
                     for slot in in_slots:
                         node = node[values[slot]]
                     values[lo:hi] = node
@@ -413,8 +415,8 @@ class Circuit:
         return _unchecked(outputs), _unchecked(garbage)
 
     def __getstate__(self) -> dict:
-        # The plan is derived and holds whole tries, and the kernel is
-        # generated code, which pickle cannot write; a copy rebuilds both.
+        # The plan is derived from the fields, and the kernel is generated
+        # code, which pickle cannot write; a copy rebuilds both.
         return {k: v for k, v in vars(self).items() if k not in ("_plan", "_kernel")}
 
     def _kernel_source(self) -> tuple[str, dict[str, tuple]]:
@@ -422,10 +424,10 @@ class Circuit:
 
         `kernel` takes one argument per input bit and returns the
         (outputs, garbage) bit tuples. Slot k is the local `v<k>`, except
-        that a constant's slot is the literal 0 or 1, and step k's trie is
-        the global `R<k>`, so the source holds only names made here, never
-        a label or gate name. A Feynman gate on inputs 0 and 2 of a
-        3-input circuit, say, becomes `v3, v4 = R0[v0][v2]`.
+        that a constant's slot is the literal 0 or 1, and step k's gate's
+        trie is the global `R<k>`, so the source holds only names made
+        here, never a label or gate name. A Feynman gate on inputs 0 and 2
+        of a 3-input circuit, say, becomes `v3, v4 = R0[v0][v2]`.
         """
         plan = self._plan
         constants = len(self.constants)
@@ -438,8 +440,8 @@ class Circuit:
 
         lines = [f"def kernel({', '.join(names[:self.width])}):"]
         namespace: dict[str, tuple] = {}
-        for k, (trie, in_slots, lo, hi) in enumerate(plan.steps):
-            namespace[f"R{k}"] = trie
+        for k, (gate, in_slots, lo, hi) in enumerate(plan.steps):
+            namespace[f"R{k}"] = gate.trie
             path = "".join([f"[{names[s]}]" for s in in_slots])
             lines.append(f"    {listed(range(lo, hi))} = R{k}{path}")
         lines.append(f"    return ({listed(plan.outputs)}), ({listed(plan.garbage)})")
@@ -497,16 +499,13 @@ class Circuit:
             raise ValueError(f"every plane must fit in count={count} bits")
         plan = self._plan
         mask = (1 << count) - 1
-        values = [*planes, *plan.fill]
-        values[self.width : self.width + len(self.constants)] = [
-            mask if c else 0 for c in self.constants
-        ]
-        for inst, (_, in_slots, out_base, _) in zip(self.instances, plan.steps):
+        values = [*planes, *[mask if bit else 0 for bit in plan.fill]]
+        for gate, in_slots, out_base, _ in plan.steps:
             ins = [values[s] for s in in_slots]
             for s in in_slots:
                 # No fan-out: each slot has exactly one reader, so free it.
                 values[s] = 0
-            for pin, monomials in enumerate(inst.gate.anf, start=out_base):
+            for pin, monomials in enumerate(gate.anf, start=out_base):
                 acc = 0
                 for monomial in monomials:
                     if monomial:

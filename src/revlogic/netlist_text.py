@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, filterfalse, islice
 from typing import Mapping
 
 from .errors import RevLogicError, _utf8_position
@@ -302,19 +302,20 @@ def emit_netlist(circuit: Circuit) -> str:
             names[slot] = label
             used.add(label)
     first_pin = width + len(circuit.constants)
-    candidates = {"c": map("c{}".format, count()), "w": map("w{}".format, count())}
-    names = [name or next(n for n in candidates["c" if slot < first_pin else "w"]
-                          if n not in used) for slot, name in enumerate(names)]
+    # One stream of free generated names per kind, drawn in slot order.
+    free_c, free_w = (filterfalse(used.__contains__, map(f"{kind}{{}}".format, count()))
+                      for kind in "cw")
+    names = [name or next(free_c if slot < first_pin else free_w)
+             for slot, name in enumerate(names)]
 
     lines = ["INPUT " + " ".join(circuit.input_labels)]
     lines += [f"CONST {name} = {bit}"
               for name, bit in zip(names[width:first_pin], plan.fill)]
-    for inst, (_, in_slots, lo, hi) in zip(circuit.instances, plan.steps):
-        gate = inst.gate.name
-        if gate.split() != [gate] or "#" in gate:
-            raise ValueError(f"gate name {gate!r} is not expressible as a token")
+    for gate, in_slots, lo, hi in plan.steps:
+        if gate.name.split() != [gate.name] or "#" in gate.name:
+            raise ValueError(f"gate name {gate.name!r} is not expressible as a token")
         ins = " ".join([names[s] for s in in_slots])
-        lines.append(f"GATE {gate} {ins} -> {' '.join(names[lo:hi])}")
+        lines.append(f"GATE {gate.name} {ins} -> {' '.join(names[lo:hi])}")
     if plan.outputs:
         lines.append("OUTPUT " + " ".join([names[s] for s in plan.outputs]))
     if plan.garbage:

@@ -517,6 +517,17 @@ def test_emit_parse_elaborate_round_trips(circuit):
     assert rebuilt.mapping() == circuit.mapping()
 
 
+@settings(max_examples=150, deadline=None)
+@given(sealed_circuits())
+def test_emission_is_a_fixed_point(circuit):
+    # Reading emitted text back and emitting again gives the same text.
+    try:
+        text = emit_netlist(circuit)
+    except ValueError:  # an output relabels an input; see above
+        return
+    assert emit_netlist(elaborate(parse_netlist(text))) == text
+
+
 @settings(max_examples=100, deadline=None)
 @given(sealed_circuits(), st.data())
 def test_any_inline_whitespace_separates_tokens(circuit, data):

@@ -33,6 +33,7 @@ from revlogic.designs import (
 )
 from revlogic.gates import BitWord, GateDef, catalog_by_name, make_gate
 from revlogic.netlist import COMPILE_AFTER, Circuit, WidthMismatch, new_circuit
+from revlogic.netlist_text import emit_netlist
 
 
 def reference_simulate(circuit, word: BitWord) -> tuple[BitWord, BitWord]:
@@ -289,12 +290,34 @@ class TestTrie:
             (out, _) = circuit.simulate(BitWord.from_int(value, 16))
             assert out.to_int() == rows[value]
         assert circuit._kernel is None
-        ((trie, _, _, _),) = circuit._plan.steps
-        assert trie is gate.trie
+        ((step_gate, _, _, _),) = circuit._plan.steps
+        assert step_gate is gate
         for value in values:
             (out, _) = circuit.simulate(BitWord.from_int(value, 16))
             assert out.to_int() == rows[value]
         assert circuit._kernel is not None
+
+    def test_only_scalar_simulate_builds_a_trie(self):
+        # A fresh 10-input rotation, then a Feynman gate. Emission, planes
+        # and mapping() read each plan step's gate but never its trie;
+        # the first scalar call builds it.
+        rot = make_gate("ROT10", 10, [lambda *bits, k=k: bits[(k + 1) % 10]
+                                      for k in range(10)])
+        builder = new_circuit([f"x{i}" for i in range(10)])
+        rotated = builder.add_gate(rot, builder.inputs)
+        fed = builder.add_gate(catalog_by_name()["FG"], [rotated[0], builder.add_constant(1)])
+        for k, wire in enumerate((*fed, *rotated[1:])):
+            builder.mark_output(wire, f"y{k}")
+        circuit = builder.seal()
+        for (step_gate, _, _, _), inst in zip(circuit._plan.steps, circuit.instances,
+                                              strict=True):
+            assert step_gate is inst.gate
+        emit_netlist(circuit)
+        circuit.simulate_planes([0b01] * 5 + [0b10] * 5, 2)
+        table = circuit.mapping()
+        assert "trie" not in vars(rot)
+        assert circuit.simulate(BitWord.from_int(0x2A5, 10)) == table[0x2A5]
+        assert "trie" in vars(rot)
 
 
 def assert_checked(word: BitWord) -> None:
