@@ -51,7 +51,7 @@ from .gates import (
     builtin_catalog,
     load_cost_table,
 )
-from .metrics import analyze, delay
+from .metrics import MetricsReport, analyze
 from .netlist import Circuit, ValidationFailed, _PIN_NAMES
 from .netlist_text import (
     LocatedError,
@@ -180,17 +180,17 @@ def cmd_bcd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_FAIL
 
 
-def _recomputed_row(circuit: Circuit) -> ReferenceRow:
-    """Measure the built one-digit adder the way the reference table is laid
-    out: per-stage gate/garbage counts plus the four totals."""
+def _recomputed_row(circuit: Circuit, report: MetricsReport) -> ReferenceRow:
+    """Lay out the built one-digit adder as the reference table is: its
+    per-stage gate/garbage counts, then the four totals from `report`."""
     tags = bcd_digit_stage_tags()
     gates = Counter(tags.values())
     garbage = Counter(tags[source[1]] for source in circuit.garbage)
     stages = ("adder1", "correction", "adder2")
     per_stage = [n for stage in stages for n in (gates[stage], garbage[stage])]
     return ReferenceRow(
-        "recomputed from build", *per_stage, len(circuit.instances),
-        len(circuit.garbage), len(circuit.constants), delay(circuit),
+        "recomputed from build", *per_stage, report.gate_count,
+        report.garbage_count, report.constant_count, report.delay_levels,
     )
 
 
@@ -211,8 +211,8 @@ def cmd_bcd_table(args) -> int:
     costs = _load_costs(args.costs)
     rows = reference_table()
     circuit = build_bcd_adder_digit()
-    recomputed = _recomputed_row(circuit)
     report = analyze(circuit, costs)
+    recomputed = _recomputed_row(circuit, report)
     headers = [
         "design", "adder1 g/gb", "correction g/gb", "adder2 g/gb",
         "gates", "garbage", "constants", "delay",

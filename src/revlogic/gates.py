@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Iterable, Sequence
 
 from .errors import RevLogicError, _utf8_position
@@ -180,26 +180,25 @@ class GateDef:
     def anf(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Algebraic normal form of each output pin, in pin order.
 
-        Pin k's entry lists its monomials; each monomial is a tuple of
-        input pin indices, and the empty tuple is the constant 1. The
-        pin's value is the XOR over its monomials of the AND of the
-        inputs each names. Computed once per gate by the Möbius
-        transform of the pin's bit column of `rows`.
+        Pin k's entry lists its monomials in ascending input-word order;
+        each is a tuple of input pin indices, the empty tuple being the
+        constant 1, and the pin's value is the XOR over them of the AND of
+        the inputs each names. Computed once per gate by one Möbius
+        transform of `rows` as whole words, as XOR acts bit by bit; word
+        w's coefficient then sets the bits of the pins holding w's monomial.
         """
         n = self.arity
-        pins = []
-        for k in range(n):
-            coeffs = [(out >> (n - 1 - k)) & 1 for out in self.rows]
-            for b in range(n):
-                step = 1 << b
-                for word in range(len(self.rows)):
-                    if word & step:
-                        coeffs[word] ^= coeffs[word ^ step]
-            pins.append(tuple(
-                tuple(p for p in range(n) if (word >> (n - 1 - p)) & 1)
-                for word, coeff in enumerate(coeffs) if coeff
-            ))
-        return tuple(pins)
+        coeffs = list(self.rows)
+        for b in range(n):
+            step = 1 << b
+            for high in range(step, len(coeffs), 2 * step):
+                for word in range(high, high + step):
+                    coeffs[word] ^= coeffs[word ^ step]
+        words = compress(product((0, 1), repeat=n), coeffs)
+        monomials = [tuple(compress(range(n), bits)) for bits in words]
+        nonzero = list(filter(None, coeffs))
+        return tuple(tuple(compress(monomials, map((1 << k).__and__, nonzero)))
+                     for k in reversed(range(n)))
 
     @cached_property
     def trie(self) -> tuple:
@@ -268,8 +267,7 @@ def make_gate(
             f"got {len(outputs)}"
         )
     rows = []
-    for value in range(1 << arity):
-        ins = tuple((value >> (arity - 1 - i)) & 1 for i in range(arity))
+    for ins in product((0, 1), repeat=arity):
         out = 0
         for fn in outputs:
             bit = fn(*ins)

@@ -165,7 +165,7 @@ class CircuitBuilder:
             raise ValueError("need at least one primary input")
         seen = set()
         for label in labels:
-            if not label or label != label.strip():
+            if not isinstance(label, str) or not label or label != label.strip():
                 raise ValueError(f"bad input label {label!r}")
             if label in seen:
                 raise DuplicateLabel(f"duplicate input label {label!r}")
@@ -255,8 +255,10 @@ class CircuitBuilder:
     def mark_output(self, wire: Wire, label: str) -> None:
         """Consume a wire as the primary output named `label`."""
         self._check_open()
-        if not label:
+        if label == "":
             raise ValueError("output label must be nonempty")
+        if not isinstance(label, str) or label != label.strip():
+            raise ValueError(f"bad output label {label!r}")
         if label in self._outputs:
             raise DuplicateLabel(f"duplicate output label {label!r}")
         self._free((wire,))

@@ -5,14 +5,15 @@ fixed-size wire pool), so hypothesis can shrink it; `build_from_plan`
 replays it through the builder. The pool keeps a constant size because
 every reversible gate consumes and produces the same number of wires.
 `sealed_circuits` seals such a circuit with a random split of its lines
-into outputs and garbage.
+into outputs and garbage. `random_gates` draws gates whose rows are a
+random permutation.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from revlogic.gates import builtin_catalog
+from revlogic.gates import GateDef, builtin_catalog
 from revlogic.netlist import Circuit, CircuitBuilder, Wire, new_circuit
 
 
@@ -66,3 +67,10 @@ def sealed_circuits(draw) -> Circuit:
     for wire in pool[n_out:]:
         builder.mark_garbage(wire)
     return builder.seal()
+
+
+def random_gates():
+    """A gate "R" whose rows are a random permutation, of arity 1 to 6."""
+    return st.integers(1, 6).flatmap(
+        lambda arity: st.permutations(range(1 << arity))
+    ).map(lambda rows: GateDef("R", tuple(rows)))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_gates
 from revlogic import gates
 from revlogic.gates import (
     MAX_ARITY,
@@ -29,6 +30,7 @@ from revlogic.gates import (
     make_gate,
     parse_cost_table,
 )
+from revlogic.netlist import new_circuit
 
 
 class TestBitWord:
@@ -328,13 +330,20 @@ class TestApplyAndInverse:
         assert inv.name == "NG_inv"
         assert inv.inverse() == ng
 
-    @given(st.permutations(list(range(8))))
-    def test_inverse_of_random_permutation(self, rows):
-        gate = GateDef("R", tuple(rows))
+    @given(random_gates())
+    def test_inverse_of_random_permutation(self, gate):
         inv = gate.inverse()
-        for value in range(8):
-            word = BitWord.from_int(value, 3)
+        n = gate.arity
+        for value in range(1 << n):
+            word = BitWord.from_int(value, n)
             assert inv.apply(gate.apply(word)) == word
+        # mapping() evaluates both gates on planes, through their ANF.
+        builder = new_circuit([f"x{k}" for k in range(n)])
+        outs = builder.add_gate(inv, builder.add_gate(gate, builder.inputs))
+        for k, wire in enumerate(outs):
+            builder.mark_output(wire, f"y{k}")
+        assert builder.seal().mapping() == [
+            (BitWord.from_int(value, n), BitWord(())) for value in range(1 << n)]
 
 
 class TestGateDefValidation:

@@ -48,6 +48,17 @@ class TestBuilderBasics:
         with pytest.raises(ValueError):
             new_circuit([""])
 
+    # Input labels follow the rule output labels do (see _SINGLE_DEFECTS): a
+    # nonempty str equal to its strip(). Inner spaces are allowed.
+    @pytest.mark.parametrize("label, shown", [
+        (1, "1"), (None, "None"), (b"a", "b'a'"), (" x ", "' x '"), ("x\n", "'x\\n'"),
+        ("\tx", "'\\tx'"), ("", "''"),
+    ])
+    def test_bad_input_label_named(self, label, shown):
+        with pytest.raises(ValueError) as err:
+            new_circuit(["a", label])
+        assert str(err.value) == f"bad input label {shown}"
+
     def test_bcd_input_space(self):
         labels = ["a3", "a2", "a1", "a0", "b3", "b2", "b1", "b0", "cin"]
         builder = new_circuit(labels)
@@ -200,6 +211,17 @@ _SINGLE_DEFECTS = [
     ("mark_output", "consumed", _mark_output("c", "y"), _C_CONSUMED),
     ("mark_output", "empty label", _mark_output("a", ""),
      (ValueError, "output label must be nonempty")),
+    ("mark_output", "int label", _mark_output("a", 5), (ValueError, "bad output label 5")),
+    ("mark_output", "None label", _mark_output("a", None),
+     (ValueError, "bad output label None")),
+    ("mark_output", "bytes label", _mark_output("a", b"y"),
+     (ValueError, "bad output label b'y'")),
+    ("mark_output", "padded label", _mark_output("a", " x "),
+     (ValueError, "bad output label ' x '")),
+    ("mark_output", "newline label", _mark_output("a", "x\n"),
+     (ValueError, "bad output label 'x\\n'")),
+    ("mark_output", "no-break space label", _mark_output("a", "\u00a0x"),
+     (ValueError, "bad output label '\\xa0x'")),
     ("mark_output", "repeated label", _mark_output("a", "x"),
      (DuplicateLabel, "duplicate output label 'x'")),
     ("mark_garbage", "sealed", _mark_garbage("a"), _SEALED),

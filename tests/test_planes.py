@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sealed_circuits
+from conftest import random_gates, sealed_circuits
 from revlogic import designs
 from revlogic.cli import EXIT_FAIL, main
 from revlogic.designs import (
@@ -99,8 +99,10 @@ class TestMapping:
         ]
 
 
-def test_anf_reproduces_every_catalog_table():
-    for gate in builtin_catalog():
+# The term-by-term evaluation shares no code with the Möbius transform.
+@given(random_gates())
+def test_anf_reproduces_every_catalog_table(drawn):
+    for gate in [*builtin_catalog(), drawn]:
         for word in range(len(gate.rows)):
             ins = [(word >> (gate.arity - 1 - p)) & 1 for p in range(gate.arity)]
             out = 0
