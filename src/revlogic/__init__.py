@@ -68,7 +68,6 @@ from .designs import (
     verify_bcd_adder,
 )
 from .netlist_text import (
-    NetlistDocument,
     NetlistSyntaxError,
     UnknownGateName,
     UseBeforeDeclaration,
@@ -130,7 +129,6 @@ __all__ = [
     "oracle_bcd_add_number",
     "reference_table",
     "verify_bcd_adder",
-    "NetlistDocument",
     "NetlistSyntaxError",
     "UnknownGateName",
     "UseBeforeDeclaration",

@@ -45,10 +45,10 @@ from .designs import (
 )
 from .errors import RevLogicError
 from .gates import (
+    _CATALOG_DEFS,
     BitWord,
     CostTableError,
     WidthMismatch,
-    builtin_catalog,
     load_cost_table,
 )
 from .metrics import MetricsReport, analyze
@@ -102,12 +102,9 @@ def _load_costs(path: str | None) -> Mapping[str, int] | None:
 
 
 def cmd_gates(args) -> int:
-    for gate in builtin_catalog():
-        pins = ", ".join(
-            f"{_PIN_NAMES[i]}={formula}"
-            for i, formula in enumerate(gate.formulas or ())
-        )
-        print(f"{gate.name:<4} arity {gate.arity}   {pins}")
+    for name, formulas in _CATALOG_DEFS:
+        pins = ", ".join(map("{}={}".format, _PIN_NAMES, formulas))
+        print(f"{name:<4} arity {len(formulas)}   {pins}")
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ that order (NOT tightest, OR loosest).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
 from itertools import compress, product
@@ -45,7 +45,7 @@ class NotBijective(RevLogicError):
 
 
 class BadArity(RevLogicError):
-    """Arity outside [1, MAX_ARITY] or output count does not match it."""
+    """Arity outside [1, MAX_ARITY]."""
 
 
 class WidthMismatch(RevLogicError):
@@ -131,25 +131,25 @@ def _words_of_arity(arity: int) -> tuple[tuple[int, ...], ...]:
 class GateDef:
     """A named reversible gate: its rows, a permutation of the n-bit words.
 
-    `rows[i]` is the output word (as an MSB-first integer) for the input
-    word whose MSB-first integer value is `i`, so there are 2^n rows for
-    arity n, and no two are equal. `arity` is derived from the row count
-    when the gate is made.
+    A gate is its `name`, a nonempty str, and its `rows`. `rows[i]` is
+    the output word (as an MSB-first integer) for the input word whose
+    MSB-first integer value is `i`, so there are 2^n rows for arity n,
+    and no two are equal. `arity` is derived from the row count when the
+    gate is made.
 
     Its quantum cost is not stored here: `metrics.analyze` prices it by
-    name from a cost table, the one place a price is set.
-
-    `formulas` optionally carries per-output switching-function strings
-    (e.g. ``("A", "A^B")``). It takes no part in equality. For a catalog
-    gate the rows are computed from these strings; for a `make_gate` gate
-    they are for display only.
+    name from a cost table, the one place a price is set. A catalog
+    gate's published formulas live only in `_CATALOG_DEFS`.
     """
 
     name: str
     rows: tuple[int, ...]
-    formulas: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.name == "":
+            raise ValueError("gate name must be nonempty")
+        if not isinstance(self.name, str):
+            raise ValueError(f"gate name {self.name!r} is not a str")
         rows = tuple(self.rows)
         size = len(rows)
         if not 2 <= size <= 1 << MAX_ARITY:
@@ -167,12 +167,6 @@ class GateDef:
                 raise ValueError(f"output word {out} does not fit in {arity} bits")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "arity", arity)
-        if not self.name:
-            raise ValueError("gate name must be nonempty")
-        if self.formulas is not None:
-            object.__setattr__(self, "formulas", tuple(self.formulas))
-            if len(self.formulas) != arity:
-                raise ValueError("need one formula per output pin")
         if len(set(rows)) != size:
             raise NotBijective(f"gate {self.name!r}: truth table is not a permutation")
 
@@ -244,28 +238,20 @@ class GateDef:
         return GateDef(inv_name, tuple(inv_rows))
 
 
-def make_gate(
-    name: str,
-    arity: int,
-    outputs: Sequence[Callable[..., int]],
-    formulas: Sequence[str] | None = None,
-) -> GateDef:
+def make_gate(name: str, outputs: Sequence[Callable[..., int]]) -> GateDef:
     """Build a gate from one boolean expression per output pin.
 
-    Each entry of `outputs` is a callable taking `arity` bit arguments
-    (the inputs A, B, ... in order) and returning the corresponding
-    output bit: anything equal to 0 or 1, stored as the int, as in
-    `BitWord`. The expressions are evaluated over all 2^arity input
-    words; construction fails with NotBijective if the resulting rows
-    are not a permutation. The gate carries no cost; see `GateDef`.
+    The gate's arity is `len(outputs)`. Each entry of `outputs` is a
+    callable taking that many bit arguments (the inputs A, B, ... in
+    order) and returning the corresponding output bit: anything equal to
+    0 or 1, stored as the int, as in `BitWord`. The expressions are
+    evaluated over all 2^arity input words; construction fails with
+    NotBijective if the resulting rows are not a permutation. The gate
+    carries no cost; see `GateDef`.
     """
+    arity = len(outputs)
     if not 1 <= arity <= MAX_ARITY:
         raise BadArity(f"arity must be in [1, {MAX_ARITY}], got {arity}")
-    if len(outputs) != arity:
-        raise BadArity(
-            f"gate {name!r}: arity {arity} needs {arity} output expressions, "
-            f"got {len(outputs)}"
-        )
     rows = []
     for ins in product((0, 1), repeat=arity):
         out = 0
@@ -275,12 +261,13 @@ def make_gate(
                 raise ValueError(f"gate {name!r}: expression returned {bit!r}, not a bit")
             out = (out << 1) | (bit == 1)
         rows.append(out)
-    return GateDef(name, tuple(rows), formulas=formulas)
+    return GateDef(name, tuple(rows))
 
 
 # The built-in catalog, each gate by its published switching functions,
 # pins (A,B,C,D) -> (P,Q,R,S). These strings are the gates' only
-# definition: `_pin_function` reads them into the gates' rows.
+# definition: `_pin_function` reads them into the gates' rows, and
+# `revlogic gates` prints them.
 _CATALOG_DEFS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("FG", ("A", "A^B")),
     ("FRG", ("A", "A'B^AC", "A'C^AB")),
@@ -310,10 +297,8 @@ def _pin_function(formula: str) -> Callable[..., int]:
 
 @cache
 def _catalog() -> tuple[GateDef, ...]:
-    return tuple(
-        make_gate(name, len(fml), [_pin_function(f) for f in fml], formulas=fml)
-        for name, fml in _CATALOG_DEFS
-    )
+    return tuple(make_gate(name, [_pin_function(f) for f in fml])
+                 for name, fml in _CATALOG_DEFS)
 
 
 def builtin_catalog() -> list[GateDef]:

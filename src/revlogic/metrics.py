@@ -15,6 +15,7 @@ the total.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -82,15 +83,19 @@ def analyze(circuit: Circuit, costs: Mapping[str, int] | None = None) -> Metrics
     """Compute the full MetricsReport for a sealed circuit.
 
     `costs` maps gate names to quantum costs; omitted, the packaged
-    default table applies. Every gate in the circuit needs an entry.
+    default table applies. Every gate in the circuit needs an entry, a
+    nonnegative int; any other value is a ValueError.
     """
     if costs is None:
         costs = default_cost_table()
     total = 0
-    for inst in circuit.instances:
-        if inst.gate.name not in costs:
-            raise UnknownGateCost(f"no cost entry for gate {inst.gate.name!r}")
-        total += costs[inst.gate.name]
+    for name, uses in Counter(inst.gate.name for inst in circuit.instances).items():
+        if name not in costs:
+            raise UnknownGateCost(f"no cost entry for gate {name!r}")
+        cost = costs[name]
+        if not isinstance(cost, int) or isinstance(cost, bool) or cost < 0:
+            raise ValueError(f"cost for gate {name!r} is {cost!r}, not a nonnegative int")
+        total += uses * cost
     return MetricsReport(
         gate_count=len(circuit.instances),
         garbage_count=len(circuit.garbage),

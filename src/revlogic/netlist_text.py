@@ -14,13 +14,13 @@ name must be declared (by INPUT, CONST, or a GATE output list) before it
 is used, which makes feedback impossible to express.
 
 `decode_netlist` turns file bytes into text (a byte that is not UTF-8
-is a located error), `parse_netlist` splits text into a
-`NetlistDocument` of token lines, `elaborate` checks those lines and
-drives the circuit builder to a sealed `Circuit`, and `emit_netlist`
-renders a circuit back to text such that re-elaborating reproduces its
-behavior and metrics exactly. Emission names one wire per slot of the
-circuit's plan, generating the names it needs in slot order; a parsed
-document is immutable, as `elaborate` reads its tokens by index.
+is a located error), `parse_netlist` splits text into a tuple of token
+lines, `elaborate` checks those lines and drives the circuit builder to
+a sealed `Circuit`, and `emit_netlist` renders a circuit back to text
+such that re-elaborating reproduces its behavior and metrics exactly.
+Emission names one wire per slot of the circuit's plan, generating the
+names it needs in slot order; parsed lines are never written, as
+`elaborate` reads their tokens by index.
 
 `elaborate` is the only validator; it reports the first defect in its
 pass order. Text diagnostics carry a 1-based line and column, builder
@@ -30,7 +30,6 @@ errors (fan-out, arity) read ``line N: ...`` with no column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import count, filterfalse, islice
 from typing import Mapping
 
@@ -141,13 +140,6 @@ class _Line:
         return wire
 
 
-@dataclass(frozen=True)
-class NetlistDocument:
-    """Tokenized netlist: its nonblank lines, comments stripped, in source order."""
-
-    lines: tuple[_Line, ...]
-
-
 def decode_netlist(data: bytes) -> str:
     """Decode netlist file contents as UTF-8.
 
@@ -163,20 +155,21 @@ def decode_netlist(data: bytes) -> str:
         ) from None
 
 
-def parse_netlist(text: str) -> NetlistDocument:
+def parse_netlist(text: str) -> tuple[_Line, ...]:
     """Split netlist text into its token lines; this checks nothing.
 
-    Comments and blank lines are dropped. Every check, with its line
-    and column, is `elaborate`'s.
+    Comments and blank lines are dropped, and the nonblank lines are
+    kept in source order. Every check, with its line and column, is
+    `elaborate`'s.
     """
     lines = (_Line(raw, line_no) for line_no, raw in enumerate(text.splitlines(), 1))
-    return NetlistDocument(tuple(line for line in lines if line.tokens))
+    return tuple(line for line in lines if line.tokens)
 
 
 def elaborate(
-    doc: NetlistDocument, catalog: Mapping[str, GateDef] | None = None
+    lines: tuple[_Line, ...], catalog: Mapping[str, GateDef] | None = None
 ) -> Circuit:
-    """Check a document, then build and seal the circuit it describes.
+    """Check parsed lines, then build and seal the circuit they describe.
 
     The builder takes every input at once, so a first pass checks each
     line's keyword and each INPUT line's names, in line order, and then
@@ -186,13 +179,13 @@ def elaborate(
     declaration or unknown gate as a located error, a fan-out or arity
     error as the netlist module's type with ``line N: `` prepended.
     Dangling wires fail sealing, their names listed. `catalog` defaults
-    to the built-in gate catalog. Nothing is written to the document, so
-    it can be elaborated again, or from several threads at once.
+    to the built-in gate catalog. Nothing is written to the lines, so
+    they can be elaborated again, or from several threads at once.
     """
     if catalog is None:
         catalog = catalog_by_name()
     labels: dict[str, None] = {}
-    for line in doc.lines:
+    for line in lines:
         keyword = line.tokens[0]
         if keyword not in _KEYWORDS:
             raise line.error(f"unknown statement {keyword!r} "
@@ -208,7 +201,7 @@ def elaborate(
     # declared when the walk reaches its INPUT line.
     wires: dict[str, Wire | None] = {}
 
-    for line in doc.lines:
+    for line in lines:
         keyword = line.tokens[0]
         try:
             if keyword == "INPUT":
@@ -282,7 +275,7 @@ def emit_netlist(circuit: Circuit) -> str:
     expressed and raise ValueError.
     """
     for label in circuit.input_labels + circuit.output_labels:
-        if not NAME_RE.fullmatch(label):
+        if not isinstance(label, str) or not NAME_RE.fullmatch(label):
             raise ValueError(f"label {label!r} is not expressible as a wire name")
 
     plan = circuit._plan

@@ -47,12 +47,15 @@ def bcd_file(tmp_path):
 class TestGates:
     def test_lists_catalog(self, capsys):
         assert main(["gates"]) == EXIT_OK
-        out = capsys.readouterr().out
-        lines = out.strip().splitlines()
-        assert len(lines) == 7
-        assert lines[0].startswith("FG")
-        assert "Q=A^B" in lines[0]
-        assert any(line.startswith("SCL") and "D^C(A+B)" in line for line in lines)
+        assert capsys.readouterr().out == (
+            "FG   arity 2   P=A, Q=A^B\n"
+            "FRG  arity 3   P=A, Q=A'B^AC, R=A'C^AB\n"
+            "TG   arity 3   P=A, Q=B, R=AB^C\n"
+            "NG   arity 3   P=A, Q=AB^C, R=A'C'^B'\n"
+            "PG   arity 3   P=A, Q=A^B, R=AB^C\n"
+            "HNG  arity 4   P=A, Q=B, R=A^B^C, S=(A^B)C^AB^D\n"
+            "SCL  arity 4   P=A, Q=B, R=C, S=D^C(A+B)\n"
+        )
 
 
 class TestCheck:

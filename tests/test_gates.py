@@ -22,6 +22,7 @@ from revlogic.gates import (
     GateDef,
     NotBijective,
     WidthMismatch,
+    _CATALOG_DEFS,
     _pin_function,
     builtin_catalog,
     catalog_by_name,
@@ -161,30 +162,26 @@ class TestIsBijective:
 
 class TestMakeGate:
     def test_xor_gate(self):
-        gate = make_gate("X", 2, (lambda a, b: a, lambda a, b: a ^ b))
+        gate = make_gate("X", (lambda a, b: a, lambda a, b: a ^ b))
         assert gate.rows == (0, 1, 3, 2)
 
     def test_rejects_non_bijection(self):
         with pytest.raises(NotBijective):
-            make_gate("BAD", 2, (lambda a, b: a, lambda a, b: a))
-
-    def test_output_count_must_match(self):
-        with pytest.raises(BadArity):
-            make_gate("BAD", 2, (lambda a, b: a,))
+            make_gate("BAD", (lambda a, b: a, lambda a, b: a))
 
     @pytest.mark.parametrize("arity", [0, 17])
     def test_arity_out_of_range(self, arity):
         with pytest.raises(BadArity) as err:
-            make_gate("BAD", arity, [lambda *bits: bits[0]] * arity)
+            make_gate("BAD", [lambda *bits: bits[0]] * arity)
         assert str(err.value) == f"arity must be in [1, 16], got {arity}"
 
     def test_rejects_non_bit_result(self):
         with pytest.raises(ValueError):
-            make_gate("BAD", 1, (lambda a: 2 * a + 1,))
+            make_gate("BAD", (lambda a: 2 * a + 1,))
 
     def test_bits_stored_as_ints(self):
         # 1.0 equals 1, so it is a bit, but `|` takes no float.
-        gate = make_gate("X", 1, [lambda a: 1.0 - a])
+        gate = make_gate("X", [lambda a: 1.0 - a])
         assert gate.rows == (1, 0) and {type(row) for row in gate.rows} == {int}
         assert gate.trie == ((1,), (0,))
         assert gate.apply(BitWord((0,))) == BitWord((1,))
@@ -264,16 +261,19 @@ class TestCatalog:
         assert scl.apply(BitWord((0, 0, 0, 1))).bits == (0, 0, 0, 1)
 
     def test_formulas_present(self):
-        for gate in builtin_catalog():
-            assert gate.formulas is not None
-            assert len(gate.formulas) == gate.arity
+        by_name = catalog_by_name()
+        assert [name for name, _ in _CATALOG_DEFS] == list(by_name)
+        for name, formulas in _CATALOG_DEFS:
+            assert len(formulas) == by_name[name].arity
 
     def test_formulas_agree_with_tables(self):
         # The published strings, which `gates` prints, read in their own
         # notation: ' is NOT, ^ XOR, + OR and juxtaposition AND. As
         # Python's &, ^ and |, AND binds tightest, then XOR.
-        for gate in builtin_catalog():
-            for pin, formula in enumerate(gate.formulas):
+        by_name = catalog_by_name()
+        for name, formulas in _CATALOG_DEFS:
+            gate = by_name[name]
+            for pin, formula in enumerate(formulas):
                 expr = re.sub(r"([A-D])'", r"(1^\1)", formula)
                 expr = re.sub(r"(?<=[A-D)])(?=[A-D(])", "&", expr).replace("+", "|")
                 assert set(expr) <= set("ABCD1^&|()"), expr
@@ -288,9 +288,10 @@ class TestCatalog:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
         section = readme.split("\n## Gate catalog\n", 1)[1].split("\n## ", 1)[0]
         rows = re.findall(r"^\| (\w+)[^|]*\| (\d+) \| `([^`]*)` \|$", section, re.M)
+        by_name = catalog_by_name()
         assert rows == [
-            (gate.name, str(gate.arity), ", ".join(gate.formulas))
-            for gate in builtin_catalog()
+            (name, str(by_name[name].arity), ", ".join(formulas))
+            for name, formulas in _CATALOG_DEFS
         ]
 
     @pytest.mark.parametrize("formula", ["__import__", "A;B", "A.B", "E", "A B", "A**B"])
@@ -352,18 +353,24 @@ class TestGateDefValidation:
             GateDef("BAD", (0, 0))
 
     def test_rejects_empty_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^gate name must be nonempty$"):
             GateDef("", (0, 1))
+
+    @pytest.mark.parametrize("name", [5, b"X", None, ("X",)])
+    def test_name_must_be_str(self, name):
+        message = f"gate name {name!r} is not a str"
+        with pytest.raises(ValueError) as err:
+            GateDef(name, (1, 0))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            make_gate(name, [lambda a: 1 - a])
+        assert str(err.value) == message
 
     def test_carries_no_cost(self):
         # Quantum cost lives only in cost tables; see metrics.analyze.
-        assert [f.name for f in dataclasses.fields(GateDef)] == ["name", "rows", "formulas"]
+        assert [f.name for f in dataclasses.fields(GateDef)] == ["name", "rows"]
         with pytest.raises(TypeError):
-            make_gate("X", 1, (lambda a: a,), cost=5)
-
-    def test_formula_count_checked(self):
-        with pytest.raises(ValueError):
-            GateDef("G", (0, 1), formulas=("A", "B"))
+            make_gate("X", (lambda a: a,), cost=5)
 
     @pytest.mark.parametrize("rows, message", [
         ((1.0, 0.0), "gate 'F': row 0 is 1.0, not an int"),

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_from_plan, circuit_plans
-from revlogic.gates import catalog_by_name, make_gate
+from revlogic.designs import build_bcd_adder_digit, build_full_adder
+from revlogic.gates import catalog_by_name, default_cost_table, make_gate
 from revlogic.metrics import (
     MetricsReport,
     StagesNotLinear,
@@ -82,7 +83,7 @@ class TestAnalyze:
         assert report.quantum_cost == 2
 
     def test_custom_gate_priced_only_by_the_table(self):
-        swap = make_gate("SWAP", 2, (lambda a, b: b, lambda a, b: a))
+        swap = make_gate("SWAP", (lambda a, b: b, lambda a, b: a))
         builder = new_circuit(["a", "b"])
         p, q = builder.add_gate(swap, builder.inputs)
         builder.mark_output(p, "p")
@@ -93,6 +94,30 @@ class TestAnalyze:
             analyze(circuit)
         with pytest.raises(UnknownGateCost):
             analyze(circuit, {"FG": 1})
+
+    @pytest.mark.parametrize("circuit, costs, bad", [
+        (build_full_adder, {"HNG": "6"}, "'6'"),
+        (build_full_adder, {"HNG": 1.5}, "1.5"),
+        (build_full_adder, {"HNG": True}, "True"),
+        # The sum, 5, is nonnegative; the HNG price is not.
+        (build_bcd_adder_digit, {"HNG": -1, "SCL": 10, "PG": 0, "FG": 0}, "-1"),
+    ], ids=["str", "float", "bool", "negative"])
+    def test_cost_must_be_nonnegative_int(self, circuit, costs, bad):
+        with pytest.raises(ValueError) as err:
+            analyze(circuit(), costs)
+        assert str(err.value) == f"cost for gate 'HNG' is {bad}, not a nonnegative int"
+
+    def test_each_gate_name_priced_once(self):
+        looked_up = []
+
+        class Costs(dict):
+            def __getitem__(self, name):
+                looked_up.append(name)
+                return super().__getitem__(name)
+
+        costs = Costs(default_cost_table())
+        assert analyze(build_bcd_adder_digit(), costs).quantum_cost == 41
+        assert sorted(looked_up) == ["FG", "HNG", "PG", "SCL"]
 
     @given(circuit_plans())
     def test_all_ones_costs_equal_gate_count(self, plan):

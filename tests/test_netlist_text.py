@@ -51,14 +51,14 @@ GARBAGE g1 g2
 
 class TestParse:
     def test_minimal_document(self):
-        doc = parse_netlist(MINIMAL)
-        assert [(line.line_no, line.tokens) for line in doc.lines] == [
+        lines = parse_netlist(MINIMAL)
+        assert [(line.line_no, line.tokens) for line in lines] == [
             (1, ["INPUT", "a", "b"]),
             (2, ["GATE", "FG", "a", "b", "->", "p", "q"]),
             (3, ["OUTPUT", "q"]),
             (4, ["GARBAGE", "p"]),
         ]
-        assert elaborate(doc).input_labels == ("a", "b")
+        assert elaborate(lines).input_labels == ("a", "b")
 
     def test_statement_fields(self):
         circuit = elaborate(parse_netlist(MINIMAL))
@@ -75,9 +75,9 @@ class TestParse:
 
     def test_comments_and_blank_lines(self):
         text = "# leading comment\n\nINPUT a  # trailing\n\nOUTPUT a\n"
-        doc = parse_netlist(text)
-        assert [line.line_no for line in doc.lines] == [3, 5]
-        assert doc.lines[0].tokens == ["INPUT", "a"]
+        lines = parse_netlist(text)
+        assert [line.line_no for line in lines] == [3, 5]
+        assert lines[0].tokens == ["INPUT", "a"]
 
     def test_unknown_keyword(self):
         with pytest.raises(NetlistSyntaxError) as err:
@@ -151,7 +151,7 @@ class TestParse:
             elaborate(parse_netlist("INPUT a\nCONST a = 0\n"))
 
     def test_custom_catalog(self):
-        xor3 = make_gate("XOR3", 3, (
+        xor3 = make_gate("XOR3", (
             lambda a, b, c: a, lambda a, b, c: b, lambda a, b, c: a ^ b ^ c))
         doc = parse_netlist("INPUT a b c\nGATE XOR3 a b c -> p q r\nOUTPUT p q r\n")
         circuit = elaborate(doc, catalog={"XOR3": xor3})
@@ -233,8 +233,8 @@ class TestElaborate:
         assert str(err.value) == message
 
     def test_document_elaborates_twice(self):
-        doc = parse_netlist(FULL_ADDER)
-        assert elaborate(doc) == elaborate(doc)
+        lines = parse_netlist(FULL_ADDER)
+        assert elaborate(lines) == elaborate(lines)
         bad = parse_netlist("INPUT a b\nGATE FG a b -> p q\nOUTPUT q p q\n")
         for _ in range(2):
             with pytest.raises(NetlistSyntaxError) as err:
@@ -292,6 +292,18 @@ class TestEmit:
         with pytest.raises(ValueError) as err:
             emit_netlist(builder.seal())
         assert str(err.value) == "label 'a b' is not expressible as a wire name"
+
+    @pytest.mark.parametrize("inputs, outputs", [
+        ((1,), (("x", ("in", 0)),)),
+        (("a",), ((1, ("in", 0)),)),
+    ], ids=["input", "output"])
+    def test_label_that_is_not_a_str_rejected(self, inputs, outputs):
+        # A hand-made Circuit checks no labels; emission names the bad one.
+        circuit = Circuit(input_labels=inputs, constants=(), instances=(),
+                          outputs=outputs, garbage=())
+        with pytest.raises(ValueError) as err:
+            emit_netlist(circuit)
+        assert str(err.value) == "label 1 is not expressible as a wire name"
 
     def test_output_label_colliding_with_a_wire_name_rejected(self):
         builder = new_circuit(["a", "b"])
@@ -368,7 +380,7 @@ GARBAGE w0 w1 w3 w4 w7 w8 w11 w12 w21 w23
     @pytest.mark.parametrize("name", ["X Y", "N#1", "X\u00a0Y", "#", " FG"],
                              ids=["space", "hash", "no-break-space", "bare-hash", "padded"])
     def test_gate_name_that_is_not_a_token_rejected(self, name):
-        gate = make_gate(name, 2, (lambda a, b: a, lambda a, b: a ^ b))
+        gate = make_gate(name, (lambda a, b: a, lambda a, b: a ^ b))
         builder = new_circuit(["a", "b"])
         p, q = builder.add_gate(gate, builder.inputs)
         builder.mark_output(q, "q")
@@ -543,7 +555,7 @@ def test_any_inline_whitespace_separates_tokens(circuit, data):
     spaced = pieces[0] + "".join(
         sep + piece for sep, piece in zip(separators, pieces[1:]))
     def token_lines(text):
-        return [(line.line_no, line.tokens) for line in parse_netlist(text).lines]
+        return [(line.line_no, line.tokens) for line in parse_netlist(text)]
 
     assert token_lines(spaced) == token_lines(text)
 

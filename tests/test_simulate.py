@@ -63,20 +63,20 @@ def check_matches_reference(circuit, values) -> None:
     assert "simulate" not in vars(circuit)
 
 
-NOT = make_gate("NOT", 1, [lambda a: a ^ 1])
+NOT = make_gate("NOT", [lambda a: a ^ 1])
 # A 5-input Toffoli and a 6-input gate that rotates its pins and flips
 # the last one under three controls: arities no catalog gate has.
-TOFFOLI5 = make_gate("T5", 5, [lambda a, b, c, d, e: a,
-                               lambda a, b, c, d, e: b,
-                               lambda a, b, c, d, e: c,
-                               lambda a, b, c, d, e: d,
-                               lambda a, b, c, d, e: e ^ (a & b & c & d)])
-ROT6 = make_gate("ROT6", 6, [lambda a, b, c, d, e, f: b,
-                             lambda a, b, c, d, e, f: c,
-                             lambda a, b, c, d, e, f: d,
-                             lambda a, b, c, d, e, f: e,
-                             lambda a, b, c, d, e, f: f ^ (a & b & c),
-                             lambda a, b, c, d, e, f: a])
+TOFFOLI5 = make_gate("T5", [lambda a, b, c, d, e: a,
+                            lambda a, b, c, d, e: b,
+                            lambda a, b, c, d, e: c,
+                            lambda a, b, c, d, e: d,
+                            lambda a, b, c, d, e: e ^ (a & b & c & d)])
+ROT6 = make_gate("ROT6", [lambda a, b, c, d, e, f: b,
+                          lambda a, b, c, d, e, f: c,
+                          lambda a, b, c, d, e, f: d,
+                          lambda a, b, c, d, e, f: e,
+                          lambda a, b, c, d, e, f: f ^ (a & b & c),
+                          lambda a, b, c, d, e, f: a])
 
 
 def build_custom_circuit():
@@ -215,7 +215,7 @@ class TestCompiledTier:
     def test_source_holds_only_generated_names(self):
         hostile = ["x); import os; (", "__import__('os').system('false')",
                    "a\nraise SystemExit(3)", "R0", "v0", "i1", "kernel"]
-        gate = make_gate(hostile[0], 2, [lambda a, b: a, lambda a, b: a ^ b])
+        gate = make_gate(hostile[0], [lambda a, b: a, lambda a, b: a ^ b])
         builder = new_circuit(hostile[:4])
         lines = list(builder.inputs) + [builder.add_constant(1)]
         lines[0], lines[4] = builder.add_gate(gate, [lines[0], lines[4]])
@@ -301,8 +301,8 @@ class TestTrie:
         # A fresh 10-input rotation, then a Feynman gate. Emission, planes
         # and mapping() read each plan step's gate but never its trie;
         # the first scalar call builds it.
-        rot = make_gate("ROT10", 10, [lambda *bits, k=k: bits[(k + 1) % 10]
-                                      for k in range(10)])
+        rot = make_gate("ROT10", [lambda *bits, k=k: bits[(k + 1) % 10]
+                                   for k in range(10)])
         builder = new_circuit([f"x{i}" for i in range(10)])
         rotated = builder.add_gate(rot, builder.inputs)
         fed = builder.add_gate(catalog_by_name()["FG"], [rotated[0], builder.add_constant(1)])
