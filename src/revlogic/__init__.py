@@ -19,7 +19,6 @@ from .gates import (
     GateDef,
     NotBijective,
     WidthMismatch,
-    builtin_catalog,
     catalog_by_name,
     default_cost_table,
     load_cost_table,
@@ -88,7 +87,6 @@ __all__ = [
     "GateDef",
     "NotBijective",
     "WidthMismatch",
-    "builtin_catalog",
     "catalog_by_name",
     "default_cost_table",
     "load_cost_table",

@@ -46,13 +46,14 @@ from .designs import (
 from .errors import RevLogicError
 from .gates import (
     _CATALOG_DEFS,
+    _PIN_NAMES,
     BitWord,
     CostTableError,
     WidthMismatch,
     load_cost_table,
 )
 from .metrics import MetricsReport, analyze
-from .netlist import Circuit, ValidationFailed, _PIN_NAMES
+from .netlist import Circuit, ValidationFailed
 from .netlist_text import (
     LocatedError,
     decode_netlist,

@@ -23,6 +23,7 @@ that order (NOT tightest, OR loosest).
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -38,6 +39,7 @@ MAX_ARITY = 16
 # `format(...).encode().translate(BIT_BYTES)` iterates as 0/1 ints.
 BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_PIN_NAMES = ("P", "Q", "R", "S", *(f"pin{k}" for k in range(4, MAX_ARITY)))
 
 
 class NotBijective(RevLogicError):
@@ -97,6 +99,8 @@ class BitWord(tuple):
 
     @classmethod
     def from_int(cls, value: int, width: int) -> BitWord:
+        if not (isinstance(value, int) and isinstance(width, int)):
+            raise ValueError(f"value {value!r} and width {width!r} must be ints")
         if width < 0:
             raise ValueError("width must be nonnegative")
         if not 0 <= value < (1 << width):
@@ -244,14 +248,23 @@ def make_gate(name: str, outputs: Sequence[Callable[..., int]]) -> GateDef:
     The gate's arity is `len(outputs)`. Each entry of `outputs` is a
     callable taking that many bit arguments (the inputs A, B, ... in
     order) and returning the corresponding output bit: anything equal to
-    0 or 1, stored as the int, as in `BitWord`. The expressions are
-    evaluated over all 2^arity input words; construction fails with
-    NotBijective if the resulting rows are not a permutation. The gate
-    carries no cost; see `GateDef`.
+    0 or 1, stored as the int, as in `BitWord`. A callable that cannot
+    take `arity` positional bits fails with BadArity before any call.
+    The expressions are evaluated over all 2^arity input words;
+    construction fails with NotBijective if the resulting rows are not
+    a permutation. The gate carries no cost; see `GateDef`.
     """
     arity = len(outputs)
     if not 1 <= arity <= MAX_ARITY:
         raise BadArity(f"arity must be in [1, {MAX_ARITY}], got {arity}")
+    for pin, fn in enumerate(outputs):
+        try:
+            inspect.signature(fn).bind(*[0] * arity)
+        except ValueError:
+            pass  # No signature to read (some builtins): the first call checks.
+        except TypeError:
+            raise BadArity(f"gate {name!r}: output {_PIN_NAMES[pin]} "
+                           f"cannot take {arity} positional bits") from None
     rows = []
     for ins in product((0, 1), repeat=arity):
         out = 0
@@ -299,15 +312,6 @@ def _pin_function(formula: str) -> Callable[..., int]:
 def _catalog() -> tuple[GateDef, ...]:
     return tuple(make_gate(name, [_pin_function(f) for f in fml])
                  for name, fml in _CATALOG_DEFS)
-
-
-def builtin_catalog() -> list[GateDef]:
-    """The built-in gate catalog: FG, FRG, TG, NG, PG, HNG, SCL.
-
-    The packaged default cost table prices every one of them; see
-    `default_cost_table` for provenance caveats.
-    """
-    return list(_catalog())
 
 
 def catalog_by_name() -> dict[str, GateDef]:

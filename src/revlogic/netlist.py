@@ -65,7 +65,7 @@ from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RevLogicError
-from .gates import BIT_BYTES, BitWord, GateDef, WidthMismatch
+from .gates import BIT_BYTES, BitWord, GateDef, WidthMismatch, _PIN_NAMES
 
 # Exhaustive enumeration is capped here; 2^20 evaluations stay cheap.
 ENUMERATION_LIMIT = 20
@@ -85,8 +85,6 @@ COMPILE_AFTER = 128
 # Words whose bits came from the circuit's own tables and planes are
 # built without `BitWord`'s check.
 _unchecked = BitWord._unchecked
-
-_PIN_NAMES = "PQRS"
 
 
 class DuplicateLabel(RevLogicError):
@@ -216,8 +214,7 @@ class CircuitBuilder:
             return f"constant #{source[1]}"
         _, idx, pin = source
         gate = self._instances[idx].gate
-        pin_name = _PIN_NAMES[pin] if pin < len(_PIN_NAMES) else f"pin{pin}"
-        return f"{gate.name}#{idx} output {pin_name}"
+        return f"{gate.name}#{idx} output {_PIN_NAMES[pin]}"
 
     def add_constant(self, value: int) -> Wire:
         """Add a constant input line fixed at 0 or 1; returns its wire."""

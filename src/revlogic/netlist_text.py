@@ -11,13 +11,14 @@ whitespace-separated):
 
 Wire names match ``[A-Za-z_][A-Za-z0-9_]*`` and must be unique. Every
 name must be declared (by INPUT, CONST, or a GATE output list) before it
-is used, which makes feedback impossible to express.
+is used, which makes feedback impossible to express. A GATE names a gate
+of the built-in catalog, the format's only gate table.
 
 `decode_netlist` turns file bytes into text (a byte that is not UTF-8
 is a located error), `parse_netlist` splits text into a tuple of token
 lines, `elaborate` checks those lines and drives the circuit builder to
-a sealed `Circuit`, and `emit_netlist` renders a circuit back to text
-such that re-elaborating reproduces its behavior and metrics exactly.
+a sealed `Circuit`, and `emit_netlist` renders a circuit of catalog
+gates back to text that elaborates to the same behavior and metrics.
 Emission names one wire per slot of the circuit's plan, generating the
 names it needs in slot order; parsed lines are never written, as
 `elaborate` reads their tokens by index.
@@ -31,10 +32,9 @@ from __future__ import annotations
 
 import re
 from itertools import count, filterfalse, islice
-from typing import Mapping
 
 from .errors import RevLogicError, _utf8_position
-from .gates import GateDef, catalog_by_name
+from .gates import catalog_by_name
 from .netlist import (
     ArityMismatch,
     Circuit,
@@ -166,9 +166,7 @@ def parse_netlist(text: str) -> tuple[_Line, ...]:
     return tuple(line for line in lines if line.tokens)
 
 
-def elaborate(
-    lines: tuple[_Line, ...], catalog: Mapping[str, GateDef] | None = None
-) -> Circuit:
+def elaborate(lines: tuple[_Line, ...]) -> Circuit:
     """Check parsed lines, then build and seal the circuit they describe.
 
     The builder takes every input at once, so a first pass checks each
@@ -176,14 +174,13 @@ def elaborate(
     that some INPUT line exists. The second walks the lines (and an
     OUTPUT or GARBAGE line's names) in order, raising at the first
     defect: a malformed statement, bad or repeated name, use before
-    declaration or unknown gate as a located error, a fan-out or arity
-    error as the netlist module's type with ``line N: `` prepended.
-    Dangling wires fail sealing, their names listed. `catalog` defaults
-    to the built-in gate catalog. Nothing is written to the lines, so
-    they can be elaborated again, or from several threads at once.
+    declaration or gate not in the built-in catalog as a located error,
+    a fan-out or arity error as the netlist module's type with ``line
+    N: `` prepended. Dangling wires fail sealing, their names listed.
+    Nothing is written to the lines, so they can be elaborated again,
+    or from several threads at once.
     """
-    if catalog is None:
-        catalog = catalog_by_name()
+    catalog = catalog_by_name()
     labels: dict[str, None] = {}
     for line in lines:
         keyword = line.tokens[0]
@@ -270,9 +267,9 @@ def emit_netlist(circuit: Circuit) -> str:
     so the OUTPUT line reads naturally, and every other slot, in slot
     order, a generated name: c0, c1, ... for constants and w0, w1, ...
     for gate outputs, skipping names already in use. Circuits whose
-    labels cannot serve as wire names, whose gate names are not single
-    tokens free of `#`, or that relabel an input as an output cannot be
-    expressed and raise ValueError.
+    labels cannot serve as wire names, that use a gate other than the
+    built-in catalog's gate of its name, or that relabel an input as an
+    output cannot be expressed and raise ValueError.
     """
     for label in circuit.input_labels + circuit.output_labels:
         if not isinstance(label, str) or not NAME_RE.fullmatch(label):
@@ -304,9 +301,10 @@ def emit_netlist(circuit: Circuit) -> str:
     lines = ["INPUT " + " ".join(circuit.input_labels)]
     lines += [f"CONST {name} = {bit}"
               for name, bit in zip(names[width:first_pin], plan.fill)]
+    catalog = catalog_by_name()
     for gate, in_slots, lo, hi in plan.steps:
-        if gate.name.split() != [gate.name] or "#" in gate.name:
-            raise ValueError(f"gate name {gate.name!r} is not expressible as a token")
+        if catalog.get(gate.name) != gate:
+            raise ValueError(f"gate {gate.name!r} is not a built-in catalog gate")
         ins = " ".join([names[s] for s in in_slots])
         lines.append(f"GATE {gate.name} {ins} -> {' '.join(names[lo:hi])}")
     if plan.outputs:

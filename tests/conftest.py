@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from revlogic.gates import GateDef, builtin_catalog
+from revlogic.gates import GateDef, catalog_by_name
 from revlogic.netlist import Circuit, CircuitBuilder, Wire, new_circuit
 
 
@@ -23,7 +23,7 @@ def circuit_plans(draw):
     n_consts = draw(st.integers(min_value=0, max_value=3))
     const_bits = [draw(st.integers(0, 1)) for _ in range(n_consts)]
     pool_size = n_inputs + n_consts
-    usable = [g for g in builtin_catalog() if g.arity <= pool_size]
+    usable = [g for g in catalog_by_name().values() if g.arity <= pool_size]
     placements: list[tuple] = []
     if usable:
         for _ in range(draw(st.integers(min_value=0, max_value=6))):

@@ -21,7 +21,7 @@ from revlogic import cli
 from revlogic.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from revlogic.designs import build_bcd_adder_digit
 from revlogic.errors import RevLogicError
-from revlogic.gates import BitWord, builtin_catalog, catalog_by_name, parse_cost_table
+from revlogic.gates import BitWord, catalog_by_name, parse_cost_table
 from revlogic.metrics import analyze
 from revlogic.netlist import new_circuit
 from revlogic.netlist_text import (
@@ -351,7 +351,7 @@ class TestUsage:
 # The fuzz alphabet: every keyword and catalog name, the punctuation, a
 # pool of six wire names, a bad name, and separators that `str.split` and
 # `str.splitlines` treat in different ways.
-_FUZZ_GATES = tuple(g.name for g in builtin_catalog())
+_FUZZ_GATES = tuple(g.name for g in catalog_by_name().values())
 _FUZZ_POOL = ("a", "b", "c", "p", "q", "r")
 _FUZZ_WORDS = (*_KEYWORDS, *_FUZZ_GATES, *_FUZZ_POOL, "->", "=", "0", "1", "#", "9b")
 # A space is drawn most often, so that most lines stay whole.

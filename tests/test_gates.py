@@ -24,7 +24,6 @@ from revlogic.gates import (
     WidthMismatch,
     _CATALOG_DEFS,
     _pin_function,
-    builtin_catalog,
     catalog_by_name,
     default_cost_table,
     load_cost_table,
@@ -82,10 +81,19 @@ class TestBitWord:
             assert type(copied) is BitWord and copied == word
 
     def test_value_must_fit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^value 8 does not fit in 3 bits$"):
             BitWord.from_int(8, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^value -1 does not fit in 3 bits$"):
             BitWord.from_int(-1, 3)
+        with pytest.raises(ValueError, match="^width must be nonnegative$"):
+            BitWord.from_int(0, -1)
+
+    @pytest.mark.parametrize("value, width", [(1.0, 1), (1, 1.5), ("1", 1), (1, None)],
+                             ids=["float-value", "float-width", "str-value", "none-width"])
+    def test_from_int_needs_ints(self, value, width):
+        with pytest.raises(ValueError) as err:
+            BitWord.from_int(value, width)
+        assert str(err.value) == f"value {value!r} and width {width!r} must be ints"
 
     def test_zero_width(self):
         empty = BitWord(())
@@ -175,6 +183,32 @@ class TestMakeGate:
             make_gate("BAD", [lambda *bits: bits[0]] * arity)
         assert str(err.value) == f"arity must be in [1, 16], got {arity}"
 
+    @pytest.mark.parametrize("outputs, pin, arity", [
+        ((lambda a, b: a,), "P", 1),
+        ((lambda a: a, lambda a: a), "P", 2),
+        ((lambda a, b: a, lambda a: a), "Q", 2),
+        ((lambda a, b: a, lambda a, b, *, c: a ^ b), "Q", 2),
+        ([lambda a, b, c, d, e: a] * 4 + [lambda a, b, c, d: a], "pin4", 5),
+        ((lambda a, b: a, 5), "Q", 2),
+    ], ids=["too-few-callables", "too-many-callables", "second-pin", "keyword-only",
+            "fifth-pin", "not-callable"])
+    def test_callable_that_cannot_take_the_bits(self, outputs, pin, arity):
+        with pytest.raises(BadArity) as err:
+            make_gate("BAD", outputs)
+        assert str(err.value) == \
+            f"gate 'BAD': output {pin} cannot take {arity} positional bits"
+
+    def test_callables_of_any_signature_that_takes_the_bits(self):
+        # `*bits`, defaults and callables without a readable signature all
+        # work; an error inside an expression surfaces as itself.
+        rot = make_gate("ROT3", [lambda *bits, k=k: bits[(k + 1) % 3] for k in range(3)])
+        assert rot.rows == tuple((v << 1 | v >> 2) & 7 for v in range(8))
+        assert make_gate("FG", [lambda a, b=0: a, int.__xor__]).rows == (0, 1, 3, 2)
+        with pytest.raises(NotBijective):  # `max` has no signature to read
+            make_gate("OR", [max, max])
+        with pytest.raises(TypeError, match="unsupported operand"):
+            make_gate("E", [lambda a: a + "x"])
+
     def test_rejects_non_bit_result(self):
         with pytest.raises(ValueError):
             make_gate("BAD", (lambda a: 2 * a + 1,))
@@ -189,14 +223,14 @@ class TestMakeGate:
 
 class TestCatalog:
     def test_names_and_arities(self):
-        gates = builtin_catalog()
+        gates = catalog_by_name().values()
         assert [(g.name, g.arity) for g in gates] == [
             ("FG", 2), ("FRG", 3), ("TG", 3), ("NG", 3),
             ("PG", 3), ("HNG", 4), ("SCL", 4),
         ]
 
     def test_all_bijective(self):
-        for gate in builtin_catalog():
+        for gate in catalog_by_name().values():
             assert sorted(gate.rows) == list(range(1 << gate.arity)), gate.name
 
     def test_fg_is_xor(self):
@@ -313,7 +347,7 @@ class TestApplyAndInverse:
             fg.apply(BitWord((1, 0, 1)))
 
     def test_inverse_round_trip_all_gates(self):
-        for gate in builtin_catalog():
+        for gate in catalog_by_name().values():
             inv = gate.inverse()
             for value in range(1 << gate.arity):
                 word = BitWord.from_int(value, gate.arity)
@@ -418,7 +452,7 @@ class TestCostTable:
 
     def test_default_covers_catalog(self):
         costs = default_cost_table()
-        for gate in builtin_catalog():
+        for gate in catalog_by_name().values():
             assert gate.name in costs
 
     def test_default_literature_values(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sealed_circuits
+from conftest import random_gates, sealed_circuits
 from revlogic.designs import (
     build_bcd_adder_digit,
     build_bcd_adder_n,
@@ -17,7 +17,7 @@ from revlogic.designs import (
     build_full_adder,
     build_ripple_adder4,
 )
-from revlogic.gates import catalog_by_name, make_gate
+from revlogic.gates import GateDef, catalog_by_name, make_gate
 from revlogic.metrics import analyze
 from revlogic.netlist import (
     ArityMismatch,
@@ -151,14 +151,12 @@ class TestParse:
             elaborate(parse_netlist("INPUT a\nCONST a = 0\n"))
 
     def test_custom_catalog(self):
-        xor3 = make_gate("XOR3", (
-            lambda a, b, c: a, lambda a, b, c: b, lambda a, b, c: a ^ b ^ c))
+        # The built-in catalog is the format's only gate table, so a gate
+        # it lacks, such as a `make_gate` XOR3, is unknown.
         doc = parse_netlist("INPUT a b c\nGATE XOR3 a b c -> p q r\nOUTPUT p q r\n")
-        circuit = elaborate(doc, catalog={"XOR3": xor3})
-        assert len(circuit.instances) == 1
-        with pytest.raises(UnknownGateName):
-            elaborate(parse_netlist("INPUT a b\nGATE FG a b -> p q\n"),
-                      catalog={"XOR3": xor3})
+        with pytest.raises(UnknownGateName) as err:
+            elaborate(doc)
+        assert str(err.value) == "line 2, column 6: unknown gate 'XOR3'"
 
 
 class TestElaborate:
@@ -387,7 +385,37 @@ GARBAGE w0 w1 w3 w4 w7 w8 w11 w12 w21 w23
         builder.mark_garbage(p)
         with pytest.raises(ValueError) as err:
             emit_netlist(builder.seal())
-        assert str(err.value) == f"gate name {name!r} is not expressible as a token"
+        assert str(err.value) == f"gate {name!r} is not a built-in catalog gate"
+
+    @pytest.mark.parametrize("gate", [
+        GateDef("FG", (1, 0, 2, 3)),
+        make_gate("XOR", (lambda a, b: a, lambda a, b: a ^ b)),
+    ], ids=["impostor-FG", "make_gate-XOR"])
+    def test_gate_not_in_catalog_rejected(self, gate):
+        # Either would be written as text that reads back as another
+        # circuit (the catalog FG) or not at all (no gate XOR).
+        builder = new_circuit(["a", "b"])
+        fed = builder.add_gate(catalog_by_name()["TG"],
+                               [*builder.inputs, builder.add_constant(0)])
+        p, q = builder.add_gate(gate, fed[:2])
+        for k, wire in enumerate((p, q, fed[2])):
+            builder.mark_output(wire, f"y{k}")
+        with pytest.raises(ValueError) as err:
+            emit_netlist(builder.seal())
+        assert str(err.value) == f"gate {gate.name!r} is not a built-in catalog gate"
+
+    def test_gate_equal_to_a_catalog_gate_emits(self):
+        # Gates are compared by value: a gate rebuilt with the catalog FG's
+        # name and rows is the catalog FG.
+        fg = GateDef("FG", catalog_by_name()["FG"].rows)
+        builder = new_circuit(["a", "b"])
+        p, q = builder.add_gate(fg, builder.inputs)
+        builder.mark_output(p, "p")
+        builder.mark_output(q, "q")
+        circuit = builder.seal()
+        text = emit_netlist(circuit)
+        assert text == "INPUT a b\nGATE FG a b -> p q\nOUTPUT p q\n"
+        assert elaborate(parse_netlist(text)).mapping() == circuit.mapping()
 
 
 # Every parse diagnostic, pinned to its exception type and exact text.
@@ -527,6 +555,42 @@ def test_emit_parse_elaborate_round_trips(circuit):
     assert rebuilt.output_labels == circuit.output_labels
     assert analyze(rebuilt) == analyze(circuit)
     assert rebuilt.mapping() == circuit.mapping()
+
+
+_CATALOG = catalog_by_name()
+# A catalog gate, or a gate of random rows named "R" or after a catalog
+# gate it may not equal.
+_MIXED_GATES = st.one_of(
+    st.sampled_from(list(_CATALOG.values())),
+    st.tuples(random_gates(), st.sampled_from(["R", *_CATALOG])).map(
+        lambda drawn: GateDef(drawn[1], drawn[0].rows)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_MIXED_GATES, max_size=5), st.data())
+def test_emit_accepts_only_what_reads_back(gates, data):
+    # Catalog gates mixed with gates of random rows: emission refuses the
+    # first gate that is not the catalog's gate of its name, and any text
+    # it does write elaborates to the same mapping.
+    width = max([1, *(gate.arity for gate in gates)])
+    builder = new_circuit([f"i{k}" for k in range(width)])
+    pool = list(builder.inputs)
+    for gate in gates:
+        picks = data.draw(st.permutations(range(width)))[:gate.arity]
+        for k, wire in zip(picks, builder.add_gate(gate, [pool[k] for k in picks])):
+            pool[k] = wire
+    for k, wire in enumerate(pool):
+        builder.mark_output(wire, f"i{k}" if wire is builder.inputs[k] else f"o{k}")
+    circuit = builder.seal()
+    impostors = [gate for gate in gates if _CATALOG.get(gate.name) != gate]
+    if impostors:
+        with pytest.raises(ValueError) as err:
+            emit_netlist(circuit)
+        assert str(err.value) == \
+            f"gate {impostors[0].name!r} is not a built-in catalog gate"
+        return
+    assert elaborate(parse_netlist(emit_netlist(circuit))).mapping() == circuit.mapping()
 
 
 @settings(max_examples=150, deadline=None)

@@ -25,7 +25,7 @@ from revlogic.designs import (
     oracle_bcd_add_number,
     verify_bcd_adder,
 )
-from revlogic.gates import BitWord, builtin_catalog
+from revlogic.gates import BitWord, catalog_by_name
 from revlogic.netlist import Circuit, WidthMismatch, tile
 from test_simulate import build_custom_circuit
 
@@ -102,7 +102,7 @@ class TestMapping:
 # The term-by-term evaluation shares no code with the Möbius transform.
 @given(random_gates())
 def test_anf_reproduces_every_catalog_table(drawn):
-    for gate in [*builtin_catalog(), drawn]:
+    for gate in [*catalog_by_name().values(), drawn]:
         for word in range(len(gate.rows)):
             ins = [(word >> (gate.arity - 1 - p)) & 1 for p in range(gate.arity)]
             out = 0

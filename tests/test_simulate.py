@@ -298,9 +298,10 @@ class TestTrie:
         assert circuit._kernel is not None
 
     def test_only_scalar_simulate_builds_a_trie(self):
-        # A fresh 10-input rotation, then a Feynman gate. Emission, planes
-        # and mapping() read each plan step's gate but never its trie;
-        # the first scalar call builds it.
+        # A fresh 10-input rotation, then a Feynman gate. Emission (which
+        # refuses the rotation, a gate the text cannot name), planes and
+        # mapping() read each plan step's gate but never its trie; the
+        # first scalar call builds it.
         rot = make_gate("ROT10", [lambda *bits, k=k: bits[(k + 1) % 10]
                                    for k in range(10)])
         builder = new_circuit([f"x{i}" for i in range(10)])
@@ -312,7 +313,8 @@ class TestTrie:
         for (step_gate, _, _, _), inst in zip(circuit._plan.steps, circuit.instances,
                                               strict=True):
             assert step_gate is inst.gate
-        emit_netlist(circuit)
+        with pytest.raises(ValueError, match="'ROT10' is not a built-in catalog gate"):
+            emit_netlist(circuit)
         circuit.simulate_planes([0b01] * 5 + [0b10] * 5, 2)
         table = circuit.mapping()
         assert "trie" not in vars(rot)
