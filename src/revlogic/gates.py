@@ -111,6 +111,8 @@ class BitWord(tuple):
 
     @classmethod
     def from_string(cls, text: str) -> BitWord:
+        if not isinstance(text, str):
+            raise ValueError(f"bitstring {text!r} must be a str")
         if not all(ch in "01" for ch in text):
             raise ValueError(f"bitstring may contain only 0 and 1: {text!r}")
         return cls._unchecked(text.encode().translate(BIT_BYTES))
@@ -169,6 +171,8 @@ class GateDef:
                 raise ValueError(f"gate {self.name!r}: row {i} is {out!r}, not an int")
             if not 0 <= out < size:
                 raise ValueError(f"output word {out} does not fit in {arity} bits")
+        # Stored as plain ints: a `bool` row equals and hashes as its int.
+        rows = tuple(map(int, rows))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "arity", arity)
         if len(set(rows)) != size:
@@ -216,8 +220,12 @@ class GateDef:
             nodes = list(zip(nodes[::2], nodes[1::2]))
         return nodes[0]
 
-    def apply(self, word: BitWord) -> BitWord:
-        """Map an input word through the gate's rows."""
+    def apply(self, word: Iterable) -> BitWord:
+        """Map an input word, or any sequence of bits, through the gate's rows.
+
+        The bits are checked as `BitWord` checks them.
+        """
+        word = BitWord(word)
         if word.width != self.arity:
             raise WidthMismatch(
                 f"gate {self.name} expects {self.arity} bits, got {word.width}"

@@ -33,16 +33,18 @@ names one wire per slot. `simulate` is the scalar reference, in two
 tiers that read one table, `GateDef.trie`: the truth table as nested
 tuples, one input bit per level, so no key tuple is built or hashed.
 Only these tiers build a trie. A circuit's first calls are
-interpreted: for one input word, each gate walks its trie one input
-slot at a time and stores the leaf, its output bits, into its
-contiguous pins with one slice assignment. On its `COMPILE_AFTER`th
+interpreted: for one input word, a value list starts as the inputs and
+constants, and each gate walks its trie one input slot at a time and
+appends the leaf, its output bits. A gate's pins are the next slots in
+the layout, so the bits land on them. The walk, each gate's trie with
+its input slots, is built on the first such call. On its `COMPILE_AFTER`th
 call a circuit compiles: it generates, `exec`s and caches one
 straight-line Python function with a local per slot, with no loop or
 store between gates, in which each gate's walk is one indexing
 expression (compiled-code simulation, as in Barzilai et al., "HSS -- A
 High-Speed Simulator", IEEE TCAD 1987).
-Compiling costs tens of interpreted calls, so a circuit simulated only
-a few times never pays for it. Every bit either tier returns is an
+Compiling costs 50 to 150 interpreted calls, so a circuit simulated
+only a few times never pays for it. Every bit either tier returns is an
 input bit, a constant or a table row's, all ints known to be 0 or 1, so
 the result words skip `BitWord`'s check.
 `simulate_planes` is the bit-parallel kernel, checked against
@@ -71,7 +73,7 @@ from .gates import BIT_BYTES, BitWord, GateDef, WidthMismatch, _PIN_NAMES
 ENUMERATION_LIMIT = 20
 
 # The call on which `simulate` compiles a circuit's kernel; the calls
-# before it are interpreted. Compiling costs as much as 55 to 120
+# before it are interpreted. Compiling costs as much as 50 to 150
 # interpreted calls on the circuits measured (the 1- and 4-digit adders
 # and random 100- and 1000-gate circuits; CPython 3.11.7). As in ski
 # rental, waiting until the calls already made cost more than a compile
@@ -116,9 +118,11 @@ class ValidationFailed(RevLogicError):
 Source = tuple
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One placed gate: its definition plus the sources feeding its pins."""
+class Instance(NamedTuple):
+    """One placed gate: its definition plus the sources feeding its pins.
+
+    It is the plain tuple `(gate, sources)` with names, and equals it.
+    """
 
     gate: GateDef
     sources: tuple[Source, ...]
@@ -193,17 +197,16 @@ class CircuitBuilder:
         if self._sealed:
             raise ValueError("builder already sealed")
 
-    def _free(self, wires: Iterable[Wire]) -> None:
-        """Check that each wire was issued here and is not yet consumed."""
-        for wire in wires:
-            try:
-                issued = wire in self._wires
-            except TypeError:  # unhashable, so never issued
-                issued = False
-            if not issued:
-                raise ValueError("wire was not issued by this builder")
-            if wire._consumed:
-                raise FanOutViolation(f"{self.describe(wire.source)} is already consumed")
+    def _free(self, wire: Wire) -> None:
+        """Check that the wire was issued here and is not yet consumed."""
+        try:
+            issued = wire in self._wires
+        except TypeError:  # unhashable, so never issued
+            issued = False
+        if not issued:
+            raise ValueError("wire was not issued by this builder")
+        if wire._consumed:
+            raise FanOutViolation(f"{self.describe(wire.source)} is already consumed")
 
     def describe(self, source: Source) -> str:
         """Human-readable name for a wire source, used in diagnostics."""
@@ -229,25 +232,44 @@ class CircuitBuilder:
 
         Output wires come back in pin order (P, Q, ...). All fan-out
         checks happen before anything is consumed, so a failed call
-        leaves the builder unchanged.
+        leaves the builder unchanged. The checks are `_check_open`'s and
+        `_free`'s, written out here since every gate of every circuit
+        passes them.
         """
-        self._check_open()
+        if self._sealed:
+            raise ValueError("builder already sealed")
         wires = list(inputs)
         arity = gate.arity
         if len(wires) != arity:
             raise ArityMismatch(
                 f"gate {gate.name} has arity {arity}, got {len(wires)} wires"
             )
-        self._free(wires)
+        issued = self._wires
+        for wire in wires:
+            try:
+                known = wire in issued
+            except TypeError:  # unhashable, so never issued
+                known = False
+            if not known:
+                raise ValueError("wire was not issued by this builder")
+            if wire._consumed:
+                raise FanOutViolation(f"{self.describe(wire.source)} is already consumed")
         if len(set(map(id, wires))) != arity:
             raise FanOutViolation(
                 f"gate {gate.name}: the same wire was passed to two pins"
             )
+        sources = []
         for wire in wires:
             wire._consumed = True
+            sources.append(wire.source)
         idx = len(self._instances)
-        self._instances.append(Instance(gate, tuple([w.source for w in wires])))
-        return self._issue([("gate", idx, pin) for pin in range(arity)])
+        self._instances.append(Instance(gate, tuple(sources)))
+        outputs = []
+        for pin in range(arity):
+            wire = Wire(("gate", idx, pin), self)
+            issued[wire] = None
+            outputs.append(wire)
+        return tuple(outputs)
 
     def mark_output(self, wire: Wire, label: str) -> None:
         """Consume a wire as the primary output named `label`."""
@@ -258,14 +280,14 @@ class CircuitBuilder:
             raise ValueError(f"bad output label {label!r}")
         if label in self._outputs:
             raise DuplicateLabel(f"duplicate output label {label!r}")
-        self._free((wire,))
+        self._free(wire)
         wire._consumed = True
         self._outputs[label] = wire.source
 
     def mark_garbage(self, wire: Wire) -> None:
         """Consume a wire as an explicit garbage output."""
         self._check_open()
-        self._free((wire,))
+        self._free(wire)
         wire._consumed = True
         self._garbage.append(wire.source)
 
@@ -280,7 +302,7 @@ class CircuitBuilder:
         violations: list[str] = []
 
         for wire in self._wires:
-            if not wire.consumed:
+            if not wire._consumed:
                 violations.append(f"dangling wire: {self.describe(wire.source)}")
 
         lines_in = len(self.input_labels) + len(self._constants)
@@ -313,19 +335,19 @@ class _Plan(NamedTuple):
     """A circuit's flat slot layout, the one every evaluator and emission read.
 
     Slots hold the inputs, then the constants, then each instance's
-    output pins, contiguous per instance. `steps` has one
+    output pins, contiguous per instance, `size` in all. `steps` has one
     `(gate, in_slots, lo, hi)` per instance, in order: its `GateDef`,
     its input slots in pin order, and its output slots `lo` to `hi`.
     `outputs` and `garbage` are the slots of the output and garbage
-    wires, in marking order. `fill` is what follows the inputs in a
-    fresh value array: the constants as the ints 0 and 1, then a zero
-    per gate pin.
+    wires, in marking order. `fill` is what follows the inputs before
+    the first gate runs: the constants as the ints 0 and 1.
     """
 
     steps: tuple[tuple[GateDef, tuple[int, ...], int, int], ...]
     outputs: tuple[int, ...]
     garbage: tuple[int, ...]
     fill: tuple[int, ...]
+    size: int
 
 
 @dataclass(frozen=True)
@@ -374,7 +396,12 @@ class Circuit:
         # scalar tiers, the planes and emission read it from `fill`.
         fill = tuple(1 if c else 0 for c in self.constants)
         return _Plan(tuple(steps), slots(s for _, s in self.outputs),
-                     slots(self.garbage), fill + (0,) * (lo - len(fill) - self.width))
+                     slots(self.garbage), fill, lo)
+
+    @cached_property
+    def _walk(self) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+        # The interpreted tier's steps: each gate's trie and input slots.
+        return tuple([(gate.trie, in_slots) for gate, in_slots, _, _ in self._plan.steps])
 
     # Scalar tier state, set by `simulate` and not dataclass fields: the
     # calls interpreted so far, then the compiled kernel.
@@ -399,11 +426,12 @@ class Circuit:
                 object.__setattr__(self, "_interpreted", calls)
                 plan = self._plan
                 values = [*inputs, *plan.fill]
-                for gate, in_slots, lo, hi in plan.steps:
-                    node = gate.trie
+                for node, in_slots in self._walk:
                     for slot in in_slots:
                         node = node[values[slot]]
-                    values[lo:hi] = node
+                    # A gate's pins are the next slots, so the leaf's bits
+                    # append onto them.
+                    values += node
                 return (_unchecked([values[s] for s in plan.outputs]),
                         _unchecked([values[s] for s in plan.garbage]))
             source, namespace = self._kernel_source()
@@ -414,9 +442,10 @@ class Circuit:
         return _unchecked(outputs), _unchecked(garbage)
 
     def __getstate__(self) -> dict:
-        # The plan is derived from the fields, and the kernel is generated
-        # code, which pickle cannot write; a copy rebuilds both.
-        return {k: v for k, v in vars(self).items() if k not in ("_plan", "_kernel")}
+        # The plan and walk are derived from the fields, and the kernel is
+        # generated code, which pickle cannot write; a copy rebuilds them.
+        return {k: v for k, v in vars(self).items()
+                if k not in ("_plan", "_walk", "_kernel")}
 
     def _kernel_source(self) -> tuple[str, dict[str, tuple]]:
         """The plan as one straight-line function `kernel`, and its globals.
@@ -429,9 +458,8 @@ class Circuit:
         of a 3-input circuit, say, becomes `v3, v4 = R0[v0][v2]`.
         """
         plan = self._plan
-        constants = len(self.constants)
-        names = [f"v{slot}" for slot in range(self.width + len(plan.fill))]
-        names[self.width : self.width + constants] = map(str, plan.fill[:constants])
+        names = [f"v{slot}" for slot in range(plan.size)]
+        names[self.width : self.width + len(plan.fill)] = map(str, plan.fill)
 
         def listed(slots) -> str:
             # A tuple's items as source text; a single item keeps its comma.
@@ -499,12 +527,13 @@ class Circuit:
         plan = self._plan
         mask = (1 << count) - 1
         values = [*planes, *[mask if bit else 0 for bit in plan.fill]]
-        for gate, in_slots, out_base, _ in plan.steps:
+        for gate, in_slots, _, _ in plan.steps:
             ins = [values[s] for s in in_slots]
             for s in in_slots:
                 # No fan-out: each slot has exactly one reader, so free it.
                 values[s] = 0
-            for pin, monomials in enumerate(gate.anf, start=out_base):
+            # Pins take the next slots in pin order, so each appends.
+            for monomials in gate.anf:
                 acc = 0
                 for monomial in monomials:
                     if monomial:
@@ -514,7 +543,7 @@ class Circuit:
                     else:
                         term = mask
                     acc ^= term
-                values[pin] = acc
+                values.append(acc)
         return [values[s] for s in plan.outputs], [values[s] for s in plan.garbage]
 
 

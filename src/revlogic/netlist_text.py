@@ -277,7 +277,7 @@ def emit_netlist(circuit: Circuit) -> str:
 
     plan = circuit._plan
     width = circuit.width
-    names: list[str | None] = [*circuit.input_labels, *[None] * len(plan.fill)]
+    names: list[str | None] = [*circuit.input_labels, *[None] * (plan.size - width)]
     used = set(circuit.input_labels)
     for label, slot in zip(circuit.output_labels, plan.outputs):
         if slot < width:
@@ -303,7 +303,10 @@ def emit_netlist(circuit: Circuit) -> str:
               for name, bit in zip(names[width:first_pin], plan.fill)]
     catalog = catalog_by_name()
     for gate, in_slots, lo, hi in plan.steps:
-        if catalog.get(gate.name) != gate:
+        # A catalog gate is the catalog's own object, so most steps pass
+        # on identity without comparing rows.
+        known = catalog.get(gate.name)
+        if known is not gate and known != gate:
             raise ValueError(f"gate {gate.name!r} is not a built-in catalog gate")
         ins = " ".join([names[s] for s in in_slots])
         lines.append(f"GATE {gate.name} {ins} -> {' '.join(names[lo:hi])}")

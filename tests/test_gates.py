@@ -54,6 +54,12 @@ class TestBitWord:
             with pytest.raises(ValueError, match="^bitstring may contain only 0 and 1: "):
                 BitWord.from_string(text)
 
+    @pytest.mark.parametrize("text", [b"01", None, 5, ["0", "1"], ("1",)])
+    def test_from_string_needs_a_str(self, text):
+        with pytest.raises(ValueError) as err:
+            BitWord.from_string(text)
+        assert str(err.value) == f"bitstring {text!r} must be a str"
+
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitWord((0, 2))
@@ -346,6 +352,16 @@ class TestApplyAndInverse:
         with pytest.raises(WidthMismatch):
             fg.apply(BitWord((1, 0, 1)))
 
+    def test_apply_takes_any_bit_sequence(self):
+        fg = catalog_by_name()["FG"]
+        for bits in ((1, 1), [1, 1], (True, 1.0), iter((1, 1)), BitWord((1, 1))):
+            out = fg.apply(bits)
+            assert type(out) is BitWord and out == (1, 0)
+        with pytest.raises(ValueError, match=re.escape("bit values must be 0 or 1, got 2")):
+            fg.apply((0, 2))
+        with pytest.raises(WidthMismatch, match="^gate FG expects 2 bits, got 3$"):
+            fg.apply([1, 0, 1])
+
     def test_inverse_round_trip_all_gates(self):
         for gate in catalog_by_name().values():
             inv = gate.inverse()
@@ -418,6 +434,15 @@ class TestGateDefValidation:
 
     def test_accepts_bool_rows(self):
         assert GateDef("F", (True, False)).apply(BitWord((1,))) == BitWord((0,))
+
+    def test_rows_stored_as_ints(self):
+        gate = GateDef("X", [True, False])
+        assert gate.rows == (1, 0)
+        assert gate == GateDef("X", (1, 0))
+        assert hash(gate) == hash(GateDef("X", (1, 0)))
+        for made in (gate, GateDef("Y", (False, 3, True, 2)), *catalog_by_name().values()):
+            assert type(made.rows) is tuple
+            assert all(type(row) is int for row in made.rows), made
 
 
 class TestCostTable:

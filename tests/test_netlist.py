@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given
 
 from conftest import build_from_plan, circuit_plans
-from revlogic.gates import BitWord, WidthMismatch, catalog_by_name
+from revlogic.gates import BitWord, GateDef, WidthMismatch, catalog_by_name
 from revlogic.netlist import (
     ENUMERATION_LIMIT,
     ArityMismatch,
     DuplicateLabel,
     FanOutViolation,
+    Instance,
     TooWide,
     ValidationFailed,
     Wire,
@@ -130,6 +131,38 @@ class TestAddGate:
         builder = new_circuit(["a", "b"])
         with pytest.raises(ValueError):
             builder.add_gate(fg, [builder.inputs[0], other.inputs[0]])
+
+
+class TestInstance:
+    def test_named_tuple_of_gate_and_sources(self):
+        fg = catalog_by_name()["FG"]
+        sources = (("in", 0), ("const", 0))
+        inst = Instance(fg, sources)
+        assert Instance._fields == ("gate", "sources")
+        assert (inst.gate, inst.sources) == (fg, sources)
+        assert inst == Instance(gate=fg, sources=sources) == (fg, sources)
+        assert inst == Instance(GateDef("FG", fg.rows), tuple(map(tuple, sources)))
+        assert inst != Instance(fg, sources[::-1])
+        assert hash(inst) == hash(Instance(fg, sources)) == hash((fg, sources))
+        assert len({inst, Instance(fg, sources), (fg, sources)}) == 1
+
+    def test_refuses_attribute_writes(self):
+        inst = Instance(catalog_by_name()["FG"], (("in", 0), ("in", 1)))
+        for name in ("gate", "sources", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(inst, name, None)
+        assert inst.sources == (("in", 0), ("in", 1))
+
+    def test_builder_places_instances(self):
+        fg = catalog_by_name()["FG"]
+        builder = new_circuit(["a", "b"])
+        p, q = builder.add_gate(fg, builder.inputs)
+        for wire in builder.add_gate(fg, [q, p]):
+            builder.mark_garbage(wire)
+        first, second = builder.seal().instances
+        assert type(first) is Instance and type(second) is Instance
+        assert first == (fg, (("in", 0), ("in", 1)))
+        assert second == (fg, (("gate", 0, 1), ("gate", 0, 0)))
 
 
 class TestMarks:

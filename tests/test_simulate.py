@@ -3,9 +3,9 @@
 `simulate` has two tiers, and both read each gate's `GateDef.trie`,
 the truth table nested one input bit per level. A circuit's first
 `COMPILE_AFTER - 1` calls walk each gate's trie one input slot at a
-time and slice-store the leaf into its output pins; later calls run a
-compiled straight-line function in which each walk is one indexing
-expression. The reference below walks the instances over a `{source: bit}` dict with
+time and append the leaf, whose bits land on the gate's output pins;
+later calls run a compiled straight-line function in which each walk is
+one indexing expression. The reference below walks the instances over a `{source: bit}` dict with
 `GateDef.apply`, which reads the truth table directly, so neither tier
 shares anything with it but the circuit. Both tiers, `mapping` and
 `BitWord.from_int` build their words without `BitWord`'s check, so
@@ -243,6 +243,50 @@ class TestCompiledTier:
         assert list(namespace) == ["R0", "R1"]
         for idx, inst in enumerate(circuit.instances):
             assert namespace[f"R{idx}"] is inst.gate.trie
+
+
+class TestInterpretedWalk:
+    @settings(max_examples=100)
+    @given(sealed_circuits(), st.data())
+    def test_first_and_later_calls_kernel_and_planes_agree(self, circuit, data):
+        # The first interpreted call builds the walk; the later ones reuse
+        # it. Every word then runs compiled, and once more on planes.
+        words = [BitWord.from_int(value, circuit.width)
+                 for value in range(1 << circuit.width)]
+        start = data.draw(st.integers(0, len(words) - 1))
+        assert "_walk" not in vars(circuit)
+        first = circuit.simulate(words[start])
+        assert "_walk" in vars(circuit)
+        interpreted = [circuit.simulate(word) for word in words]
+        while circuit._interpreted < COMPILE_AFTER - 1:
+            circuit.simulate(words[0])
+        assert circuit._kernel is None
+        compiled = [circuit.simulate(word) for word in words]
+        assert circuit._kernel is not None
+        assert first == interpreted[start]
+        assert interpreted == compiled == circuit.mapping()
+        assert interpreted == [reference_simulate(circuit, word) for word in words]
+
+    def test_walk_reads_the_plan(self):
+        circuit = build_custom_circuit()
+        circuit.simulate(BitWord.from_int(0, 5))
+        plan = circuit._plan
+        assert plan.fill == (1, 0)
+        assert plan.size == 5 + 2 + sum(inst.gate.arity for inst in circuit.instances)
+        assert len(circuit._walk) == len(plan.steps)
+        for (trie, in_slots), (gate, step_slots, _, _) in zip(circuit._walk, plan.steps):
+            assert trie is gate.trie and in_slots == step_slots
+
+    def test_pickled_after_interpreted_calls_drops_the_walk(self):
+        circuit = build_custom_circuit()
+        words = [BitWord.from_int(value, circuit.width) for value in range(32)]
+        results = [circuit.simulate(word) for word in words]
+        assert "_walk" in vars(circuit) and circuit._kernel is None
+        assert {"_plan", "_walk", "_kernel"}.isdisjoint(circuit.__getstate__())
+        copy = pickle.loads(pickle.dumps(circuit))
+        assert copy == circuit and "_walk" not in vars(copy)
+        assert [copy.simulate(word) for word in words] == results
+        assert "_walk" in vars(copy) and copy._kernel is None
 
 
 class TestBitRows:
