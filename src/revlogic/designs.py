@@ -28,10 +28,10 @@ equals the one-digit `oracle_bcd_add` chained on its carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import RevLogicError
-from .gates import BitWord, catalog_by_name
+from .gates import _BIT_TEXT, BitWord, _int_word, catalog_by_name
 from .netlist import Circuit, CircuitBuilder, Wire, new_circuit, tile
 
 
@@ -60,22 +60,26 @@ def oracle_bcd_add(a: int, b: int, cin: int) -> tuple[int, int]:
     return oracle_bcd_add_number(a, b, cin, 1)
 
 
-def _check_digits(digits: int) -> None:
+def _check_operands(a: int, b: int, cin: int, digits: int) -> int:
+    """Check `digits`-digit operands and a carry-in bit; returns the carry-in.
+
+    The digit count is checked as `decode_bcd_result` checks it, and the
+    carry-in as `_bit` checks a bit, with the same messages; they are
+    written out here since every encoded word and every oracle call
+    passes them.
+    """
     if not isinstance(digits, int) or isinstance(digits, bool):
         raise ValueError(f"digits must be an integer, got {digits!r}")
     if digits < 1:
         raise ValueError("digits must be positive")
-
-
-def _check_operands(a: int, b: int, cin: int, digits: int) -> int:
-    """Check `digits`-digit operands and a carry-in bit; returns the carry-in."""
-    _check_digits(digits)
     if not (isinstance(a, int) and isinstance(b, int)):
         raise ValueError(f"operands must be integers, got {a!r} and {b!r}")
     limit = 10**digits
     if not 0 <= a < limit or not 0 <= b < limit:
         raise ValueError(f"operands must be in [0, {limit - 1}]")
-    return _bit("cin", cin)
+    if not isinstance(cin, int) or cin not in (0, 1):
+        raise ValueError(f"cin must be 0 or 1, got {cin!r}")
+    return cin
 
 
 def oracle_bcd_add_number(a: int, b: int, cin: int, digits: int) -> tuple[int, int]:
@@ -279,24 +283,40 @@ def encode_bcd_operands(a: int, b: int, cin: int, digits: int = 1) -> BitWord:
     MSB-first), then b's, then cin.
     """
     _check_operands(a, b, cin, digits)
-    # Read in base 16, a number's decimal digits are its BCD nibbles.
-    word = int(f"{a:0{digits}d}{b:0{digits}d}", 16) << 1 | cin
-    return BitWord.from_int(word, 8 * digits + 1)
+    # Read in base 16, a number's decimal digits are its BCD nibbles; the
+    # shifts pad them, and "%d" writes True as 1.
+    shift = 4 * digits
+    word = (int("%d" % a, 16) << shift | int("%d" % b, 16)) << 1 | cin
+    return _int_word(word, 2 * shift + 1)
 
 
-def decode_bcd_result(outputs: BitWord, digits: int = 1) -> tuple[int, int]:
+def decode_bcd_result(outputs: Iterable, digits: int = 1) -> tuple[int, int]:
     """Unpack an adder's output word into (cout, decimal sum value).
 
     Inverse of the builders' output layout: cout, then sum digits
     MSB-first. Out-of-range nibbles (possible for non-BCD inputs) decode
-    to their binary value so mismatches stay visible.
+    to their binary value so mismatches stay visible. Bits that are not a
+    `BitWord` are checked as `BitWord` checks them.
     """
-    _check_digits(digits)
-    if outputs.width != 4 * digits + 1:
+    if not isinstance(digits, int) or isinstance(digits, bool):
+        raise ValueError(f"digits must be an integer, got {digits!r}")
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    if type(outputs) is not BitWord:
+        outputs = BitWord(outputs)
+    if len(outputs) != 4 * digits + 1:
         raise ValueError(
             f"expected {4 * digits + 1} output bits for {digits} digit(s), "
-            f"got {outputs.width}"
+            f"got {len(outputs)}"
         )
+    # Written in base 16, BCD nibbles are the sum's decimal digits. int()
+    # refuses the text if a nibble is not BCD (a letter) or if it is longer
+    # than CPython's digit limit (4300 by default); both take the loop.
+    text = "%x" % int(bytes(outputs[1:]).translate(_BIT_TEXT), 2)
+    try:
+        return outputs[0], int(text)
+    except ValueError:
+        pass
     value = 0
     for i in range(1, 4 * digits, 4):
         b3, b2, b1, b0 = outputs[i : i + 4]
@@ -325,8 +345,7 @@ class BcdFailure(NamedTuple):
 def _bcd_result_word(cout: int, total: int, digits: int) -> BitWord:
     """The adder output word for a result: cout, then BCD digits MSB-first."""
     # Read in base 16, a number's decimal digits are its BCD nibbles.
-    return BitWord.from_int((cout << 4 * digits) | int(f"{total:0{digits}d}", 16),
-                            4 * digits + 1)
+    return _int_word(cout << 4 * digits | int("%d" % total, 16), 4 * digits + 1)
 
 
 def _digit_planes(run: int, count: int) -> list[int]:

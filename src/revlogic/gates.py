@@ -26,7 +26,7 @@ from __future__ import annotations
 import inspect
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from importlib import resources
 from itertools import compress, product
 from typing import Callable, Iterable, Sequence
@@ -79,15 +79,6 @@ class BitWord(tuple):
                 raise ValueError(f"bit values must be 0 or 1, got {b!r}")
         return tuple.__new__(cls, [1 if b == 1 else 0 for b in bits])
 
-    @classmethod
-    def _unchecked(cls, bits: Iterable[int]) -> BitWord:
-        """The word over `bits`, known to hold only the ints 0 and 1.
-
-        For bits the library made itself, such as truth-table rows and
-        bit planes: it skips `__new__`'s check.
-        """
-        return tuple.__new__(cls, bits)
-
     @property
     def bits(self) -> tuple[int, ...]:
         """The bits as a plain tuple."""
@@ -105,9 +96,7 @@ class BitWord(tuple):
             raise ValueError("width must be nonnegative")
         if not 0 <= value < (1 << width):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        # The leading 1 keeps width 0 (and leading zeros) exact.
-        return cls._unchecked(
-            format(value | 1 << width, "b")[1:].encode().translate(BIT_BYTES))
+        return _int_word(value, width)
 
     @classmethod
     def from_string(cls, text: str) -> BitWord:
@@ -115,7 +104,7 @@ class BitWord(tuple):
             raise ValueError(f"bitstring {text!r} must be a str")
         if not all(ch in "01" for ch in text):
             raise ValueError(f"bitstring may contain only 0 and 1: {text!r}")
-        return cls._unchecked(text.encode().translate(BIT_BYTES))
+        return _unchecked(text.encode().translate(BIT_BYTES))
 
     def to_int(self) -> int:
         return int(str(self) or "0", 2)
@@ -125,6 +114,18 @@ class BitWord(tuple):
 
     def __str__(self) -> str:
         return bytes(self).translate(_BIT_TEXT).decode()
+
+
+# The word over bits known to be the ints 0 and 1, such as truth-table
+# rows and bit planes the library made itself: `tuple.__new__` called from
+# C, with no Python frame and without `__new__`'s check.
+_unchecked = BitWord._unchecked = partial(tuple.__new__, BitWord)
+
+
+def _int_word(value: int, width: int) -> BitWord:
+    """`from_int(value, width)` without its checks, for a value known to fit."""
+    # The leading 1 keeps width 0 (and leading zeros) exact.
+    return _unchecked(format(value | 1 << width, "b")[1:].encode().translate(BIT_BYTES))
 
 
 @cache
@@ -230,7 +231,7 @@ class GateDef:
             raise WidthMismatch(
                 f"gate {self.name} expects {self.arity} bits, got {word.width}"
             )
-        return BitWord.from_int(self.rows[word.to_int()], self.arity)
+        return _int_word(self.rows[word.to_int()], self.arity)
 
     def inverse(self) -> GateDef:
         """The gate computing the inverse permutation.

@@ -45,7 +45,8 @@ expression (compiled-code simulation, as in Barzilai et al., "HSS -- A
 High-Speed Simulator", IEEE TCAD 1987).
 Compiling costs 50 to 150 interpreted calls, so a circuit simulated
 only a few times never pays for it. Every bit either tier returns is an
-input bit, a constant or a table row's, all ints known to be 0 or 1, so
+input bit, a constant or a table row's, all ints known to be 0 or 1 (an
+input that is not a `BitWord` is made one first, which checks it), so
 the result words skip `BitWord`'s check.
 `simulate_planes` is the bit-parallel kernel, checked against
 `simulate`: it takes one Python int per input line, a *plane* whose bit
@@ -408,16 +409,20 @@ class Circuit:
     _interpreted = 0
     _kernel = None
 
-    def simulate(self, inputs: BitWord) -> tuple[BitWord, BitWord]:
-        """Evaluate the circuit; returns (outputs, garbage) as BitWords.
+    def simulate(self, inputs: Iterable) -> tuple[BitWord, BitWord]:
+        """Evaluate the circuit on an input word, or any sequence of bits;
+        returns (outputs, garbage) as BitWords.
 
-        Output and garbage bits appear in marking order, MSB-first. A
-        circuit's first `COMPILE_AFTER - 1` calls are interpreted; the
+        Bits that are not a `BitWord` are checked as `BitWord` checks
+        them. Output and garbage bits appear in marking order, MSB-first.
+        A circuit's first `COMPILE_AFTER - 1` calls are interpreted; the
         next compiles the circuit, and every later call runs compiled.
         """
-        if inputs.width != self.width:
+        if type(inputs) is not BitWord:
+            inputs = BitWord(inputs)
+        if len(inputs) != len(self.input_labels):
             raise WidthMismatch(
-                f"circuit has {self.width} inputs, got a {inputs.width}-bit word"
+                f"circuit has {self.width} inputs, got a {len(inputs)}-bit word"
             )
         kernel = self._kernel
         if kernel is None:

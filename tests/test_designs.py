@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -392,6 +393,40 @@ class TestEncodeDecode:
     def test_decode_width_checked(self):
         with pytest.raises(ValueError):
             decode_bcd_result(BitWord((1, 0, 1)))
+
+    @staticmethod
+    def nibble_decode(outputs: BitWord, digits: int) -> tuple[int, int]:
+        """The sum read nibble by nibble, each at its binary value."""
+        value = 0
+        for i in range(1, 4 * digits, 4):
+            b3, b2, b1, b0 = outputs[i : i + 4]
+            value = value * 10 + 8 * b3 + 4 * b2 + 2 * b1 + b0
+        return outputs[0], value
+
+    # Every 1- and 2-digit output word, non-BCD nibbles included.
+    @pytest.mark.parametrize("digits", [1, 2])
+    def test_decode_equals_nibble_loop_on_every_word(self, digits):
+        width = 4 * digits + 1
+        for value in range(1 << width):
+            outputs = BitWord.from_int(value, width)
+            assert (decode_bcd_result(outputs, digits)
+                    == self.nibble_decode(outputs, digits)), outputs
+
+    # 4400 digits is past CPython's default limit of 4300 for int(str).
+    def test_decode_past_the_int_string_limit(self):
+        digits = 4400
+        assert decode_bcd_result(BitWord((0,) * (4 * digits + 1)), digits) == (0, 0)
+        nines = BitWord((1,) + (1, 0, 0, 1) * digits)
+        assert decode_bcd_result(nines, digits) == (1, 10**digits - 1)
+
+    def test_decode_takes_any_bit_sequence(self):
+        assert decode_bcd_result((0,) * 5) == (0, 0)
+        assert decode_bcd_result([1, 1, 0, 0, 1]) == (1, 9)
+        assert decode_bcd_result((True, False, False, True, True), 1) == (1, 3)
+        with pytest.raises(ValueError, match=re.escape("bit values must be 0 or 1, got '0'")):
+            decode_bcd_result("00000")
+        with pytest.raises(ValueError, match=re.escape("expected 5 output bits for 1 digit(s), got 4")):
+            decode_bcd_result((0,) * 4)
 
 
 class TestReferenceTable:

@@ -203,6 +203,26 @@ class TestCompiledTier:
             circuit.simulate(BitWord((0, 1)))
         assert str(cold.value) == str(hot.value) == "circuit has 9 inputs, got a 2-bit word"
 
+    # Like `GateDef.apply`, `simulate` takes any sequence of bits and
+    # checks it as `BitWord` does, on both tiers.
+    def test_bit_sequences_on_both_tiers(self):
+        circuit = build_bcd_adder_digit()
+        word = encode_bcd_operands(9, 9, 1)
+        want = reference_simulate(circuit, word)
+        for _ in range(COMPILE_AFTER // 4 + 1):
+            assert circuit.simulate(tuple(word)) == want
+            assert circuit.simulate(list(word)) == want
+            assert circuit.simulate([bool(bit) for bit in word]) == want
+            assert circuit.simulate(iter(word)) == want
+            for bad, error, message in [
+                    ("100110011", ValueError, "bit values must be 0 or 1, got '1'"),
+                    ((0,) * 8, WidthMismatch, "circuit has 9 inputs, got a 8-bit word")]:
+                with pytest.raises(error) as raised:
+                    circuit.simulate(bad)
+                assert str(raised.value) == message
+        assert circuit._kernel is not None
+        assert circuit.simulate((0,) * 9) == reference_simulate(circuit, BitWord((0,) * 9))
+
     def test_hot_circuit_pickles_and_recompiles(self):
         circuit = build_correction_stage()
         check_matches_reference(circuit, range(16))
@@ -367,7 +387,8 @@ class TestTrie:
 
 
 def assert_checked(word: BitWord) -> None:
-    """`word` holds what `BitWord`'s own check would have stored."""
+    """`word` is a `BitWord` holding what its own check would have stored."""
+    assert type(word) is BitWord
     assert type(word.bits) is tuple
     assert all(type(bit) is int and bit in (0, 1) for bit in word.bits), word
     assert word == BitWord(tuple(word.bits))
@@ -387,6 +408,11 @@ class TestUncheckedWords:
             returned.extend(pair)
         for word in returned:
             assert_checked(word)
+
+    def test_parsed_words_pass_the_check(self):
+        for text in ("", "0", "1", "0110", "1" * 33):
+            assert_checked(BitWord.from_string(text))
+            assert_checked(BitWord.from_int(int(text or "0", 2), len(text)))
 
     def test_true_constant_reads_as_int_one(self):
         # A circuit made directly, not through the builder, may hold a
@@ -443,6 +469,21 @@ class TestEncodeOperands:
     def test_range_checks_kept(self, args):
         with pytest.raises(ValueError):
             encode_bcd_operands(*args)
+
+    # The word as the padded decimal texts of a and b read in base 16,
+    # checked by `from_int`; bools are operands and carry-ins too.
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.integers(0, 10**d - 1) | st.booleans(),
+        st.integers(0, 10**d - 1) | st.booleans(),
+        st.sampled_from([0, 1, False, True]))))
+    def test_matches_padded_hex_formula(self, case):
+        d, a, b, cin = case
+        want = BitWord.from_int(int(f"{a:0{d}d}{b:0{d}d}", 16) << 1 | cin, 8 * d + 1)
+        word = encode_bcd_operands(a, b, cin, d)
+        assert word == want
+        assert type(word) is BitWord
+        assert_checked(word)
 
 
 class TestBitWordChecks:
