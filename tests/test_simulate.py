@@ -7,9 +7,9 @@ time and append the leaf, whose bits land on the gate's output pins;
 later calls run a compiled straight-line function in which each walk is
 one indexing expression. The reference below walks the instances over a `{source: bit}` dict with
 `GateDef.apply`, which reads the truth table directly, so neither tier
-shares anything with it but the circuit. Both tiers, `mapping` and
-`BitWord.from_int` build their words without `BitWord`'s check, so
-`TestUncheckedWords` checks every word they return.
+shares anything with it but the circuit. Both tiers, `mapping`,
+`BitWord.from_int` and `BitWord.from_string` build their words without
+`BitWord`'s check, so `TestUncheckedWords` checks every word they return.
 """
 
 from __future__ import annotations
@@ -482,7 +482,6 @@ class TestEncodeOperands:
         want = BitWord.from_int(int(f"{a:0{d}d}{b:0{d}d}", 16) << 1 | cin, 8 * d + 1)
         word = encode_bcd_operands(a, b, cin, d)
         assert word == want
-        assert type(word) is BitWord
         assert_checked(word)
 
 
