@@ -286,7 +286,19 @@ def encode_bcd_operands(a: int, b: int, cin: int, digits: int = 1) -> BitWord:
     # Read in base 16, a number's decimal digits are its BCD nibbles; the
     # shifts pad them, and "%d" writes True as 1.
     shift = 4 * digits
-    word = (int("%d" % a, 16) << shift | int("%d" % b, 16)) << 1 | cin
+    try:
+        word = (int("%d" % a, 16) << shift | int("%d" % b, 16)) << 1 | cin
+    except ValueError:
+        # "%d" refuses an operand past CPython's digit limit (4300 by
+        # default); the nibbles then come from int arithmetic.
+        word = 0
+        for operand in (a, b):
+            nibbles = 0
+            for k in range(digits):
+                operand, digit = divmod(operand, 10)
+                nibbles |= digit << 4 * k
+            word = word << shift | nibbles
+        word = word << 1 | cin
     return _int_word(word, 2 * shift + 1)
 
 
@@ -370,15 +382,18 @@ def _nibble_planes(indicators: list[int]) -> list[int]:
     return bits
 
 
-def _add_digit_planes(a: list[int], b: list[int], carry: int) -> tuple[list[int], int]:
-    """Decimal addition on planes: sum-digit bit planes (MSB first) and the
-    carry-out plane, given the operands' indicator planes [a_p == x] and
-    [b_p == x] for x in 0..9 and the carry-in plane."""
+def _add_digit_planes(
+    a: list[int], b: list[int], carry: int, count: int
+) -> tuple[list[int], int]:
+    """Decimal addition on `count`-word planes: sum-digit bit planes (MSB
+    first) and the carry-out plane, given the operands' indicator planes
+    [a_p == x] and [b_p == x] for x in 0..9 and the carry-in plane."""
     pair_sums = [0] * 19
     for x, a_plane in enumerate(a):
         for y, b_plane in enumerate(b):
             pair_sums[x + y] |= a_plane & b_plane
-    no_carry = ~carry
+    # Not ~carry: an AND with a negative int costs several times as much.
+    no_carry = ((1 << count) - 1) ^ carry
     digit = [0] * 10
     carry_out = 0
     for s, plane in enumerate(pair_sums):
@@ -387,6 +402,38 @@ def _add_digit_planes(a: list[int], b: list[int], carry: int) -> tuple[list[int]
             if total >= 10:
                 carry_out |= words
     return _nibble_planes(digit), carry_out
+
+
+def _shared_digit_planes(shared: int) -> tuple[list[int], list[int], list[int], int]:
+    """Planes of the low `shared` digits on 2 * 100**shared words, word
+    j = (a_low * 10**shared + b_low) * 2 + cin: a's and b's input planes
+    and the expected sum planes, each MSB first, and the carry-out plane.
+
+    Digit p is built over one turn of a_p, 10 runs of it (20 * 10**(shared
+    + p) words), and then tiled: the lower digits, the b digits and the
+    carry into p all repeat inside one run of a_p. Its carry-out repeats
+    with that turn and is tiled up to the next digit's; the carry into
+    digit 0 is cin, which repeats every 2 words. The top shared digit's
+    turn is the whole batch, so its carry-out is the batch's.
+    """
+    low = 10**shared
+    count = 2 * low * low
+    a_lower: list[int] = []
+    b_lower: list[int] = []
+    want_lower: list[int] = []
+    carry, period = 0b10, 2
+    for p in range(shared):
+        turn = 20 * low * 10**p
+        carry = tile(carry, period, turn // period)
+        a_digit = _digit_planes(2 * low * 10**p, turn)
+        b_digit = _digit_planes(2 * 10**p, turn)
+        sum_bits, carry = _add_digit_planes(a_digit, b_digit, carry, turn)
+        repeats = count // turn
+        a_lower[:0] = [tile(plane, turn, repeats) for plane in _nibble_planes(a_digit)]
+        b_lower[:0] = [tile(plane, turn, repeats) for plane in _nibble_planes(b_digit)]
+        want_lower[:0] = [tile(plane, turn, repeats) for plane in sum_bits]
+        period = turn
+    return a_lower, b_lower, want_lower, carry
 
 
 def _set_bits(plane: int):
@@ -413,9 +460,11 @@ def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
     each pair of top digits. Word j of a batch is the case whose shared
     digits and carry-in satisfy j = (a_low * 10^s + b_low) * 2 + cin. The
     expected planes come from decimal arithmetic, never from the circuit:
-    the shared digits' from their indicator planes, built once, and those
-    above them picked from 0, all ones, the shared carry-out plane and its
-    complement by the fixed digits' sum with and without that carry.
+    the shared digits' from their indicator planes, each digit's built
+    over one turn of its a digit and tiled to the batch
+    (`_shared_digit_planes`), and those above them picked from 0, all
+    ones, the shared carry-out plane and its complement by the fixed
+    digits' sum with and without that carry. Nothing outlives the call.
     """
     circuit = build_bcd_adder_n(digits)
     # Digits held in the shared planes; a chunked run fixes the top one.
@@ -424,18 +473,7 @@ def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
     count = 2 * low * low
     mask = (1 << count) - 1
     cin = tile(0b10, 2, low * low)
-    carry = cin
-    # Input and expected output planes of the shared digits, MSB first.
-    a_lower: list[int] = []
-    b_lower: list[int] = []
-    want_lower: list[int] = []
-    for p in range(shared):
-        a_digit = _digit_planes(2 * low * 10**p, count)
-        b_digit = _digit_planes(2 * 10**p, count)
-        sum_bits, carry = _add_digit_planes(a_digit, b_digit, carry)
-        a_lower[:0] = _nibble_planes(a_digit)
-        b_lower[:0] = _nibble_planes(b_digit)
-        want_lower[:0] = sum_bits
+    a_lower, b_lower, want_lower, carry = _shared_digit_planes(shared)
 
     # Each batch fixes the top `fixed` digits (none or one) to x and y, so
     # their input planes are 0 or mask. Each expected plane above the shared

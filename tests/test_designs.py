@@ -419,6 +419,14 @@ class TestEncodeDecode:
         nines = BitWord((1,) + (1, 0, 0, 1) * digits)
         assert decode_bcd_result(nines, digits) == (1, 10**digits - 1)
 
+    # "%d" refuses such an operand; the nibbles come from int arithmetic.
+    def test_encode_past_the_int_string_limit(self):
+        nines = 10**4400 - 1
+        assert encode_bcd_operands(nines, nines, 1, 4400) == (1, 0, 0, 1) * 8800 + (1,)
+        word = encode_bcd_operands(nines, 1234, True, 4400)
+        assert type(word) is BitWord
+        assert str(word).endswith("1001" + "0000" * 4396 + "0001" "0010" "0011" "0100" "1")
+
     def test_decode_takes_any_bit_sequence(self):
         assert decode_bcd_result((0,) * 5) == (0, 0)
         assert decode_bcd_result([1, 1, 0, 0, 1]) == (1, 9)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,72 @@ def test_digit_planes_equal_one_tile_per_value(monkeypatch):
         if count <= 200:
             for j in range(count):
                 assert [(p >> j) & 1 for p in per_value].index(1) == j // run % 10
+
+
+def full_width_shared_planes(shared: int):
+    """Reference for `_shared_digit_planes`: every shared digit's indicator
+    planes built at the batch's full width, one tile per value, and added
+    by value pairs with the carry's complement taken as ~carry."""
+    low = 10**shared
+    count = 2 * low * low
+
+    def indicators(run):
+        return [tile(((1 << run) - 1) << (run * x), 10 * run, count // (10 * run))
+                for x in range(10)]
+
+    def nibbles(planes):
+        return [functools.reduce(operator.or_, (plane for x, plane in enumerate(planes)
+                                                if (x >> (3 - k)) & 1))
+                for k in range(4)]
+
+    carry = tile(0b10, 2, low * low)
+    a_lower, b_lower, want_lower = [], [], []
+    for p in range(shared):
+        a, b = indicators(2 * low * 10**p), indicators(2 * 10**p)
+        digit, carry_out = [0] * 10, 0
+        for x in range(10):
+            for y in range(10):
+                both = a[x] & b[y]
+                for total, words in ((x + y, both & ~carry), (x + y + 1, both & carry)):
+                    digit[total % 10] |= words
+                    if total >= 10:
+                        carry_out |= words
+        a_lower[:0] = nibbles(a)
+        b_lower[:0] = nibbles(b)
+        want_lower[:0] = nibbles(digit)
+        carry = carry_out
+    return a_lower, b_lower, want_lower, carry
+
+
+# Every layout verify uses: 1-4 digits at the default batch size, and
+# 1-2 digits at 0 and 200 words.
+@pytest.mark.parametrize("digits, batch_words, shared", [
+    (1, None, 1), (2, None, 2), (3, None, 2), (4, None, 3),
+    (1, 0, 0), (2, 0, 1), (1, 200, 1), (2, 200, 1)])
+def test_shared_planes_equal_full_width_construction(monkeypatch, digits, batch_words,
+                                                     shared):
+    if batch_words is not None:
+        monkeypatch.setattr(designs, "_BATCH_WORDS", batch_words)
+    built = []
+    shared_digit_planes = designs._shared_digit_planes
+
+    def recorded(shared):
+        built.append((shared, shared_digit_planes(shared)))
+        return built[-1][1]
+
+    def stop(circuit, planes, count):
+        raise _PlanesBuilt
+
+    monkeypatch.setattr(designs, "_shared_digit_planes", recorded)
+    monkeypatch.setattr(Circuit, "simulate_planes", stop)
+    with pytest.raises(_PlanesBuilt):
+        verify_bcd_adder(digits)
+    [(called, planes)] = built
+    assert called == shared
+    assert planes == full_width_shared_planes(shared)
+    a_lower, b_lower, want_lower, carry = planes
+    for plane in [*a_lower, *b_lower, *want_lower, carry]:
+        assert 0 <= plane < 1 << 2 * 100**shared
 
 
 def scalar_failures(circuit, digits: int):
