@@ -76,7 +76,8 @@ def _check_operands(a: int, b: int, cin: int, digits: int) -> int:
         raise ValueError(f"operands must be integers, got {a!r} and {b!r}")
     limit = 10**digits
     if not 0 <= a < limit or not 0 <= b < limit:
-        raise ValueError(f"operands must be in [0, {limit - 1}]")
+        # Written symbolically: the bound itself may be too long for str().
+        raise ValueError(f"operands must be in [0, 10**{digits} - 1]")
     if not isinstance(cin, int) or cin not in (0, 1):
         raise ValueError(f"cin must be 0 or 1, got {cin!r}")
     return cin

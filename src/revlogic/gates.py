@@ -24,6 +24,7 @@ that order (NOT tightest, OR loosest).
 from __future__ import annotations
 
 import inspect
+import os
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -360,7 +361,10 @@ def parse_cost_table(text: str) -> dict[str, int]:
 
 
 def load_cost_table(path) -> dict[str, int]:
-    with open(path, "rb") as fh:
+    """Read a cost table from the file at `path`, which must be a path:
+    anything else, an int file descriptor included, is a TypeError, so
+    no descriptor the caller owns is read or closed."""
+    with open(os.fspath(path), "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")

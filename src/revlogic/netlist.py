@@ -13,9 +13,14 @@ which hands out `Wire` handles, accepts only the handles it issued, and
 rejects any second consumption of a wire with `FanOutViolation`. Since
 a gate's output wires are issued only after the gate is placed, and
 every mark consumes its wire, feedback and double marking cannot be
-expressed. `seal()` checks what is left, that no wire dangles and that
-inputs plus constants equal outputs plus garbage, and returns an
-immutable `Circuit` that can be simulated or exhaustively enumerated.
+expressed. `seal()` freezes what was built into an immutable `Circuit`
+that can be simulated or exhaustively enumerated. Every `Circuit`, made
+by `seal()`, by calling `Circuit` or by `dataclasses.replace`, checks
+the rules itself, so every evaluator can rely on them: each source names
+a slot before its reader's outputs, each gate has one source per pin,
+every wire is read exactly once (none dangles, none fans out), and
+inputs plus constants equal outputs plus garbage. All violations are
+reported together in one `ValidationFailed`.
 
 Garbage is explicit: an output that is neither marked as a primary
 output nor as garbage is a dangling wire and fails sealing. This keeps
@@ -107,7 +112,7 @@ class TooWide(RevLogicError):
 
 
 class ValidationFailed(RevLogicError):
-    """Sealing found structural violations; `.violations` lists them all."""
+    """A circuit breaks the wiring rules; `.violations` lists every break."""
 
     def __init__(self, violations: Sequence[str]):
         self.violations = list(violations)
@@ -127,6 +132,18 @@ class Instance(NamedTuple):
 
     gate: GateDef
     sources: tuple[Source, ...]
+
+
+def _describe(input_labels: Sequence[str], instances: Sequence[Instance],
+              source: Source) -> str:
+    """Human-readable name for a wire source, used in diagnostics."""
+    kind = source[0]
+    if kind == "in":
+        return f"input {input_labels[source[1]]!r}"
+    if kind == "const":
+        return f"constant #{source[1]}"
+    _, idx, pin = source
+    return f"{instances[idx].gate.name}#{idx} output {_PIN_NAMES[pin]}"
 
 
 class Wire:
@@ -211,14 +228,7 @@ class CircuitBuilder:
 
     def describe(self, source: Source) -> str:
         """Human-readable name for a wire source, used in diagnostics."""
-        kind = source[0]
-        if kind == "in":
-            return f"input {self.input_labels[source[1]]!r}"
-        if kind == "const":
-            return f"constant #{source[1]}"
-        _, idx, pin = source
-        gate = self._instances[idx].gate
-        return f"{gate.name}#{idx} output {_PIN_NAMES[pin]}"
+        return _describe(self.input_labels, self._instances, source)
 
     def add_constant(self, value: int) -> Wire:
         """Add a constant input line fixed at 0 or 1; returns its wire."""
@@ -293,38 +303,24 @@ class CircuitBuilder:
         self._garbage.append(wire.source)
 
     def seal(self) -> Circuit:
-        """Check that no wire dangles and lines are conserved; freeze.
+        """Freeze the gates and marks into a `Circuit`, which checks itself.
 
         The builder's own calls already rule out fan-out, feedback and
-        double marking. Both violations are reported together in
-        ValidationFailed rather than stopping at the first.
+        double marking; the circuit reports a wire that nothing consumed
+        and lines not conserved, together, in ValidationFailed. A builder
+        whose seal fails stays open, so a caller can still mark the
+        dangling wires and seal again.
         """
         self._check_open()
-        violations: list[str] = []
-
-        for wire in self._wires:
-            if not wire._consumed:
-                violations.append(f"dangling wire: {self.describe(wire.source)}")
-
-        lines_in = len(self.input_labels) + len(self._constants)
-        lines_out = len(self._outputs) + len(self._garbage)
-        if lines_in != lines_out:
-            violations.append(
-                "line count not conserved: "
-                f"{len(self.input_labels)} inputs + {len(self._constants)} constants"
-                f" != {len(self._outputs)} outputs + {len(self._garbage)} garbage"
-            )
-
-        if violations:
-            raise ValidationFailed(violations)
-        self._sealed = True
-        return Circuit(
+        circuit = Circuit(
             input_labels=self.input_labels,
             constants=tuple(self._constants),
             instances=tuple(self._instances),
             outputs=tuple(self._outputs.items()),
             garbage=tuple(self._garbage),
         )
+        self._sealed = True
+        return circuit
 
 
 def new_circuit(input_labels: Iterable[str]) -> CircuitBuilder:
@@ -341,7 +337,9 @@ class _Plan(NamedTuple):
     its input slots in pin order, and its output slots `lo` to `hi`.
     `outputs` and `garbage` are the slots of the output and garbage
     wires, in marking order. `fill` is what follows the inputs before
-    the first gate runs: the constants as the ints 0 and 1.
+    the first gate runs: the constants as the ints 0 and 1. A plan is
+    built only for a circuit that keeps the rules: every slot is read
+    exactly once, and each step reads only slots below its `lo`.
     """
 
     steps: tuple[tuple[GateDef, tuple[int, ...], int, int], ...]
@@ -353,11 +351,12 @@ class _Plan(NamedTuple):
 
 @dataclass(frozen=True)
 class Circuit:
-    """A sealed, immutable reversible circuit.
+    """An immutable reversible circuit, checked when it is made.
 
     `outputs` holds (label, source) pairs in marking order; `garbage`
     holds sources in marking order. Simulation evaluates instances in
-    list order, which the builder guarantees is topological.
+    list order. Making a circuit builds its plan, which checks the rules
+    and raises ValidationFailed listing every violation.
     """
 
     input_labels: tuple[str, ...]
@@ -365,6 +364,9 @@ class Circuit:
     instances: tuple[Instance, ...]
     outputs: tuple[tuple[str, Source], ...]
     garbage: tuple[Source, ...]
+
+    def __post_init__(self) -> None:
+        self._plan  # building the plan checks the rules
 
     @property
     def width(self) -> int:
@@ -378,26 +380,94 @@ class Circuit:
     def _plan(self) -> _Plan:
         # A source's slot is found by arithmetic: input i is slot i,
         # constant j follows the inputs, and a gate pin is its
-        # instance's first output slot plus the pin number.
-        first = {"in": 0, "const": self.width}
-        starts: list[int] = []
+        # instance's first output slot plus the pin number. A source
+        # gets None if it is no such tuple, its index is out of range,
+        # or its slot is not below its reader's first output slot, so
+        # that no gate reads its own or a later gate's output.
+        width = self.width
+        first = {"in": 0, "const": width}
+        count = {"in": width, "const": len(self.constants)}
+        starts = []
+        size = width + len(self.constants)
+        for gate, _ in self.instances:
+            starts.append(size)
+            size += gate.arity
 
-        def slots(sources) -> tuple[int, ...]:
-            return tuple([starts[s[1]] + s[2] if s[0] == "gate" else first[s[0]] + s[1]
-                          for s in sources])
+        def slots(sources, limit: int) -> tuple:
+            found = []
+            for source in sources:
+                try:
+                    if source[0] == "gate":
+                        _, idx, pin = source
+                        slot = starts[idx] + pin if idx >= 0 and pin >= 0 else None
+                    else:
+                        kind, idx = source
+                        slot = first[kind] + idx if 0 <= idx < count[kind] else None
+                except (LookupError, TypeError, ValueError):
+                    slot = None
+                found.append(slot if type(slot) is int and slot < limit else None)
+            return tuple(found)
 
-        lo = self.width + len(self.constants)
         steps = []
-        for inst in self.instances:
-            hi = lo + inst.gate.arity
-            steps.append((inst.gate, slots(inst.sources), lo, hi))
-            starts.append(lo)
-            lo = hi
+        reads: list[int | None] = []
+        miscounted = False
+        for (gate, sources), lo in zip(self.instances, starts):
+            in_slots = slots(sources, lo)
+            miscounted |= len(in_slots) != gate.arity
+            steps.append((gate, in_slots, lo, lo + gate.arity))
+            reads += in_slots
+        outputs = slots([s for _, s in self.outputs], size)
+        garbage = slots(self.garbage, size)
+        reads += outputs
+        reads += garbage
+        # With each source's count right, `size` reads of distinct slots
+        # read every slot exactly once, and so conserve the lines too.
+        if miscounted or len(reads) != size or None in reads or len(set(reads)) != size:
+            raise ValidationFailed(self._violations(steps, outputs, garbage, size, slots))
         # A constant's value is decided here alone, by truthiness; both
         # scalar tiers, the planes and emission read it from `fill`.
         fill = tuple(1 if c else 0 for c in self.constants)
-        return _Plan(tuple(steps), slots(s for _, s in self.outputs),
-                     slots(self.garbage), fill, lo)
+        return _Plan(tuple(steps), outputs, garbage, fill, size)
+
+    def _violations(self, steps, outputs, garbage, size: int, slots) -> list[str]:
+        """`_plan`'s report, from its steps, result slots and `slots`
+        lookup: each gate whose source count is not its arity; each
+        source that names no slot, or a slot at or after its reader's
+        outputs, in reading order; then each slot not read exactly once,
+        in slot order; then the line count."""
+        width, n_const = self.width, len(self.constants)
+        by_slot = [("in", i) for i in range(width)] + [("const", j) for j in range(n_const)]
+        by_slot += [("gate", k, pin) for k, (gate, _) in enumerate(self.instances)
+                    for pin in range(gate.arity)]
+        name = [_describe(self.input_labels, self.instances, source) for source in by_slot]
+        violations = [f"{gate.name}#{k} has arity {gate.arity}, got {len(sources)} sources"
+                      for k, (gate, sources) in enumerate(self.instances)
+                      if len(sources) != gate.arity]
+        readers = [(f"{gate.name}#{k} input pin {pin}", source, slot)
+                   for k, ((gate, sources), step) in enumerate(zip(self.instances, steps))
+                   for pin, (source, slot) in enumerate(zip(sources, step[1]))]
+        readers += [(f"output {label!r}", source, slot)
+                    for (label, source), slot in zip(self.outputs, outputs)]
+        readers += [(f"garbage #{n}", source, slot)
+                    for n, (source, slot) in enumerate(zip(self.garbage, garbage))]
+        reads = [0] * size
+        for reader, source, slot in readers:
+            (found,) = slots([source], size)
+            if found is None:
+                violations.append(f"unknown wire: {source!r} read by {reader}")
+                continue
+            if slot is None:
+                violations.append(f"feedback wire: {name[found]} read by {reader}")
+            reads[found] += 1
+        violations += [f"{'dangling' if n == 0 else 'fanned-out'} wire: {name[slot]}"
+                       for slot, n in enumerate(reads) if n != 1]
+        if width + n_const != len(self.outputs) + len(self.garbage):
+            violations.append(
+                "line count not conserved: "
+                f"{width} inputs + {n_const} constants"
+                f" != {len(self.outputs)} outputs + {len(self.garbage)} garbage"
+            )
+        return violations
 
     @cached_property
     def _walk(self) -> tuple[tuple[tuple, tuple[int, ...]], ...]:

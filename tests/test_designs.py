@@ -381,7 +381,7 @@ class TestEncodeDecode:
         (0, 15.0, 0, 2, "operands must be integers, got 0 and 15.0"),
         (1, 0, 0, "2", "digits must be an integer, got '2'"),
         (0, 0, 0, 0, "digits must be positive"),
-        (0, 100, 0, 2, "operands must be in [0, 99]"),
+        (0, 100, 0, 2, "operands must be in [0, 10**2 - 1]"),
         (0, 0, 1.0, 1, "cin must be 0 or 1, got 1.0"),
     ], ids=["str-a", "none-a", "float-a", "float-b", "str-digits", "zero-digits",
             "b-out-of-range", "float-cin"])
@@ -426,6 +426,14 @@ class TestEncodeDecode:
         word = encode_bcd_operands(nines, 1234, True, 4400)
         assert type(word) is BitWord
         assert str(word).endswith("1001" + "0000" * 4396 + "0001" "0010" "0011" "0100" "1")
+
+    @pytest.mark.parametrize("call", [encode_bcd_operands, oracle_bcd_add_number])
+    def test_operand_past_the_int_string_limit_rejected(self, call):
+        # The bound is written symbolically: 10**4400 - 1 has too many
+        # digits for str() to render.
+        with pytest.raises(ValueError) as err:
+            call(10**4400, 0, 0, 4400)
+        assert str(err.value) == "operands must be in [0, 10**4400 - 1]"
 
     def test_decode_takes_any_bit_sequence(self):
         assert decode_bcd_result((0,) * 5) == (0, 0)

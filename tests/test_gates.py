@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import os
 import pickle
 import re
 from pathlib import Path
@@ -491,3 +492,11 @@ class TestCostTable:
         path = tmp_path / "costs.txt"
         path.write_text("FG 3\n")
         assert load_cost_table(path) == {"FG": 3}
+
+    @pytest.mark.parametrize("path", [0, 1, 2, True])
+    def test_load_refuses_what_is_not_a_path(self, path):
+        # `open` would take an int as a file descriptor, read it and close it.
+        with pytest.raises(TypeError):
+            load_cost_table(path)
+        for fd in (0, 1, 2):
+            os.fstat(fd)

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import time
 import weakref
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import build_from_plan, circuit_plans
+from conftest import build_from_plan, circuit_plans, sealed_circuits
+from revlogic.designs import build_bcd_adder_n
 from revlogic.gates import BitWord, GateDef, WidthMismatch, catalog_by_name
 from revlogic.netlist import (
     ENUMERATION_LIMIT,
     ArityMismatch,
+    Circuit,
     DuplicateLabel,
     FanOutViolation,
     Instance,
@@ -494,3 +498,110 @@ class TestBuilderProperties:
         with pytest.raises(ValidationFailed) as err:
             builder.seal()
         assert any("dangling" in v for v in err.value.violations)
+
+
+# Circuits made without the builder. Each defect is a hand-made circuit on
+# FG gates, with every violation its check must report.
+_A, _B, _C = ("in", 0), ("in", 1), ("in", 2)
+
+
+def _fg(*sources):
+    return Instance(catalog_by_name()["FG"], sources)
+
+
+def _p(k):
+    return ("gate", k, 0)
+
+
+def _q(k):
+    return ("gate", k, 1)
+
+
+_HAND_MADE_DEFECTS = {
+    "two-FG-read-a": (
+        ("a", "b", "c"), (_fg(_A, _B), _fg(_A, _C)),
+        (("p", _p(0)), ("q", _q(0)), ("r", _p(1))), (_q(1),),
+        ["fanned-out wire: input 'a'",
+         "line count not conserved: 3 inputs + 0 constants != 3 outputs + 1 garbage"]),
+    "one-input-on-both-pins": (
+        ("a", "b"), (_fg(_A, _A),), (("p", _p(0)), ("q", _q(0))), (),
+        ["fanned-out wire: input 'a'", "dangling wire: input 'b'"]),
+    "gate-output-unread": (
+        ("a", "b"), (_fg(_A, _B),), (("q", _q(0)),), (),
+        ["dangling wire: FG#0 output P",
+         "line count not conserved: 2 inputs + 0 constants != 1 outputs + 0 garbage"]),
+    "FG-with-one-source": (
+        ("a", "b"), (_fg(_A),), (("p", _p(0)), ("q", _q(0))), (_B,),
+        ["FG#0 has arity 2, got 1 sources",
+         "line count not conserved: 2 inputs + 0 constants != 2 outputs + 1 garbage"]),
+    "forward-reference": (
+        ("a", "b"), (_fg(_A, _p(1)), _fg(_B, _q(0))), (("p", _p(0)), ("q", _q(1))), (),
+        ["feedback wire: FG#1 output P read by FG#0 input pin 1"]),
+    "own-output": (
+        ("a", "b"), (_fg(_A, _p(0)),), (("q", _q(0)),), (_B,),
+        ["feedback wire: FG#0 output P read by FG#0 input pin 1"]),
+    "input-out-of-range": (
+        ("a", "b"), (_fg(_A, _C),), (("p", _p(0)), ("q", _q(0))), (),
+        ["unknown wire: ('in', 2) read by FG#0 input pin 1", "dangling wire: input 'b'"]),
+    "gate-out-of-range": (
+        ("a", "b"), (_fg(_A, _B),), (("p", _p(0)), ("q", _p(1))), (),
+        ["unknown wire: ('gate', 1, 0) read by output 'q'", "dangling wire: FG#0 output Q"]),
+    "negative-index": (
+        ("a", "b"), (_fg(("in", -1), _B),), (("p", _p(0)), ("q", _q(0))), (),
+        ["unknown wire: ('in', -1) read by FG#0 input pin 0", "dangling wire: input 'a'"]),
+    "negative-pin": (
+        ("a", "b"), (_fg(_A, _B), _fg(_p(0), ("gate", 1, -1))), (("q", _q(0)), ("s", _q(1))), (),
+        ["unknown wire: ('gate', 1, -1) read by FG#1 input pin 1", "dangling wire: FG#1 output P"]),
+    "short-source": (
+        ("a", "b"), (_fg(("in",), _B),), (("p", _p(0)), ("q", _q(0))), (),
+        ["unknown wire: ('in',) read by FG#0 input pin 0", "dangling wire: input 'a'"]),
+    "label-as-source": (
+        ("a", "b", "c"), (_fg(_A, _B),), (("p", _p(0)), ("q", _q(0))), ("c",),
+        ["unknown wire: 'c' read by garbage #0", "dangling wire: input 'c'"]),
+}
+
+
+@pytest.mark.parametrize("labels, instances, outputs, garbage, violations",
+                         _HAND_MADE_DEFECTS.values(), ids=_HAND_MADE_DEFECTS.keys())
+def test_hand_made_defect_fails_construction(labels, instances, outputs, garbage, violations):
+    with pytest.raises(ValidationFailed) as err:
+        Circuit(labels, (), instances, outputs, garbage)
+    assert err.value.violations == violations
+
+
+def test_replace_checks_the_new_fields():
+    adder = build_bcd_adder_n(1)
+    flipped = dataclasses.replace(adder, constants=(1, *adder.constants[1:]))
+    assert flipped.constants[0] == 1 and flipped.instances == adder.instances
+    with pytest.raises(ValidationFailed) as err:
+        dataclasses.replace(adder, garbage=adder.garbage[1:])
+    assert err.value.violations == [
+        "dangling wire: HNG#0 output P",
+        "line count not conserved: 9 inputs + 6 constants != 5 outputs + 9 garbage",
+    ]
+
+
+@given(sealed_circuits(), st.data())
+def test_rewired_circuit_is_refused_or_simulates_alike(circuit, data):
+    # Swap two sources, or point one at another's wire; reading order is
+    # each instance's pins, then the outputs, then the garbage.
+    sources = [s for inst in circuit.instances for s in inst.sources]
+    sources += [s for _, s in circuit.outputs] + list(circuit.garbage)
+    i, j = data.draw(st.lists(st.integers(0, len(sources) - 1), min_size=2, max_size=2))
+    if data.draw(st.booleans()):
+        sources[i], sources[j] = sources[j], sources[i]
+    else:
+        sources[i] = sources[j]
+    it = iter(sources)
+    fields = {
+        "instances": tuple(Instance(inst.gate, tuple(next(it) for _ in inst.sources))
+                           for inst in circuit.instances),
+        "outputs": tuple((label, next(it)) for label, _ in circuit.outputs),
+        "garbage": tuple(next(it) for _ in circuit.garbage),
+    }
+    try:
+        rewired = dataclasses.replace(circuit, **fields)
+    except ValidationFailed:
+        return
+    words = [BitWord.from_int(value, rewired.width) for value in range(1 << rewired.width)]
+    assert rewired.mapping() == [rewired.simulate(word) for word in words]
