@@ -15,9 +15,11 @@ a gate's output wires are issued only after the gate is placed, and
 every mark consumes its wire, feedback and double marking cannot be
 expressed. `seal()` freezes what was built into an immutable `Circuit`
 that can be simulated or exhaustively enumerated. Every `Circuit`, made
-by `seal()`, by calling `Circuit` or by `dataclasses.replace`, checks
-the rules itself, so every evaluator can rely on them: each source names
-a slot before its reader's outputs, each gate has one source per pin,
+by `seal()`, by calling `Circuit` (as the text format's `elaborate`
+does) or by `dataclasses.replace`, checks the rules itself, so every
+evaluator can rely on them: each source names an existing input,
+constant or gate pin, in a slot before its reader's outputs, each gate
+has one source per pin,
 every wire is read exactly once (none dangles, none fans out), and
 inputs plus constants equal outputs plus garbage. All violations are
 reported together in one `ValidationFailed`.
@@ -39,15 +41,18 @@ tiers that read one table, `GateDef.trie`: the truth table as nested
 tuples, one input bit per level, so no key tuple is built or hashed.
 Only these tiers build a trie. A circuit's first calls are
 interpreted: for one input word, a value list starts as the inputs and
-constants, and each gate walks its trie one input slot at a time and
-appends the leaf, its output bits. A gate's pins are the next slots in
-the layout, so the bits land on them. The walk, each gate's trie with
-its input slots, is built on the first such call. On its `COMPILE_AFTER`th
-call a circuit compiles: it generates, `exec`s and caches one
-straight-line Python function with a local per slot, with no loop or
-store between gates, in which each gate's walk is one indexing
-expression (compiled-code simulation, as in Barzilai et al., "HSS -- A
-High-Speed Simulator", IEEE TCAD 1987).
+constants, and each gate indexes its trie with its input slots' values
+and appends the leaf, its output bits. A gate's pins are the next slots
+in the layout, so the bits land on them. The walk is built on the first
+such call, one 5-tuple per gate: its trie, then the input slots of a
+2-, 3- or 4-input gate (every catalog gate) padded with None, so the
+first None picks one indexing expression for the whole trie; a gate of
+any other arity holds its slot tuple and walks it one slot at a time.
+On its `COMPILE_AFTER`th call a circuit compiles: it generates, `exec`s
+and caches one straight-line Python function with a local per slot,
+with no loop or store between gates, in which each gate's walk is one
+indexing expression (compiled-code simulation, as in Barzilai et al.,
+"HSS -- A High-Speed Simulator", IEEE TCAD 1987).
 Compiling costs 50 to 150 interpreted calls, so a circuit simulated
 only a few times never pays for it. Every bit either tier returns is an
 input bit, a constant or a table row's, all ints known to be 0 or 1 (an
@@ -146,6 +151,16 @@ def _describe(input_labels: Sequence[str], instances: Sequence[Instance],
     return f"{instances[idx].gate.name}#{idx} output {_PIN_NAMES[pin]}"
 
 
+def _fan_out(input_labels: Sequence[str], instances: Sequence[Instance],
+             source: Source | None, gate: GateDef | None = None) -> FanOutViolation:
+    """The error for a wire offered to a second sink: to a second pin of
+    `gate` when one is given, else to any sink after `source` was
+    consumed. The builder and `netlist_text.elaborate` both raise it."""
+    if gate is not None:
+        return FanOutViolation(f"gate {gate.name}: the same wire was passed to two pins")
+    return FanOutViolation(f"{_describe(input_labels, instances, source)} is already consumed")
+
+
 class Wire:
     """Handle for a signal inside a builder; valid for one consumption.
 
@@ -224,7 +239,7 @@ class CircuitBuilder:
         if not issued:
             raise ValueError("wire was not issued by this builder")
         if wire._consumed:
-            raise FanOutViolation(f"{self.describe(wire.source)} is already consumed")
+            raise _fan_out(self.input_labels, self._instances, wire.source)
 
     def describe(self, source: Source) -> str:
         """Human-readable name for a wire source, used in diagnostics."""
@@ -264,11 +279,9 @@ class CircuitBuilder:
             if not known:
                 raise ValueError("wire was not issued by this builder")
             if wire._consumed:
-                raise FanOutViolation(f"{self.describe(wire.source)} is already consumed")
+                raise _fan_out(self.input_labels, self._instances, wire.source)
         if len(set(map(id, wires))) != arity:
-            raise FanOutViolation(
-                f"gate {gate.name}: the same wire was passed to two pins"
-            )
+            raise _fan_out(self.input_labels, self._instances, None, gate)
         sources = []
         for wire in wires:
             wire._consumed = True
@@ -381,16 +394,18 @@ class Circuit:
         # A source's slot is found by arithmetic: input i is slot i,
         # constant j follows the inputs, and a gate pin is its
         # instance's first output slot plus the pin number. A source
-        # gets None if it is no such tuple, its index is out of range,
-        # or its slot is not below its reader's first output slot, so
-        # that no gate reads its own or a later gate's output.
+        # gets None if it is no such tuple, its index or pin is out of
+        # range, or its slot is not below its reader's first output
+        # slot, so that no gate reads its own or a later gate's output.
         width = self.width
         first = {"in": 0, "const": width}
         count = {"in": width, "const": len(self.constants)}
         starts = []
+        arities = []
         size = width + len(self.constants)
         for gate, _ in self.instances:
             starts.append(size)
+            arities.append(gate.arity)
             size += gate.arity
 
         def slots(sources, limit: int) -> tuple:
@@ -399,7 +414,8 @@ class Circuit:
                 try:
                     if source[0] == "gate":
                         _, idx, pin = source
-                        slot = starts[idx] + pin if idx >= 0 and pin >= 0 else None
+                        slot = (starts[idx] + pin
+                                if idx >= 0 and 0 <= pin < arities[idx] else None)
                     else:
                         kind, idx = source
                         slot = first[kind] + idx if 0 <= idx < count[kind] else None
@@ -470,9 +486,15 @@ class Circuit:
         return violations
 
     @cached_property
-    def _walk(self) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
-        # The interpreted tier's steps: each gate's trie and input slots.
-        return tuple([(gate.trie, in_slots) for gate, in_slots, _, _ in self._plan.steps])
+    def _walk(self) -> tuple[tuple, ...]:
+        # The interpreted tier's steps, one 5-tuple per gate: its trie,
+        # then the input slots of a 2-, 3- or 4-input gate padded with
+        # None to four, or for any other arity its slot tuple and three
+        # Nones. One shape unpacks in the loop header, and the first
+        # None tells the arity.
+        return tuple([(gate.trie, *in_slots, *[None] * (4 - len(in_slots)))
+                      if 2 <= len(in_slots) <= 4 else (gate.trie, in_slots, None, None, None)
+                      for gate, in_slots, _, _ in self._plan.steps])
 
     # Scalar tier state, set by `simulate` and not dataclass fields: the
     # calls interpreted so far, then the compiled kernel.
@@ -501,12 +523,19 @@ class Circuit:
                 object.__setattr__(self, "_interpreted", calls)
                 plan = self._plan
                 values = [*inputs, *plan.fill]
-                for node, in_slots in self._walk:
-                    for slot in in_slots:
-                        node = node[values[slot]]
-                    # A gate's pins are the next slots, so the leaf's bits
-                    # append onto them.
-                    values += node
+                # A gate's pins are the next slots, so the leaf's bits
+                # append onto them.
+                for node, a, b, c, d in self._walk:
+                    if d is not None:
+                        values += node[values[a]][values[b]][values[c]][values[d]]
+                    elif c is not None:
+                        values += node[values[a]][values[b]][values[c]]
+                    elif b is not None:
+                        values += node[values[a]][values[b]]
+                    else:
+                        for slot in a:
+                            node = node[values[slot]]
+                        values += node
                 return (_unchecked([values[s] for s in plan.outputs]),
                         _unchecked([values[s] for s in plan.garbage]))
             source, namespace = self._kernel_source()

@@ -16,33 +16,36 @@ of the built-in catalog, the format's only gate table.
 
 `decode_netlist` turns file bytes into text (a byte that is not UTF-8
 is a located error), `parse_netlist` splits text into a tuple of token
-lines, `elaborate` checks those lines and drives the circuit builder to
-a sealed `Circuit`, and `emit_netlist` renders a circuit of catalog
-gates back to text that elaborates to the same behavior and metrics.
-Emission names one wire per slot of the circuit's plan, generating the
-names it needs in slot order; parsed lines are never written, as
-`elaborate` reads their tokens by index.
+lines, `elaborate` checks those lines, maps each wire name to its
+source and makes the `Circuit` they describe, and `emit_netlist`
+renders a circuit of catalog gates back to text that elaborates to the
+same behavior and metrics. Emission names one wire per slot of the
+circuit's plan, generating the names it needs in slot order; parsed
+lines are never written, as `elaborate` reads their tokens by index.
+Each of the four raises TypeError for an argument of the wrong type.
 
-`elaborate` is the only validator; it reports the first defect in its
-pass order. Text diagnostics carry a 1-based line and column, builder
-errors (fan-out, arity) read ``line N: ...`` with no column.
+`elaborate` is the text's only validator, and the `Circuit` it makes
+checks the wiring again, as every circuit does; the first defect in
+`elaborate`'s pass order is reported. Text diagnostics carry a 1-based
+line and column; fan-out and arity errors, worded as the circuit
+builder words them, read ``line N: ...`` with no column.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import count, filterfalse, islice
+from itertools import islice
 
 from .errors import RevLogicError, _utf8_position
 from .gates import catalog_by_name
 from .netlist import (
     ArityMismatch,
     Circuit,
-    DuplicateLabel,
     FanOutViolation,
+    Instance,
+    Source,
     ValidationFailed,
-    Wire,
-    new_circuit,
+    _fan_out,
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -129,23 +132,26 @@ class _Line:
                 raise self.error(f"wire {name!r} already declared", index)
             table[name] = None
 
-    def resolve(self, wires: dict[str, Wire | None], index: int) -> Wire:
-        """The wire that token `index` names; its form is checked first."""
-        wire = wires.get(self.tokens[index])
-        if wire is None:
+    def resolve(self, sources: dict[str, Source | None], index: int) -> Source:
+        """The source of the wire token `index` names; its form is checked first."""
+        source = sources.get(self.tokens[index])
+        if source is None:
             self.check_name(index)
             raise UseBeforeDeclaration(
                 f"wire {self.tokens[index]!r} used before declaration",
                 self.line_no, self.column(index))
-        return wire
+        return source
 
 
 def decode_netlist(data: bytes) -> str:
     """Decode netlist file contents as UTF-8.
 
     An invalid byte is a NetlistSyntaxError at its line and column,
-    counted the way `elaborate` counts them.
+    counted the way `elaborate` counts them. Anything but `bytes` or a
+    `bytearray` is a TypeError.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError(f"decode_netlist takes bytes, not {type(data).__name__}")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -160,29 +166,38 @@ def parse_netlist(text: str) -> tuple[_Line, ...]:
 
     Comments and blank lines are dropped, and the nonblank lines are
     kept in source order. Every check, with its line and column, is
-    `elaborate`'s.
+    `elaborate`'s. Anything but a `str` is a TypeError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_netlist takes a str, not {type(text).__name__}")
     lines = (_Line(raw, line_no) for line_no, raw in enumerate(text.splitlines(), 1))
     return tuple(line for line in lines if line.tokens)
 
 
 def elaborate(lines: tuple[_Line, ...]) -> Circuit:
-    """Check parsed lines, then build and seal the circuit they describe.
+    """Check parsed lines, then make the `Circuit` they describe.
 
-    The builder takes every input at once, so a first pass checks each
-    line's keyword and each INPUT line's names, in line order, and then
-    that some INPUT line exists. The second walks the lines (and an
-    OUTPUT or GARBAGE line's names) in order, raising at the first
-    defect: a malformed statement, bad or repeated name, use before
-    declaration or gate not in the built-in catalog as a located error,
-    a fan-out or arity error as the netlist module's type with ``line
-    N: `` prepended. Dangling wires fail sealing, their names listed.
-    Nothing is written to the lines, so they can be elaborated again,
-    or from several threads at once.
+    Input k is the k-th name over all INPUT lines, so a first pass checks
+    each line's keyword and each INPUT line's names, in line order, and
+    then that some INPUT line exists. The second walks the lines (and an
+    OUTPUT or GARBAGE line's names) in order, mapping each declared name
+    to its wire source, and raises at the first defect: a malformed
+    statement, bad or repeated name, use before declaration or gate not
+    in the built-in catalog as a located error, a wire read twice or a
+    wire count that is not the gate's arity as `FanOutViolation` or
+    `ArityMismatch` with ``line N: `` prepended, worded as the circuit
+    builder words them. The circuit then checks its own wiring: dangling
+    wires fail there, in ValidationFailed, their names listed. Nothing
+    is written to the lines, so they can be elaborated again, or from
+    several threads at once. An item that is not one of
+    `parse_netlist`'s lines is a TypeError.
     """
     catalog = catalog_by_name()
     labels: dict[str, None] = {}
     for line in lines:
+        if type(line) is not _Line:
+            raise TypeError("elaborate takes the _Line items parse_netlist returns, "
+                            f"not {type(line).__name__}")
         keyword = line.tokens[0]
         if keyword not in _KEYWORDS:
             raise line.error(f"unknown statement {keyword!r} "
@@ -191,20 +206,26 @@ def elaborate(lines: tuple[_Line, ...]) -> Circuit:
             line.declare(labels, line.names(1, "input name"), 1)
     if not labels:
         raise NetlistSyntaxError("netlist has no INPUT declarations", 1, 1)
-    builder = new_circuit(labels)
-    inputs = iter(builder.inputs)
+    input_labels = tuple(labels)
+    inputs = iter([("in", i) for i in range(len(input_labels))])
     # The one name table: each name is entered unbound when declared and
-    # bound to its wire as soon as the builder issues it. An input is
-    # declared when the walk reaches its INPUT line.
-    wires: dict[str, Wire | None] = {}
+    # bound to its source in the same statement. An input is declared
+    # when the walk reaches its INPUT line. A name that a gate pin, an
+    # output or a garbage mark reads joins `consumed`.
+    sources: dict[str, Source | None] = {}
+    consumed: set[str] = set()
+    constants: list[int] = []
+    instances: list[Instance] = []
+    outputs: dict[str, Source] = {}
+    garbage: list[Source] = []
 
     for line in lines:
         keyword = line.tokens[0]
         try:
             if keyword == "INPUT":
                 names = line.tokens[1:]
-                line.declare(wires, names, 1)
-                wires.update(zip(names, inputs))
+                line.declare(sources, names, 1)
+                sources.update(zip(names, inputs))
             elif keyword == "CONST":
                 name = line.token(1, "constant name")
                 if line.token(2, "'='") != "=":
@@ -215,8 +236,9 @@ def elaborate(lines: tuple[_Line, ...]) -> Circuit:
                 if len(line.tokens) > 4:
                     raise line.error(f"unexpected token {line.tokens[4]!r}", 4)
                 line.check_name(1)
-                line.declare(wires, [name], 1)
-                wires[name] = builder.add_constant(int(value))
+                line.declare(sources, [name], 1)
+                sources[name] = ("const", len(constants))
+                constants.append(int(value))
             elif keyword == "GATE":
                 gate = catalog.get(line.token(1, "gate name"))
                 if gate is None:
@@ -228,32 +250,56 @@ def elaborate(lines: tuple[_Line, ...]) -> Circuit:
                     raise line.error("expected input wire or '->'") from None
                 if arrow == 2:
                     raise line.error("gate needs at least one input before '->'", 0)
-                ins = [line.resolve(wires, index) for index in range(2, arrow)]
+                read = line.tokens[2:arrow]
+                ins = list(map(sources.get, read))
+                if None in ins:  # resolve raises at the first undeclared name
+                    ins = [line.resolve(sources, index) for index in range(2, arrow)]
                 outs = line.names(arrow + 1, "output name")
-                line.declare(wires, outs, arrow + 1)
+                line.declare(sources, outs, arrow + 1)
                 if not len(ins) == len(outs) == gate.arity:
                     raise ArityMismatch(f"gate {gate.name} has arity {gate.arity}, "
                                         f"statement wires {len(ins)} inputs and "
                                         f"{len(outs)} outputs")
-                wires.update(zip(outs, builder.add_gate(gate, ins)))
+                if not consumed.isdisjoint(read) or len(set(read)) != len(read):
+                    # As the builder checks: every pin for a consumed
+                    # wire first, then one wire on two pins.
+                    for name, source in zip(read, ins):
+                        if name in consumed:
+                            raise _fan_out(input_labels, instances, source)
+                    raise _fan_out(input_labels, instances, None, gate)
+                consumed.update(read)
+                k = len(instances)
+                instances.append(Instance(gate, tuple(ins)))
+                sources.update(zip(outs, [("gate", k, pin) for pin in range(len(outs))]))
             elif keyword == "OUTPUT":
                 for index, name in enumerate(line.names(1, "output name"), 1):
-                    try:
-                        builder.mark_output(line.resolve(wires, index), name)
-                    except DuplicateLabel:
-                        raise line.error(
-                            f"wire {name!r} is already an output", index) from None
+                    source = line.resolve(sources, index)
+                    if name in outputs:
+                        raise line.error(f"wire {name!r} is already an output", index)
+                    if name in consumed:
+                        raise _fan_out(input_labels, instances, source)
+                    consumed.add(name)
+                    outputs[name] = source
             else:
-                line.names(1, "garbage name")
-                for index in range(1, len(line.tokens)):
-                    builder.mark_garbage(line.resolve(wires, index))
+                for index, name in enumerate(line.names(1, "garbage name"), 1):
+                    source = line.resolve(sources, index)
+                    if name in consumed:
+                        raise _fan_out(input_labels, instances, source)
+                    consumed.add(name)
+                    garbage.append(source)
         except (ArityMismatch, FanOutViolation) as exc:
             raise type(exc)(f"line {line.line_no}: {exc}") from None
 
     try:
-        return builder.seal()
+        return Circuit(
+            input_labels=input_labels,
+            constants=tuple(constants),
+            instances=tuple(instances),
+            outputs=tuple(outputs.items()),
+            garbage=tuple(garbage),
+        )
     except ValidationFailed as exc:
-        loose = sorted(name for name, wire in wires.items() if not wire.consumed)
+        loose = sorted(name for name in sources if name not in consumed)
         raise ValidationFailed(
             exc.violations + [f"unconsumed wire names: {', '.join(loose)}"]
         ) from None
@@ -269,8 +315,11 @@ def emit_netlist(circuit: Circuit) -> str:
     for gate outputs, skipping names already in use. Circuits whose
     labels cannot serve as wire names, that use a gate other than the
     built-in catalog's gate of its name, or that relabel an input as an
-    output cannot be expressed and raise ValueError.
+    output cannot be expressed and raise ValueError; anything but a
+    `Circuit` is a TypeError.
     """
+    if not isinstance(circuit, Circuit):
+        raise TypeError(f"emit_netlist takes a Circuit, not {type(circuit).__name__}")
     for label in circuit.input_labels + circuit.output_labels:
         if not isinstance(label, str) or not NAME_RE.fullmatch(label):
             raise ValueError(f"label {label!r} is not expressible as a wire name")
@@ -292,9 +341,11 @@ def emit_netlist(circuit: Circuit) -> str:
             names[slot] = label
             used.add(label)
     first_pin = width + len(circuit.constants)
-    # One stream of free generated names per kind, drawn in slot order.
-    free_c, free_w = (filterfalse(used.__contains__, map(f"{kind}{{}}".format, count()))
-                      for kind in "cw")
+    # The free generated names of each kind, drawn in slot order: n
+    # slots need at most n names, and at most len(used) are taken.
+    free_c, free_w = (
+        iter([name for i in range(n + len(used)) if (name := f"{kind}{i}") not in used])
+        for kind, n in (("c", first_pin - width), ("w", plan.size - first_pin)))
     names = [name or next(free_c if slot < first_pin else free_w)
              for slot, name in enumerate(names)]
 

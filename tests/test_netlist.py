@@ -552,6 +552,12 @@ _HAND_MADE_DEFECTS = {
     "negative-pin": (
         ("a", "b"), (_fg(_A, _B), _fg(_p(0), ("gate", 1, -1))), (("q", _q(0)), ("s", _q(1))), (),
         ["unknown wire: ('gate', 1, -1) read by FG#1 input pin 1", "dangling wire: FG#1 output P"]),
+    # ('gate', 0, 2) would land on FG#1's P, below its reader, which
+    # emission wrote as a wire that elaborated to a deeper circuit.
+    "pin-past-arity": (
+        ("a", "b", "c", "d"), (_fg(_A, _B), _fg(_p(0), _C), _fg(_q(0), ("gate", 0, 2))),
+        (("s", _q(1)), ("d", ("in", 3)), ("x", _p(2)), ("y", _q(2))), (),
+        ["unknown wire: ('gate', 0, 2) read by FG#2 input pin 1", "dangling wire: FG#1 output P"]),
     "short-source": (
         ("a", "b"), (_fg(("in",), _B),), (("p", _p(0)), ("q", _q(0))), (),
         ["unknown wire: ('in',) read by FG#0 input pin 0", "dangling wire: input 'a'"]),

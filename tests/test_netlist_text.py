@@ -6,7 +6,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gates, sealed_circuits
@@ -17,11 +17,13 @@ from revlogic.designs import (
     build_full_adder,
     build_ripple_adder4,
 )
+from revlogic.errors import RevLogicError
 from revlogic.gates import GateDef, catalog_by_name, make_gate
 from revlogic.metrics import analyze
 from revlogic.netlist import (
     ArityMismatch,
     Circuit,
+    DuplicateLabel,
     FanOutViolation,
     Instance,
     ValidationFailed,
@@ -641,3 +643,135 @@ def test_shipped_design_round_trips(build):
         rng = random.Random(original.width)
         planes = [rng.getrandbits(4096) for _ in range(original.width)]
         assert rebuilt.simulate_planes(planes, 4096) == original.simulate_planes(planes, 4096)
+
+
+@pytest.mark.parametrize("call, argument, message", [
+    (decode_netlist, "INPUT a", "decode_netlist takes bytes, not str"),
+    (parse_netlist, 5, "parse_netlist takes a str, not int"),
+    (elaborate, "x", "elaborate takes the _Line items parse_netlist returns, not str"),
+    (emit_netlist, "x", "emit_netlist takes a Circuit, not str"),
+], ids=["decode_netlist", "parse_netlist", "elaborate", "emit_netlist"])
+def test_wrong_argument_type_is_a_type_error(call, argument, message):
+    with pytest.raises(TypeError) as err:
+        call(argument)
+    assert type(err.value) is TypeError
+    assert str(err.value) == message
+
+
+@st.composite
+def netlist_programs(draw) -> list[list[str]]:
+    """A netlist's token lines over catalog gates, one INPUT line first.
+
+    Most reads take a wire nothing has read yet, but a gate pin may read
+    any declared wire again, repeat the pin before it or name the
+    undeclared wire `u`; a wire may be left dangling; and a mark may read
+    any declared wire again, an output's included, or name `u`.
+    """
+    inputs = [f"i{k}" for k in range(draw(st.integers(1, 6)))]
+    program = [["INPUT", *inputs]]
+    declared, free = list(inputs), list(inputs)
+    for k in range(draw(st.integers(0, 2))):
+        program.append(["CONST", f"k{k}", "=", str(draw(st.integers(0, 1)))])
+        declared.append(f"k{k}")
+        free.append(f"k{k}")
+    for g in range(draw(st.integers(0, 6))):
+        fits = [gate for gate in _CATALOG.values() if gate.arity <= len(free)]
+        gate = draw(st.sampled_from(fits or list(_CATALOG.values())))
+        pins: list[str] = []
+        for _ in range(gate.arity):
+            how = draw(st.sampled_from(["free"] * 30 + ["again", "repeat", "undeclared"]))
+            if how == "again":
+                pins.append(draw(st.sampled_from(declared)))
+            elif how == "repeat" and pins:
+                pins.append(pins[-1])
+            elif how == "undeclared" or not free:
+                pins.append("u")
+            else:
+                pins.append(free.pop(draw(st.integers(0, len(free) - 1))))
+        outs = [f"w{g}_{pin}" for pin in range(gate.arity)]
+        program.append(["GATE", gate.name, *pins, "->", *outs])
+        declared += outs
+        free += outs
+    marks = [(draw(st.sampled_from(["OUTPUT"] * 8 + ["GARBAGE"] * 8 + [None])), name)
+             for name in draw(st.permutations(free))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        marks.insert(draw(st.integers(0, len(marks))),
+                     (draw(st.sampled_from(["OUTPUT", "GARBAGE"])),
+                      draw(st.sampled_from([*declared, "u"]))))
+    for keyword, name in marks:
+        if keyword is None:
+            continue
+        if program[-1][0] == keyword and draw(st.booleans()):
+            program[-1].append(name)
+        else:
+            program.append([keyword, name])
+    return program
+
+
+def _column(tokens: list[str], index: int) -> int:
+    # Tokens are joined by single spaces.
+    return 1 + sum(len(token) + 1 for token in tokens[:index])
+
+
+def _replay(program: list[list[str]]) -> Circuit:
+    """The program's circuit, made through `new_circuit`, `add_gate`, the
+    marks and `seal`; a defect raises what `elaborate` raises for it."""
+    inputs = program[0][1:]
+    builder = new_circuit(inputs)
+    wires = dict(zip(inputs, builder.inputs))
+    for line_no, tokens in enumerate(program, 1):
+
+        def resolve(index):
+            if tokens[index] not in wires:
+                raise UseBeforeDeclaration(f"wire {tokens[index]!r} used before declaration",
+                                           line_no, _column(tokens, index))
+            return wires[tokens[index]]
+
+        keyword = tokens[0]
+        try:
+            if keyword == "CONST":
+                wires[tokens[1]] = builder.add_constant(int(tokens[3]))
+            elif keyword == "GATE":
+                arrow = tokens.index("->")
+                ins = [resolve(index) for index in range(2, arrow)]
+                wires.update(zip(tokens[arrow + 1:], builder.add_gate(_CATALOG[tokens[1]], ins)))
+            elif keyword == "OUTPUT":
+                for index in range(1, len(tokens)):
+                    wire = resolve(index)
+                    try:
+                        builder.mark_output(wire, tokens[index])
+                    except DuplicateLabel:
+                        raise NetlistSyntaxError(f"wire {tokens[index]!r} is already an output",
+                                                 line_no, _column(tokens, index)) from None
+            elif keyword == "GARBAGE":
+                for index in range(1, len(tokens)):
+                    builder.mark_garbage(resolve(index))
+        except (ArityMismatch, FanOutViolation) as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
+    try:
+        return builder.seal()
+    except ValidationFailed as exc:
+        loose = sorted(name for name, wire in wires.items() if not wire.consumed)
+        raise ValidationFailed(
+            exc.violations + [f"unconsumed wire names: {', '.join(loose)}"]) from None
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlist_programs())
+# A gate reading a consumed wire and repeating a pin: the builder checks
+# every pin for a consumed wire before it looks for a repeated one.
+@example([["INPUT", "a", "b", "c"], ["GATE", "FG", "b", "c", "->", "p", "q"],
+          ["GATE", "TG", "a", "a", "b", "->", "r", "s", "t"]])
+@example([["INPUT", "a", "b"], ["GARBAGE", "a"], ["GATE", "FG", "a", "a", "->", "p", "q"]])
+def test_elaborate_agrees_with_the_builder(program):
+    # Elaborating the text and replaying its statements through the builder
+    # give equal circuits, or the same error, word for word.
+    text = "".join(" ".join(tokens) + "\n" for tokens in program)
+    try:
+        expected = _replay(program)
+    except RevLogicError as exc:
+        with pytest.raises(RevLogicError) as err:
+            elaborate(parse_netlist(text))
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+    else:
+        assert elaborate(parse_netlist(text)) == expected

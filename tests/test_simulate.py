@@ -288,14 +288,25 @@ class TestInterpretedWalk:
         assert interpreted == [reference_simulate(circuit, word) for word in words]
 
     def test_walk_reads_the_plan(self):
-        circuit = build_custom_circuit()
-        circuit.simulate(BitWord.from_int(0, 5))
-        plan = circuit._plan
+        # The custom circuit's gates take 1, 5 and 6 inputs, the digit's
+        # 2, 3 and 4: a step holds the latter's slots padded with None to
+        # four, and the former's slot tuple followed by three Nones.
+        custom = build_custom_circuit()
+        plan = custom._plan
         assert plan.fill == (1, 0)
-        assert plan.size == 5 + 2 + sum(inst.gate.arity for inst in circuit.instances)
-        assert len(circuit._walk) == len(plan.steps)
-        for (trie, in_slots), (gate, step_slots, _, _) in zip(circuit._walk, plan.steps):
-            assert trie is gate.trie and in_slots == step_slots
+        assert plan.size == 5 + 2 + sum(inst.gate.arity for inst in custom.instances)
+        digit = build_bcd_adder_digit()
+        assert {len(in_slots) for _, in_slots, _, _ in digit._plan.steps} == {2, 3, 4}
+        for circuit in (custom, digit):
+            circuit.simulate(BitWord.from_int(0, circuit.width))
+            plan = circuit._plan
+            assert len(circuit._walk) == len(plan.steps)
+            for (trie, *slots), (gate, step_slots, _, _) in zip(circuit._walk, plan.steps):
+                assert trie is gate.trie
+                if 2 <= len(step_slots) <= 4:
+                    assert slots == [*step_slots, *[None] * (4 - len(step_slots))]
+                else:
+                    assert slots == [step_slots, None, None, None]
 
     def test_pickled_after_interpreted_calls_drops_the_walk(self):
         circuit = build_custom_circuit()
