@@ -43,9 +43,9 @@ MAX_DIGITS = 4
 
 # Most cases an exhaustive verify runs as one plane batch. Per-gate
 # Python overhead dominates narrow planes, so 100 chunks of 200 words
-# cost far more than one batch of 20000 (9.0 against 1.2 ms at two
+# cost far more than one batch of 20000 (6.4 against 0.7 ms at two
 # digits), while at three digits one 2*10^6-word batch is the slower
-# (about 85 against 21 ms; CPython 3.11, 2-CPU x86-64 VM).
+# (about 34 against 15 ms; CPython 3.11.7, 2-CPU x86-64 VM).
 _BATCH_WORDS = 2 * 10**4
 
 

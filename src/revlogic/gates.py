@@ -332,8 +332,11 @@ def parse_cost_table(text: str) -> dict[str, int]:
     """Parse cost-table text: one `<gate-name> <nonnegative-int>` per line.
 
     Blank lines are skipped and `#` starts a comment (whole-line or
-    trailing). Duplicate gate names are rejected.
+    trailing). Duplicate gate names are rejected. Anything but a `str`
+    is a TypeError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_cost_table takes a str, not {type(text).__name__}")
     costs: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

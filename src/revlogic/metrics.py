@@ -75,7 +75,10 @@ def _depths(
 
 
 def delay(circuit: Circuit) -> int:
-    """Longest source-to-output path, counting one level per gate."""
+    """Longest source-to-output path, counting one level per gate.
+    Anything but a `Circuit` is a TypeError."""
+    if not isinstance(circuit, Circuit):
+        raise TypeError(f"delay takes a Circuit, not {type(circuit).__name__}")
     return max(_depths(circuit), default=0)
 
 
@@ -84,8 +87,11 @@ def analyze(circuit: Circuit, costs: Mapping[str, int] | None = None) -> Metrics
 
     `costs` maps gate names to quantum costs; omitted, the packaged
     default table applies. Every gate in the circuit needs an entry, a
-    nonnegative int; any other value is a ValueError.
+    nonnegative int; any other value is a ValueError. Anything but a
+    `Circuit` is a TypeError.
     """
+    if not isinstance(circuit, Circuit):
+        raise TypeError(f"analyze takes a Circuit, not {type(circuit).__name__}")
     if costs is None:
         costs = default_cost_table()
     total = 0
@@ -117,7 +123,10 @@ def delay_decomposition(
     order, and the per-stage longest paths sum to the total delay (every
     critical path passes through the stages in sequence). Otherwise it
     raises StagesNotLinear. Returns {stage: levels} in pipeline order.
+    Anything but a `Circuit` is a TypeError.
     """
+    if not isinstance(circuit, Circuit):
+        raise TypeError(f"delay_decomposition takes a Circuit, not {type(circuit).__name__}")
     n = len(circuit.instances)
     if set(stage_tags) != set(range(n)):
         missing = sorted(set(range(n)) - set(stage_tags))

@@ -9,7 +9,8 @@ rules from reversible-logic design are enforced:
   added, so cycles cannot be expressed.
 
 Construction goes through `CircuitBuilder` (obtained from `new_circuit`),
-which hands out `Wire` handles, accepts only the handles it issued, and
+which alone makes `Wire` handles (calling `Wire`, or copying or pickling
+a wire, is a TypeError), accepts only the handles it issued, and
 rejects any second consumption of a wire with `FanOutViolation`. Since
 a gate's output wires are issued only after the gate is placed, and
 every mark consumes its wire, feedback and double marking cannot be
@@ -17,11 +18,11 @@ expressed. `seal()` freezes what was built into an immutable `Circuit`
 that can be simulated or exhaustively enumerated. Every `Circuit`, made
 by `seal()`, by calling `Circuit` (as the text format's `elaborate`
 does) or by `dataclasses.replace`, checks the rules itself, so every
-evaluator can rely on them: each source names an existing input,
-constant or gate pin, in a slot before its reader's outputs, each gate
-has one source per pin,
-every wire is read exactly once (none dangles, none fans out), and
-inputs plus constants equal outputs plus garbage. All violations are
+evaluator can rely on them: each constant is 0 or 1, each source names
+an existing input, constant or gate pin, in a slot before its reader's
+outputs, each gate has one source per pin, every wire is read exactly
+once (none dangles, none fans out), and inputs plus constants equal
+outputs plus garbage. All violations are
 reported together in one `ValidationFailed`.
 
 Garbage is explicit: an output that is neither marked as a primary
@@ -53,7 +54,7 @@ and caches one straight-line Python function with a local per slot,
 with no loop or store between gates, in which each gate's walk is one
 indexing expression (compiled-code simulation, as in Barzilai et al.,
 "HSS -- A High-Speed Simulator", IEEE TCAD 1987).
-Compiling costs 50 to 150 interpreted calls, so a circuit simulated
+Compiling costs 70 to 190 interpreted calls, so a circuit simulated
 only a few times never pays for it. Every bit either tier returns is an
 input bit, a constant or a table row's, all ints known to be 0 or 1 (an
 input that is not a `BitWord` is made one first, which checks it), so
@@ -84,15 +85,17 @@ from .gates import BIT_BYTES, BitWord, GateDef, WidthMismatch, _PIN_NAMES
 ENUMERATION_LIMIT = 20
 
 # The call on which `simulate` compiles a circuit's kernel; the calls
-# before it are interpreted. Compiling costs as much as 50 to 150
-# interpreted calls on the circuits measured (the 1- and 4-digit adders
-# and random 100- and 1000-gate circuits; CPython 3.11.7). As in ski
-# rental, waiting until the calls already made cost more than a compile
+# before it are interpreted. Compiling costs as much as 70 to 190
+# interpreted calls on the circuits measured (about 70 for the 1-digit
+# adder, 110 for the 4-digit one, 135 and 185 for random 100- and
+# 1000-gate circuits; CPython 3.11.7, 2-CPU x86-64 VM). As in ski
+# rental, waiting until the calls already made cost about a compile
 # bounds the waste: a circuit that stops being simulated just after
-# compiling has spent under twice what interpreting alone would have
-# cost, and one that stays in use pays the compile once. Short-lived
-# circuits, such as those a netlist round trip builds and simulates a
-# few times, never reach it.
+# compiling has spent at most about 2.5 times what the cheaper choice
+# would have cost (twice where the compile costs exactly 128 calls), and
+# one that stays in use pays the compile once. Short-lived circuits,
+# such as those a netlist round trip builds and simulates a few times,
+# never reach it.
 COMPILE_AFTER = 128
 
 # Words whose bits came from the circuit's own tables and planes are
@@ -164,17 +167,20 @@ def _fan_out(input_labels: Sequence[str], instances: Sequence[Instance],
 class Wire:
     """Handle for a signal inside a builder; valid for one consumption.
 
-    It is its builder's when it is a key of the builder's issued-wire
-    table. `_builder` is the builder's weak reference to itself, so the
-    two form no cycle and are freed by refcount alone.
+    Only a builder makes wires: calling `Wire`, copying a wire and
+    pickling one raise TypeError, so a wire is its builder's exactly when
+    its `_builder` is that builder's weak reference to itself. The weak
+    reference means the two form no cycle and are freed by refcount alone.
     """
 
     __slots__ = ("source", "_builder", "_consumed")
 
-    def __init__(self, source: Source, builder: CircuitBuilder):
-        self.source = source
-        self._builder = builder._ref
-        self._consumed = False
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Wire is issued by a CircuitBuilder, not made by hand")
+
+    # `copy.copy`, `copy.deepcopy` and `pickle` reduce a wire through
+    # this, so each refuses as the constructor does.
+    __reduce_ex__ = __init__
 
     @property
     def consumed(self) -> bool:
@@ -191,7 +197,7 @@ class CircuitBuilder:
     """Accumulates gates and wire marks; `seal()` yields the Circuit.
 
     Use `new_circuit` to create one. It accepts exactly the wires that
-    are keys of `_wires`, its table of issued wires in issue order.
+    `_issue` made for it.
     """
 
     def __init__(self, input_labels: Iterable[str]):
@@ -211,7 +217,6 @@ class CircuitBuilder:
         # Output sources by label, in marking order.
         self._outputs: dict[str, Source] = {}
         self._garbage: list[Source] = []
-        self._wires: dict[Wire, None] = {}
         self._sealed = False
         self._ref = weakref.ref(self)
         self.inputs = self._issue([("in", i) for i in range(len(labels))])
@@ -221,10 +226,15 @@ class CircuitBuilder:
         return len(self._constants)
 
     def _issue(self, sources: Iterable[Source]) -> tuple[Wire, ...]:
-        wires = tuple([Wire(source, self) for source in sources])
-        for wire in wires:
-            self._wires[wire] = None
-        return wires
+        """The one place wires are made: `Wire()` refuses, so this skips it."""
+        wires = []
+        for source in sources:
+            wire = object.__new__(Wire)
+            wire.source = source
+            wire._builder = self._ref
+            wire._consumed = False
+            wires.append(wire)
+        return tuple(wires)
 
     def _check_open(self) -> None:
         if self._sealed:
@@ -232,11 +242,7 @@ class CircuitBuilder:
 
     def _free(self, wire: Wire) -> None:
         """Check that the wire was issued here and is not yet consumed."""
-        try:
-            issued = wire in self._wires
-        except TypeError:  # unhashable, so never issued
-            issued = False
-        if not issued:
+        if type(wire) is not Wire or wire._builder is not self._ref:
             raise ValueError("wire was not issued by this builder")
         if wire._consumed:
             raise _fan_out(self.input_labels, self._instances, wire.source)
@@ -258,28 +264,17 @@ class CircuitBuilder:
 
         Output wires come back in pin order (P, Q, ...). All fan-out
         checks happen before anything is consumed, so a failed call
-        leaves the builder unchanged. The checks are `_check_open`'s and
-        `_free`'s, written out here since every gate of every circuit
-        passes them.
+        leaves the builder unchanged.
         """
-        if self._sealed:
-            raise ValueError("builder already sealed")
+        self._check_open()
         wires = list(inputs)
         arity = gate.arity
         if len(wires) != arity:
             raise ArityMismatch(
                 f"gate {gate.name} has arity {arity}, got {len(wires)} wires"
             )
-        issued = self._wires
         for wire in wires:
-            try:
-                known = wire in issued
-            except TypeError:  # unhashable, so never issued
-                known = False
-            if not known:
-                raise ValueError("wire was not issued by this builder")
-            if wire._consumed:
-                raise _fan_out(self.input_labels, self._instances, wire.source)
+            self._free(wire)
         if len(set(map(id, wires))) != arity:
             raise _fan_out(self.input_labels, self._instances, None, gate)
         sources = []
@@ -288,12 +283,7 @@ class CircuitBuilder:
             sources.append(wire.source)
         idx = len(self._instances)
         self._instances.append(Instance(gate, tuple(sources)))
-        outputs = []
-        for pin in range(arity):
-            wire = Wire(("gate", idx, pin), self)
-            issued[wire] = None
-            outputs.append(wire)
-        return tuple(outputs)
+        return self._issue([("gate", idx, pin) for pin in range(arity)])
 
     def mark_output(self, wire: Wire, label: str) -> None:
         """Consume a wire as the primary output named `label`."""
@@ -438,27 +428,30 @@ class Circuit:
         reads += garbage
         # With each source's count right, `size` reads of distinct slots
         # read every slot exactly once, and so conserve the lines too.
-        if miscounted or len(reads) != size or None in reads or len(set(reads)) != size:
+        if (miscounted or len(reads) != size or None in reads or len(set(reads)) != size
+                or not all(c in (0, 1) for c in self.constants)):
             raise ValidationFailed(self._violations(steps, outputs, garbage, size, slots))
-        # A constant's value is decided here alone, by truthiness; both
-        # scalar tiers, the planes and emission read it from `fill`.
+        # Every constant equals 0 or 1, so `True` reads as 1; both scalar
+        # tiers, the planes and emission read its int from `fill`.
         fill = tuple(1 if c else 0 for c in self.constants)
         return _Plan(tuple(steps), outputs, garbage, fill, size)
 
     def _violations(self, steps, outputs, garbage, size: int, slots) -> list[str]:
         """`_plan`'s report, from its steps, result slots and `slots`
-        lookup: each gate whose source count is not its arity; each
-        source that names no slot, or a slot at or after its reader's
-        outputs, in reading order; then each slot not read exactly once,
-        in slot order; then the line count."""
+        lookup: each constant that is not 0 or 1; each gate whose source
+        count is not its arity; each source that names no slot, or a slot
+        at or after its reader's outputs, in reading order; then each slot
+        not read exactly once, in slot order; then the line count."""
         width, n_const = self.width, len(self.constants)
         by_slot = [("in", i) for i in range(width)] + [("const", j) for j in range(n_const)]
         by_slot += [("gate", k, pin) for k, (gate, _) in enumerate(self.instances)
                     for pin in range(gate.arity)]
         name = [_describe(self.input_labels, self.instances, source) for source in by_slot]
-        violations = [f"{gate.name}#{k} has arity {gate.arity}, got {len(sources)} sources"
-                      for k, (gate, sources) in enumerate(self.instances)
-                      if len(sources) != gate.arity]
+        violations = [f"constant #{j} is {c!r}, not 0 or 1"
+                      for j, c in enumerate(self.constants) if c not in (0, 1)]
+        violations += [f"{gate.name}#{k} has arity {gate.arity}, got {len(sources)} sources"
+                       for k, (gate, sources) in enumerate(self.instances)
+                       if len(sources) != gate.arity]
         readers = [(f"{gate.name}#{k} input pin {pin}", source, slot)
                    for k, ((gate, sources), step) in enumerate(zip(self.instances, steps))
                    for pin, (source, slot) in enumerate(zip(sources, step[1]))]

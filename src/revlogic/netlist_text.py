@@ -313,10 +313,10 @@ def emit_netlist(circuit: Circuit) -> str:
     so the OUTPUT line reads naturally, and every other slot, in slot
     order, a generated name: c0, c1, ... for constants and w0, w1, ...
     for gate outputs, skipping names already in use. Circuits whose
-    labels cannot serve as wire names, that use a gate other than the
-    built-in catalog's gate of its name, or that relabel an input as an
-    output cannot be expressed and raise ValueError; anything but a
-    `Circuit` is a TypeError.
+    labels cannot serve as wire names, that repeat an input label, that
+    use a gate other than the built-in catalog's gate of its name, or
+    that relabel an input as an output cannot be expressed and raise
+    ValueError; anything but a `Circuit` is a TypeError.
     """
     if not isinstance(circuit, Circuit):
         raise TypeError(f"emit_netlist takes a Circuit, not {type(circuit).__name__}")
@@ -324,10 +324,16 @@ def emit_netlist(circuit: Circuit) -> str:
         if not isinstance(label, str) or not NAME_RE.fullmatch(label):
             raise ValueError(f"label {label!r} is not expressible as a wire name")
 
+    used = set()
+    for label in circuit.input_labels:
+        if label in used:
+            raise ValueError(f"input label {label!r} is repeated; "
+                             "the text format cannot express that")
+        used.add(label)
+
     plan = circuit._plan
     width = circuit.width
     names: list[str | None] = [*circuit.input_labels, *[None] * (plan.size - width)]
-    used = set(circuit.input_labels)
     for label, slot in zip(circuit.output_labels, plan.outputs):
         if slot < width:
             if names[slot] != label:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build_from_plan, circuit_plans
 from revlogic.designs import build_bcd_adder_digit, build_full_adder
-from revlogic.gates import catalog_by_name, default_cost_table, make_gate
+from revlogic.gates import catalog_by_name, default_cost_table, make_gate, parse_cost_table
 from revlogic.metrics import (
     MetricsReport,
     StagesNotLinear,
@@ -17,7 +17,7 @@ from revlogic.metrics import (
     delay,
     delay_decomposition,
 )
-from revlogic.netlist import new_circuit
+from revlogic.netlist import Wire, new_circuit
 
 
 def _fg_chain(length):
@@ -279,3 +279,20 @@ class TestDelayDecomposition:
         tags = {0: "front", 1: "front", 2: "front", 3: "back"}
         with pytest.raises(StagesNotLinear):
             delay_decomposition(circuit, tags)
+
+
+# A public callable given a value of the wrong type raises a TypeError
+# naming the type it takes, as the text layer's four do (see
+# test_netlist_text); no wire is made outside a builder.
+@pytest.mark.parametrize("call, arguments, message", [
+    (analyze, ("x",), "analyze takes a Circuit, not str"),
+    (delay, ("x",), "delay takes a Circuit, not str"),
+    (delay_decomposition, ("x", {}), "delay_decomposition takes a Circuit, not str"),
+    (parse_cost_table, (5,), "parse_cost_table takes a str, not int"),
+    (Wire, (("in", 0), None), "a Wire is issued by a CircuitBuilder, not made by hand"),
+], ids=["analyze", "delay", "delay_decomposition", "parse_cost_table", "Wire"])
+def test_wrong_argument_type_is_a_type_error(call, arguments, message):
+    with pytest.raises(TypeError) as err:
+        call(*arguments)
+    assert type(err.value) is TypeError
+    assert str(err.value) == message

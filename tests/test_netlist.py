@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
+import pickle
 import time
 import weakref
 
@@ -227,13 +229,12 @@ _C_CONSUMED = (FanOutViolation, "input 'c' is already consumed")
 
 # Every builder call with one defect, and the exception it must raise. The
 # calls run on a builder over inputs a, b and c, whose c is already output
-# 'x'. "made" is a `Wire` made by hand, "foreign" another builder's input,
-# "source" a's source tuple and "listed" that source as an unhashable list.
+# 'x'. "foreign" is another builder's input, "source" a's source tuple and
+# "listed" that source as an unhashable list.
 # For "sealed" the builder is first sealed, which consumes a and b too.
 _SINGLE_DEFECTS = [
     ("add_gate", "sealed", _add_gate("a", "b"), _SEALED),
     ("add_gate", "arity", _add_gate("a"), (ArityMismatch, "gate FG has arity 2, got 1 wires")),
-    ("add_gate", "made", _add_gate("made", "b"), _NOT_ISSUED),
     ("add_gate", "foreign", _add_gate("a", "foreign"), _NOT_ISSUED),
     ("add_gate", "source", _add_gate("source", "b"), _NOT_ISSUED),
     ("add_gate", "listed", _add_gate("a", "listed"), _NOT_ISSUED),
@@ -241,7 +242,6 @@ _SINGLE_DEFECTS = [
     ("add_gate", "twice", _add_gate("a", "a"),
      (FanOutViolation, "gate FG: the same wire was passed to two pins")),
     ("mark_output", "sealed", _mark_output("a", "y"), _SEALED),
-    ("mark_output", "made", _mark_output("made", "y"), _NOT_ISSUED),
     ("mark_output", "foreign", _mark_output("foreign", "y"), _NOT_ISSUED),
     ("mark_output", "source", _mark_output("source", "y"), _NOT_ISSUED),
     ("mark_output", "listed", _mark_output("listed", "y"), _NOT_ISSUED),
@@ -262,7 +262,6 @@ _SINGLE_DEFECTS = [
     ("mark_output", "repeated label", _mark_output("a", "x"),
      (DuplicateLabel, "duplicate output label 'x'")),
     ("mark_garbage", "sealed", _mark_garbage("a"), _SEALED),
-    ("mark_garbage", "made", _mark_garbage("made"), _NOT_ISSUED),
     ("mark_garbage", "foreign", _mark_garbage("foreign"), _NOT_ISSUED),
     ("mark_garbage", "source", _mark_garbage("source"), _NOT_ISSUED),
     ("mark_garbage", "listed", _mark_garbage("listed"), _NOT_ISSUED),
@@ -283,11 +282,12 @@ def test_single_defect_call_raises_and_changes_nothing(defect, act, expected):
         builder.mark_output(a, "a")
         builder.mark_garbage(b)
         builder.seal()
-    wires = {"a": a, "b": b, "c": c, "made": Wire(a.source, builder),
-             "foreign": other.inputs[0], "source": a.source, "listed": list(a.source)}
+    wires = {"a": a, "b": b, "c": c, "foreign": other.inputs[0], "source": a.source,
+             "listed": list(a.source)}
 
     def state():
-        return ([(w, w.consumed) for w in builder._wires], list(builder._instances),
+        # The inputs are every wire the builder has issued.
+        return ([(w, w.consumed) for w in builder.inputs], list(builder._instances),
                 dict(builder._outputs), list(builder._garbage), list(builder._constants))
 
     before = state()
@@ -295,7 +295,7 @@ def test_single_defect_call_raises_and_changes_nothing(defect, act, expected):
         act(builder, wires)
     assert (type(err.value), str(err.value)) == expected
     assert state() == before
-    assert not wires["made"].consumed and not other.inputs[0].consumed
+    assert not other.inputs[0].consumed
 
 
 class TestSeal:
@@ -329,15 +329,25 @@ class TestSeal:
 
     @pytest.mark.parametrize("source", [("gate", 3, 0), ("in", 0), ["in", 0]])
     def test_rejects_wires_it_did_not_issue(self, source):
+        # Only the builder makes wires: one made or copied by hand is a
+        # TypeError, so what it did not issue is never a wire of its own.
         builder = new_circuit(["a", "b"])
         fg = catalog_by_name()["FG"]
-        forged = Wire(source, builder)
-        with pytest.raises(ValueError, match="not issued by this builder"):
-            builder.add_gate(fg, [forged, builder.inputs[1]])
-        with pytest.raises(ValueError, match="not issued by this builder"):
-            builder.mark_output(forged, "x")
-        with pytest.raises(ValueError, match="not issued by this builder"):
-            builder.mark_garbage(forged)
+        issued = builder.inputs[0]
+        forges = [lambda: Wire(source, builder), lambda: copy.copy(issued),
+                  lambda: copy.deepcopy(issued)]
+        forges += [lambda protocol=protocol: pickle.dumps(issued, protocol)
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for forge in forges:
+            with pytest.raises(TypeError):
+                forge()
+        for offered in (source, list(source), new_circuit(["x"]).inputs[0]):
+            with pytest.raises(ValueError, match="not issued by this builder"):
+                builder.add_gate(fg, [offered, builder.inputs[1]])
+            with pytest.raises(ValueError, match="not issued by this builder"):
+                builder.mark_output(offered, "x")
+            with pytest.raises(ValueError, match="not issued by this builder"):
+                builder.mark_garbage(offered)
         assert not builder.inputs[1].consumed
         builder.mark_output(builder.inputs[0], "a")
         builder.mark_garbage(builder.inputs[1])
@@ -519,59 +529,66 @@ def _q(k):
 
 _HAND_MADE_DEFECTS = {
     "two-FG-read-a": (
-        ("a", "b", "c"), (_fg(_A, _B), _fg(_A, _C)),
+        ("a", "b", "c"), (), (_fg(_A, _B), _fg(_A, _C)),
         (("p", _p(0)), ("q", _q(0)), ("r", _p(1))), (_q(1),),
         ["fanned-out wire: input 'a'",
          "line count not conserved: 3 inputs + 0 constants != 3 outputs + 1 garbage"]),
     "one-input-on-both-pins": (
-        ("a", "b"), (_fg(_A, _A),), (("p", _p(0)), ("q", _q(0))), (),
+        ("a", "b"), (), (_fg(_A, _A),), (("p", _p(0)), ("q", _q(0))), (),
         ["fanned-out wire: input 'a'", "dangling wire: input 'b'"]),
     "gate-output-unread": (
-        ("a", "b"), (_fg(_A, _B),), (("q", _q(0)),), (),
+        ("a", "b"), (), (_fg(_A, _B),), (("q", _q(0)),), (),
         ["dangling wire: FG#0 output P",
          "line count not conserved: 2 inputs + 0 constants != 1 outputs + 0 garbage"]),
     "FG-with-one-source": (
-        ("a", "b"), (_fg(_A),), (("p", _p(0)), ("q", _q(0))), (_B,),
+        ("a", "b"), (), (_fg(_A),), (("p", _p(0)), ("q", _q(0))), (_B,),
         ["FG#0 has arity 2, got 1 sources",
          "line count not conserved: 2 inputs + 0 constants != 2 outputs + 1 garbage"]),
     "forward-reference": (
-        ("a", "b"), (_fg(_A, _p(1)), _fg(_B, _q(0))), (("p", _p(0)), ("q", _q(1))), (),
+        ("a", "b"), (), (_fg(_A, _p(1)), _fg(_B, _q(0))), (("p", _p(0)), ("q", _q(1))), (),
         ["feedback wire: FG#1 output P read by FG#0 input pin 1"]),
     "own-output": (
-        ("a", "b"), (_fg(_A, _p(0)),), (("q", _q(0)),), (_B,),
+        ("a", "b"), (), (_fg(_A, _p(0)),), (("q", _q(0)),), (_B,),
         ["feedback wire: FG#0 output P read by FG#0 input pin 1"]),
     "input-out-of-range": (
-        ("a", "b"), (_fg(_A, _C),), (("p", _p(0)), ("q", _q(0))), (),
+        ("a", "b"), (), (_fg(_A, _C),), (("p", _p(0)), ("q", _q(0))), (),
         ["unknown wire: ('in', 2) read by FG#0 input pin 1", "dangling wire: input 'b'"]),
     "gate-out-of-range": (
-        ("a", "b"), (_fg(_A, _B),), (("p", _p(0)), ("q", _p(1))), (),
+        ("a", "b"), (), (_fg(_A, _B),), (("p", _p(0)), ("q", _p(1))), (),
         ["unknown wire: ('gate', 1, 0) read by output 'q'", "dangling wire: FG#0 output Q"]),
     "negative-index": (
-        ("a", "b"), (_fg(("in", -1), _B),), (("p", _p(0)), ("q", _q(0))), (),
+        ("a", "b"), (), (_fg(("in", -1), _B),), (("p", _p(0)), ("q", _q(0))), (),
         ["unknown wire: ('in', -1) read by FG#0 input pin 0", "dangling wire: input 'a'"]),
     "negative-pin": (
-        ("a", "b"), (_fg(_A, _B), _fg(_p(0), ("gate", 1, -1))), (("q", _q(0)), ("s", _q(1))), (),
+        ("a", "b"), (), (_fg(_A, _B), _fg(_p(0), ("gate", 1, -1))),
+        (("q", _q(0)), ("s", _q(1))), (),
         ["unknown wire: ('gate', 1, -1) read by FG#1 input pin 1", "dangling wire: FG#1 output P"]),
     # ('gate', 0, 2) would land on FG#1's P, below its reader, which
     # emission wrote as a wire that elaborated to a deeper circuit.
     "pin-past-arity": (
-        ("a", "b", "c", "d"), (_fg(_A, _B), _fg(_p(0), _C), _fg(_q(0), ("gate", 0, 2))),
+        ("a", "b", "c", "d"), (), (_fg(_A, _B), _fg(_p(0), _C), _fg(_q(0), ("gate", 0, 2))),
         (("s", _q(1)), ("d", ("in", 3)), ("x", _p(2)), ("y", _q(2))), (),
         ["unknown wire: ('gate', 0, 2) read by FG#2 input pin 1", "dangling wire: FG#1 output P"]),
     "short-source": (
-        ("a", "b"), (_fg(("in",), _B),), (("p", _p(0)), ("q", _q(0))), (),
+        ("a", "b"), (), (_fg(("in",), _B),), (("p", _p(0)), ("q", _q(0))), (),
         ["unknown wire: ('in',) read by FG#0 input pin 0", "dangling wire: input 'a'"]),
     "label-as-source": (
-        ("a", "b", "c"), (_fg(_A, _B),), (("p", _p(0)), ("q", _q(0))), ("c",),
+        ("a", "b", "c"), (), (_fg(_A, _B),), (("p", _p(0)), ("q", _q(0))), ("c",),
         ["unknown wire: 'c' read by garbage #0", "dangling wire: input 'c'"]),
+    # True equals 1 and reads as 1; 2 would read as 1 too, and emission
+    # wrote it so.
+    "constant-not-a-bit": (
+        ("a", "b"), (True, 2), (_fg(_A, ("const", 1)),), (("p", _p(0)), ("q", _q(0))),
+        (_B, ("const", 0)), ["constant #1 is 2, not 0 or 1"]),
 }
 
 
-@pytest.mark.parametrize("labels, instances, outputs, garbage, violations",
+@pytest.mark.parametrize("labels, constants, instances, outputs, garbage, violations",
                          _HAND_MADE_DEFECTS.values(), ids=_HAND_MADE_DEFECTS.keys())
-def test_hand_made_defect_fails_construction(labels, instances, outputs, garbage, violations):
+def test_hand_made_defect_fails_construction(labels, constants, instances, outputs, garbage,
+                                             violations):
     with pytest.raises(ValidationFailed) as err:
-        Circuit(labels, (), instances, outputs, garbage)
+        Circuit(labels, constants, instances, outputs, garbage)
     assert err.value.violations == violations
 
 

@@ -305,6 +305,16 @@ class TestEmit:
             emit_netlist(circuit)
         assert str(err.value) == "label 1 is not expressible as a wire name"
 
+    def test_repeated_input_label_rejected(self):
+        # A hand-made Circuit checks no labels, but `INPUT a a` would not
+        # elaborate: emission names the repeated one.
+        circuit = Circuit(input_labels=("a", "a"), constants=(),
+                          instances=(Instance(catalog_by_name()["FG"], (("in", 0), ("in", 1))),),
+                          outputs=(("p", ("gate", 0, 0)), ("q", ("gate", 0, 1))), garbage=())
+        with pytest.raises(ValueError) as err:
+            emit_netlist(circuit)
+        assert str(err.value) == "input label 'a' is repeated; the text format cannot express that"
+
     def test_output_label_colliding_with_a_wire_name_rejected(self):
         builder = new_circuit(["a", "b"])
         p, q = builder.add_gate(catalog_by_name()["FG"], builder.inputs)
