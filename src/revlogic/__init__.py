@@ -49,6 +49,7 @@ from .metrics import (
 from .designs import (
     BadDigitCount,
     BcdFailure,
+    MAX_CODEC_DIGITS,
     MAX_DIGITS,
     ReferenceRow,
     bcd_digit_stage_tags,
@@ -111,6 +112,7 @@ __all__ = [
     "delay_decomposition",
     "BadDigitCount",
     "BcdFailure",
+    "MAX_CODEC_DIGITS",
     "MAX_DIGITS",
     "ReferenceRow",
     "bcd_digit_stage_tags",

@@ -23,6 +23,10 @@ An N-digit adder cascades one-digit blocks on their carries. Everything
 is verified against `oracle_bcd_add_number`, whole-number decimal
 arithmetic with no circuit anywhere in it; the tests check that it
 equals the one-digit `oracle_bcd_add` chained on its carries.
+`verify_bcd_adder` is three parts the tests call on their own: a batch
+source of input and expected planes (`_bcd_batches`), one check that
+runs a circuit over them (`_failing_cases`), and a scalar re-run per
+failing case (`_failure_records`).
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ class BadDigitCount(RevLogicError):
 
 
 MAX_DIGITS = 4
+
+# Most digits the BCD codec and the oracle take; a larger count is refused
+# before any work. Past CPython's 4300-digit int-string limit the codec goes
+# nibble by nibble, whose cost grows as the square of the count: an encode at
+# the cap takes about 0.1 s (CPython 3.11.7, 2-CPU x86-64 VM).
+MAX_CODEC_DIGITS = 10**4
 
 # Most cases an exhaustive verify runs as one plane batch. Per-gate
 # Python overhead dominates narrow planes, so 100 chunks of 200 words
@@ -63,15 +73,16 @@ def oracle_bcd_add(a: int, b: int, cin: int) -> tuple[int, int]:
 def _check_operands(a: int, b: int, cin: int, digits: int) -> int:
     """Check `digits`-digit operands and a carry-in bit; returns the carry-in.
 
-    The digit count is checked as `decode_bcd_result` checks it, and the
-    carry-in as `_bit` checks a bit, with the same messages; they are
-    written out here since every encoded word and every oracle call
-    passes them.
+    The digit count, at most MAX_CODEC_DIGITS, is checked as
+    `decode_bcd_result` checks it, and the carry-in as `_bit` checks a
+    bit, with the same messages; they are written out here since every
+    encoded word and every oracle call passes them.
     """
     if not isinstance(digits, int) or isinstance(digits, bool):
         raise ValueError(f"digits must be an integer, got {digits!r}")
-    if digits < 1:
-        raise ValueError("digits must be positive")
+    if not 1 <= digits <= MAX_CODEC_DIGITS:
+        raise ValueError("digits must be positive" if digits < 1
+                         else f"digits must be at most {MAX_CODEC_DIGITS}")
     if not (isinstance(a, int) and isinstance(b, int)):
         raise ValueError(f"operands must be integers, got {a!r} and {b!r}")
     limit = 10**digits
@@ -88,7 +99,8 @@ def oracle_bcd_add_number(a: int, b: int, cin: int, digits: int) -> tuple[int, i
     decimal arithmetic, the sum kept to `digits` digits.
 
     For valid operands this is the decimal carry chain of `oracle_bcd_add`
-    digit by digit; the tests check that equivalence.
+    digit by digit; the tests check that equivalence. `digits` is at most
+    MAX_CODEC_DIGITS.
     """
     cin = _check_operands(a, b, cin, digits)
     return divmod(a + b + cin, 10**digits)
@@ -281,7 +293,7 @@ def encode_bcd_operands(a: int, b: int, cin: int, digits: int = 1) -> BitWord:
     """Pack decimal operands into the adder's input word.
 
     Layout matches the builders: a's digits MSB-first (4 bits each,
-    MSB-first), then b's, then cin.
+    MSB-first), then b's, then cin. `digits` is at most MAX_CODEC_DIGITS.
     """
     _check_operands(a, b, cin, digits)
     # Read in base 16, a number's decimal digits are its BCD nibbles; the
@@ -309,12 +321,14 @@ def decode_bcd_result(outputs: Iterable, digits: int = 1) -> tuple[int, int]:
     Inverse of the builders' output layout: cout, then sum digits
     MSB-first. Out-of-range nibbles (possible for non-BCD inputs) decode
     to their binary value so mismatches stay visible. Bits that are not a
-    `BitWord` are checked as `BitWord` checks them.
+    `BitWord` are checked as `BitWord` checks them. `digits` is at most
+    MAX_CODEC_DIGITS.
     """
     if not isinstance(digits, int) or isinstance(digits, bool):
         raise ValueError(f"digits must be an integer, got {digits!r}")
-    if digits < 1:
-        raise ValueError("digits must be positive")
+    if not 1 <= digits <= MAX_CODEC_DIGITS:
+        raise ValueError("digits must be positive" if digits < 1
+                         else f"digits must be at most {MAX_CODEC_DIGITS}")
     if type(outputs) is not BitWord:
         outputs = BitWord(outputs)
     if len(outputs) != 4 * digits + 1:
@@ -405,23 +419,35 @@ def _add_digit_planes(
     return _nibble_planes(digit), carry_out
 
 
-def _shared_digit_planes(shared: int) -> tuple[list[int], list[int], list[int], int]:
-    """Planes of the low `shared` digits on 2 * 100**shared words, word
-    j = (a_low * 10**shared + b_low) * 2 + cin: a's and b's input planes
-    and the expected sum planes, each MSB first, and the carry-out plane.
+def _shared_digits(digits: int, batch_words: int = _BATCH_WORDS) -> int:
+    """Verify's layout: the low digits every batch holds, all of them when
+    the 2 * 100**digits cases fit in `batch_words` words."""
+    return digits if 2 * 100**digits <= batch_words else digits - 1
 
-    Digit p is built over one turn of a_p, 10 runs of it (20 * 10**(shared
-    + p) words), and then tiled: the lower digits, the b digits and the
-    carry into p all repeat inside one run of a_p. Its carry-out repeats
-    with that turn and is tiled up to the next digit's; the carry into
-    digit 0 is cin, which repeats every 2 words. The top shared digit's
-    turn is the whole batch, so its carry-out is the batch's.
+
+def _bcd_batches(digits: int, shared: int):
+    """Every case of the `digits`-digit adder in 100**(digits - shared)
+    batches of 2 * low**2 words, low = 10**shared: an iterator of (a0,
+    b0, low, inputs, expected), one per batch. Word j is the case (a0 +
+    a_low, b0 + b_low, cin) with j = (a_low * low + b_low) * 2 + cin, and
+    `inputs` and `expected` are the adder's input and output planes, MSB
+    first.
+
+    Expected planes come from decimal arithmetic, never from a circuit.
+    The low `shared` digits' planes are every batch's. Digit p is built
+    over one turn of a_p, 10 runs of it (20 * 10**(shared + p) words), and
+    tiled: the lower digits, the b digits and the carry into p repeat
+    inside one run of a_p. Its carry-out repeats with that turn and is
+    tiled up to the next digit's; the carry into digit 0 is cin. A batch
+    fixes the digits above (none or one) to x and y, so their input planes
+    are 0 or all ones, and each expected plane there is 0, all ones, the
+    shared carry-out or its complement, as x + y and x + y + 1 pick.
     """
     low = 10**shared
     count = 2 * low * low
-    a_lower: list[int] = []
-    b_lower: list[int] = []
-    want_lower: list[int] = []
+    mask = (1 << count) - 1
+    cin = tile(0b10, 2, low * low)
+    a_lower, b_lower, want_lower = [], [], []
     carry, period = 0b10, 2
     for p in range(shared):
         turn = 20 * low * 10**p
@@ -434,16 +460,50 @@ def _shared_digit_planes(shared: int) -> tuple[list[int], list[int], list[int], 
         b_lower[:0] = [tile(plane, turn, repeats) for plane in _nibble_planes(b_digit)]
         want_lower[:0] = [tile(plane, turn, repeats) for plane in sum_bits]
         period = turn
-    return a_lower, b_lower, want_lower, carry
+
+    top = 10**(digits - shared)
+    pick = {(0, 0): 0, (1, 1): mask, (0, 1): carry, (1, 0): mask ^ carry}
+    results = [_bcd_result_word(*divmod(s, top), digits - shared) for s in range(2 * top)]
+    top_in = [[pick[bit, bit] for bit in results[x][1:]] for x in range(top)]
+    want_by_sum = [[pick[pair] for pair in zip(results[s], results[s + 1])] + want_lower
+                   for s in range(2 * top - 1)]
+    # A generator expression keeps only the names it reads, so the digit
+    # planes built above are freed before the first batch runs.
+    return ((x * low, y * low, low, top_in[x] + a_lower + top_in[y] + b_lower + [cin],
+             want_by_sum[x + y]) for x in range(top) for y in range(top))
 
 
-def _set_bits(plane: int):
-    """Indices of the set bits of `plane`, ascending."""
-    text = format(plane, "b")[::-1]
-    index = text.find("1")
-    while index >= 0:
-        yield index
-        index = text.find("1", index + 1)
+def _failing_cases(circuit: Circuit, batches) -> list[tuple[int, int, int]]:
+    """The cases (a, b, cin) of `_bcd_batches` batches on which `circuit`'s
+    output bits are wrong, sorted: each batch's XOR diff plane's set bits."""
+    cases = []
+    for a0, b0, low, inputs, expected in batches:
+        outputs, _ = circuit.simulate_planes(inputs, 2 * low * low)
+        diff = 0
+        for got, want in zip(outputs, expected):
+            diff |= got ^ want
+        text = format(diff, "b")[::-1]
+        j = text.find("1")
+        while j >= 0:
+            a_low, b_low = divmod(j >> 1, low)
+            cases.append((a0 + a_low, b0 + b_low, j & 1))
+            j = text.find("1", j + 1)
+    return sorted(cases)
+
+
+def _failure_records(circuit: Circuit, digits: int, cases) -> list[BcdFailure]:
+    """One record per failing case from a scalar `simulate` re-run, which
+    must fail the case too; if it passes, the planes were wrong."""
+    failures = []
+    for a, b, c in cases:
+        outputs, _ = circuit.simulate(encode_bcd_operands(a, b, c, digits))
+        want = oracle_bcd_add_number(a, b, c, digits)
+        want_bits = _bcd_result_word(*want, digits)
+        if outputs == want_bits:
+            raise RuntimeError(f"plane and scalar simulation disagree on {a} + {b} + {c}")
+        failures.append(BcdFailure(a, b, c, decode_bcd_result(outputs, digits), want,
+                                   outputs, want_bits))
+    return failures
 
 
 def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
@@ -453,63 +513,14 @@ def verify_bcd_adder(digits: int = 1) -> tuple[int, list[BcdFailure]]:
     A case passes only when the circuit's output bits equal the BCD
     encoding of the oracle's result. Returns (case count, failures),
     failures in (a, b, cin) order, each re-run through the scalar
-    `simulate` to build its record.
-
-    The cases run bit-parallel (`Circuit.simulate_planes`). The planes of
-    the low s digits are shared by every batch: s = n when all cases fit
-    in `_BATCH_WORDS` words (n <= 2), else s = n - 1 and 100 batches fix
-    each pair of top digits. Word j of a batch is the case whose shared
-    digits and carry-in satisfy j = (a_low * 10^s + b_low) * 2 + cin. The
-    expected planes come from decimal arithmetic, never from the circuit:
-    the shared digits' from their indicator planes, each digit's built
-    over one turn of its a digit and tiled to the batch
-    (`_shared_digit_planes`), and those above them picked from 0, all
-    ones, the shared carry-out plane and its complement by the fixed
-    digits' sum with and without that carry. Nothing outlives the call.
+    `simulate` to build its record. The cases run bit-parallel
+    (`Circuit.simulate_planes`) over `_bcd_batches`: one batch when they
+    fit in `_BATCH_WORDS` words (n <= 2), else 100, one per pair of top
+    digits. Nothing outlives the call.
     """
     circuit = build_bcd_adder_n(digits)
-    # Digits held in the shared planes; a chunked run fixes the top one.
-    shared = digits if 2 * 100**digits <= _BATCH_WORDS else digits - 1
-    low = 10**shared
-    count = 2 * low * low
-    mask = (1 << count) - 1
-    cin = tile(0b10, 2, low * low)
-    a_lower, b_lower, want_lower, carry = _shared_digit_planes(shared)
-
-    # Each batch fixes the top `fixed` digits (none or one) to x and y, so
-    # their input planes are 0 or mask. Each expected plane above the shared
-    # digits is a bit of the decimal result of x + y where they do not carry
-    # and of x + y + 1 where they do.
-    fixed = digits - shared
-    top = 10**fixed
-    pick = {(0, 0): 0, (1, 1): mask, (0, 1): carry, (1, 0): mask ^ carry}
-    results = [_bcd_result_word(*divmod(s, top), fixed) for s in range(2 * top)]
-    top_in = [[pick[bit, bit] for bit in results[x][1:]] for x in range(top)]
-    want_by_sum = [[pick[pair] for pair in zip(results[s], results[s + 1])] + want_lower
-                   for s in range(2 * top - 1)]
-
-    cases: list[tuple[int, int, int]] = []
-    for x in range(top):
-        for y in range(top):
-            outputs, _ = circuit.simulate_planes(
-                top_in[x] + a_lower + top_in[y] + b_lower + [cin], count)
-            diff = 0
-            for got, expected in zip(outputs, want_by_sum[x + y]):
-                diff |= got ^ expected
-            for j in _set_bits(diff):
-                a_low, b_low = divmod(j >> 1, low)
-                cases.append((x * low + a_low, y * low + b_low, j & 1))
-
-    failures: list[BcdFailure] = []
-    for a, b, c in sorted(cases):
-        outputs, _ = circuit.simulate(encode_bcd_operands(a, b, c, digits))
-        want = oracle_bcd_add_number(a, b, c, digits)
-        want_bits = _bcd_result_word(*want, digits)
-        if outputs == want_bits:
-            raise RuntimeError(f"plane and scalar simulation disagree on {a} + {b} + {c}")
-        failures.append(BcdFailure(a, b, c, decode_bcd_result(outputs, digits), want,
-                                   outputs, want_bits))
-    return 2 * 100**digits, failures
+    cases = _failing_cases(circuit, _bcd_batches(digits, _shared_digits(digits)))
+    return 2 * 100**digits, _failure_records(circuit, digits, cases)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ shares, straight into its result words.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -151,7 +151,8 @@ def _describe(input_labels: Sequence[str], instances: Sequence[Instance],
     if kind == "const":
         return f"constant #{source[1]}"
     _, idx, pin = source
-    return f"{instances[idx].gate.name}#{idx} output {_PIN_NAMES[pin]}"
+    gate, _ = instances[idx]
+    return f"{gate.name}#{idx} output {_PIN_NAMES[pin]}"
 
 
 def _fan_out(input_labels: Sequence[str], instances: Sequence[Instance],
@@ -402,7 +403,9 @@ class Circuit:
             found = []
             for source in sources:
                 try:
-                    if source[0] == "gate":
+                    if not isinstance(source, tuple):
+                        slot = None
+                    elif source[0] == "gate":
                         _, idx, pin = source
                         slot = (starts[idx] + pin
                                 if idx >= 0 and 0 <= pin < arities[idx] else None)
@@ -429,7 +432,10 @@ class Circuit:
         # With each source's count right, `size` reads of distinct slots
         # read every slot exactly once, and so conserve the lines too.
         if (miscounted or len(reads) != size or None in reads or len(set(reads)) != size
-                or not all(c in (0, 1) for c in self.constants)):
+                or not all(c in (0, 1) for c in self.constants)
+                or not all(map(isinstance, (
+                    self.input_labels, self.constants, self.instances, self.outputs,
+                    self.garbage, *self.outputs), repeat(tuple)))):
             raise ValidationFailed(self._violations(steps, outputs, garbage, size, slots))
         # Every constant equals 0 or 1, so `True` reads as 1; both scalar
         # tiers, the planes and emission read its int from `fill`.
@@ -438,17 +444,24 @@ class Circuit:
 
     def _violations(self, steps, outputs, garbage, size: int, slots) -> list[str]:
         """`_plan`'s report, from its steps, result slots and `slots`
-        lookup: each constant that is not 0 or 1; each gate whose source
-        count is not its arity; each source that names no slot, or a slot
-        at or after its reader's outputs, in reading order; then each slot
-        not read exactly once, in slot order; then the line count."""
+        lookup: each field or output pair that is not a tuple; each
+        constant that is not 0 or 1; each gate whose source count is not
+        its arity; each source that names no slot, or a slot at or after
+        its reader's outputs, in reading order; then each slot not read
+        exactly once, in slot order; then the line count."""
         width, n_const = self.width, len(self.constants)
         by_slot = [("in", i) for i in range(width)] + [("const", j) for j in range(n_const)]
         by_slot += [("gate", k, pin) for k, (gate, _) in enumerate(self.instances)
                     for pin in range(gate.arity)]
         name = [_describe(self.input_labels, self.instances, source) for source in by_slot]
-        violations = [f"constant #{j} is {c!r}, not 0 or 1"
-                      for j, c in enumerate(self.constants) if c not in (0, 1)]
+        # A field or output pair that is not a tuple would neither hash nor
+        # emit; `slots` refuses such a source as any malformed one.
+        parts = [(field.name, getattr(self, field.name)) for field in fields(self)]
+        parts += [(f"outputs[{n}]", pair) for n, pair in enumerate(self.outputs)]
+        violations = [f"{what} is a {type(part).__name__}, not a tuple"
+                      for what, part in parts if not isinstance(part, tuple)]
+        violations += [f"constant #{j} is {c!r}, not 0 or 1"
+                       for j, c in enumerate(self.constants) if c not in (0, 1)]
         violations += [f"{gate.name}#{k} has arity {gate.arity}, got {len(sources)} sources"
                        for k, (gate, sources) in enumerate(self.instances)
                        if len(sources) != gate.arity]

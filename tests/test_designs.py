@@ -5,10 +5,12 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 
 import pytest
 
 from revlogic.designs import (
+    MAX_CODEC_DIGITS,
     BadDigitCount,
     ReferenceRow,
     bcd_digit_stage_tags,
@@ -434,6 +436,29 @@ class TestEncodeDecode:
         with pytest.raises(ValueError) as err:
             call(10**4400, 0, 0, 4400)
         assert str(err.value) == "operands must be in [0, 10**4400 - 1]"
+
+    # The digit count is capped before any work: 10**9 digits would take
+    # 10**(10**9) in the oracle and an 8*10**9-bit word in the codec.
+    @pytest.mark.parametrize("call", [
+        lambda digits: encode_bcd_operands(0, 0, 0, digits),
+        lambda digits: oracle_bcd_add_number(0, 0, 0, digits),
+        lambda digits: decode_bcd_result((0,) * 5, digits),
+    ], ids=["encode", "oracle", "decode"])
+    def test_digit_count_past_the_cap_rejected_at_once(self, call):
+        for digits in (MAX_CODEC_DIGITS + 1, 10**9, 10**5000):
+            start = time.process_time()
+            with pytest.raises(ValueError) as err:
+                call(digits)
+            assert time.process_time() - start < 1
+            assert str(err.value) == f"digits must be at most {MAX_CODEC_DIGITS}"
+
+    def test_digit_count_at_the_cap_accepted(self):
+        digits = MAX_CODEC_DIGITS
+        nines = 10**digits - 1
+        word = encode_bcd_operands(0, nines, 1, digits)
+        assert word[4 * digits :] == (1, 0, 0, 1) * digits + (1,)
+        assert oracle_bcd_add_number(0, nines, 1, digits) == (1, 0)
+        assert decode_bcd_result(BitWord((1,) + (1, 0, 0, 1) * digits), digits) == (1, nines)
 
     def test_decode_takes_any_bit_sequence(self):
         assert decode_bcd_result((0,) * 5) == (0, 0)

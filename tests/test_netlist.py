@@ -580,6 +580,25 @@ _HAND_MADE_DEFECTS = {
     "constant-not-a-bit": (
         ("a", "b"), (True, 2), (_fg(_A, ("const", 1)),), (("p", _p(0)), ("q", _q(0))),
         (_B, ("const", 0)), ["constant #1 is 2, not 0 or 1"]),
+    # Lists where tuples belong constructed and simulated, but neither
+    # hashed nor emitted. A list source is malformed like any other.
+    "lists-for-tuples": (
+        ["a", "b"], [0], [], [("a", _A), ("b", ["in", 1])], [["const", 0]],
+        ["input_labels is a list, not a tuple", "constants is a list, not a tuple",
+         "instances is a list, not a tuple", "outputs is a list, not a tuple",
+         "garbage is a list, not a tuple",
+         "unknown wire: ['in', 1] read by output 'b'",
+         "unknown wire: ['const', 0] read by garbage #0",
+         "dangling wire: input 'b'", "dangling wire: constant #0"]),
+    "labels-a-list": (
+        ["a", "b"], (), (_fg(_A, _B),), (("p", _p(0)), ("q", _q(0))), (),
+        ["input_labels is a list, not a tuple"]),
+    "output-pair-a-list": (
+        ("a", "b"), (), (_fg(_A, _B),), (("p", _p(0)), ["q", _q(0)]), (),
+        ["outputs[1] is a list, not a tuple"]),
+    "pin-source-a-list": (
+        ("a", "b"), (), (_fg(_A, ["in", 1]),), (("p", _p(0)), ("q", _q(0))), (),
+        ["unknown wire: ['in', 1] read by FG#0 input pin 1", "dangling wire: input 'b'"]),
 }
 
 

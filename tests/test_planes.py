@@ -1,8 +1,10 @@
 """Bit-parallel simulation against the scalar reference.
 
 `Circuit.simulate_planes`, `Circuit.mapping` and `verify_bcd_adder` run
-on planes; every test here checks them word for word against scalar
-`Circuit.simulate`, which stays the reference path.
+on planes; the tests here check them word for word against scalar
+`Circuit.simulate`, which stays the reference path. Verify's parts, its
+batch source, plane check and record builder, are called directly with
+a circuit and a layout.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from revlogic.designs import (
     verify_bcd_adder,
 )
 from revlogic.gates import BitWord, catalog_by_name
-from revlogic.netlist import Circuit, WidthMismatch, tile
+from revlogic.netlist import Instance, WidthMismatch, tile
 from test_simulate import build_custom_circuit
 
 
@@ -130,36 +132,16 @@ def test_tile_rejects_bad_arguments(length, repeats, argument):
         tile(1, length, repeats)
 
 
-class _PlanesBuilt(Exception):
-    pass
+# The (run, count) shapes the batch source asks `_digit_planes` for: each
+# of the low `shared` digits p is built over one turn of a_p.
+DIGIT_PLANE_SHAPES = sorted({(run, 20 * 10**(shared + p))
+                             for shared in range(1, designs.MAX_DIGITS)
+                             for p in range(shared)
+                             for run in (2 * 10**(shared + p), 2 * 10**p)})
 
 
-def verify_digit_plane_shapes(monkeypatch, digits: int) -> list[tuple[int, int]]:
-    """The (run, count) of every `_digit_planes` call `verify_bcd_adder(digits)`
-    makes; it is stopped at its first simulation, after the planes are built."""
-    shapes = []
-    digit_planes = designs._digit_planes
-
-    def recorded(run, count):
-        shapes.append((run, count))
-        return digit_planes(run, count)
-
-    def stop(circuit, planes, count):
-        raise _PlanesBuilt
-
-    with monkeypatch.context() as patch:
-        patch.setattr(designs, "_digit_planes", recorded)
-        patch.setattr(Circuit, "simulate_planes", stop)
-        with pytest.raises(_PlanesBuilt):
-            verify_bcd_adder(digits)
-    return shapes
-
-
-def test_digit_planes_equal_one_tile_per_value(monkeypatch):
-    shapes = {shape for digits in range(1, designs.MAX_DIGITS + 1)
-              for shape in verify_digit_plane_shapes(monkeypatch, digits)}
-    assert max(count for _, count in shapes) == 2 * 10**6
-    for run, count in sorted(shapes):
+def test_digit_planes_equal_one_tile_per_value():
+    for run, count in DIGIT_PLANE_SHAPES:
         per_value = [tile(((1 << run) - 1) << (run * x), 10 * run, count // (10 * run))
                      for x in range(10)]
         assert designs._digit_planes(run, count) == per_value, (run, count)
@@ -169,9 +151,9 @@ def test_digit_planes_equal_one_tile_per_value(monkeypatch):
 
 
 def full_width_shared_planes(shared: int):
-    """Reference for `_shared_digit_planes`: every shared digit's indicator
-    planes built at the batch's full width, one tile per value, and added
-    by value pairs with the carry's complement taken as ~carry."""
+    """Reference for the batch source's shared planes: every shared digit's
+    indicator planes built at the batch's full width, one tile per value,
+    and added by value pairs with the carry's complement taken as ~carry."""
     low = 10**shared
     count = 2 * low * low
 
@@ -203,35 +185,60 @@ def full_width_shared_planes(shared: int):
     return a_lower, b_lower, want_lower, carry
 
 
+def layout(digits: int, batch_words: int | None) -> int:
+    """The shared digits verify picks for `digits` at `batch_words` words
+    a batch, None standing for its own batch size."""
+    if batch_words is None:
+        return designs._shared_digits(digits)
+    return designs._shared_digits(digits, batch_words)
+
+
 # Every layout verify uses: 1-4 digits at the default batch size, and
-# 1-2 digits at 0 and 200 words.
+# 1-2 digits at 0 and 200 words. The first batch fixes its top digits,
+# if any, to 0, so its planes above the shared digits are 0 but for the
+# lowest expected one, which is the shared carry-out.
 @pytest.mark.parametrize("digits, batch_words, shared", [
     (1, None, 1), (2, None, 2), (3, None, 2), (4, None, 3),
     (1, 0, 0), (2, 0, 1), (1, 200, 1), (2, 200, 1)])
-def test_shared_planes_equal_full_width_construction(monkeypatch, digits, batch_words,
-                                                     shared):
-    if batch_words is not None:
-        monkeypatch.setattr(designs, "_BATCH_WORDS", batch_words)
-    built = []
-    shared_digit_planes = designs._shared_digit_planes
-
-    def recorded(shared):
-        built.append((shared, shared_digit_planes(shared)))
-        return built[-1][1]
-
-    def stop(circuit, planes, count):
-        raise _PlanesBuilt
-
-    monkeypatch.setattr(designs, "_shared_digit_planes", recorded)
-    monkeypatch.setattr(Circuit, "simulate_planes", stop)
-    with pytest.raises(_PlanesBuilt):
-        verify_bcd_adder(digits)
-    [(called, planes)] = built
-    assert called == shared
-    assert planes == full_width_shared_planes(shared)
-    a_lower, b_lower, want_lower, carry = planes
-    for plane in [*a_lower, *b_lower, *want_lower, carry]:
+def test_shared_planes_equal_full_width_construction(digits, batch_words, shared):
+    assert layout(digits, batch_words) == shared
+    a0, b0, low, inputs, expected = next(designs._bcd_batches(digits, shared))
+    assert (a0, b0, low) == (0, 0, 10**shared)
+    a_lower, b_lower, want_lower, carry = full_width_shared_planes(shared)
+    top = [0] * 4 * (digits - shared)
+    assert inputs == top + a_lower + top + b_lower + [tile(0b10, 2, low * low)]
+    assert expected == top + [carry] + want_lower
+    for plane in [*inputs, *expected]:
         assert 0 <= plane < 1 << 2 * 100**shared
+
+
+# Every layout the tests use: 1 and 2 digits at every shared count, and
+# 3 digits at verify's own. Each case is one word of one batch: the
+# offsets place every (a, b) row of words exactly once, and on up to
+# 20 000 cases every word's input bits are its case's encoding. No
+# circuit and no oracle is involved.
+@pytest.mark.parametrize("digits, shared", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 2)])
+def test_batches_hold_every_case_once(digits, shared):
+    n = 10**digits
+    seen = bytearray(2 * n * n)
+    batches = 0
+    for a0, b0, low, inputs, _ in designs._bcd_batches(digits, shared):
+        batches += 1
+        count = 2 * low * low
+        assert low == 10**shared and a0 % low == b0 % low == 0
+        assert all(0 <= plane < 1 << count for plane in inputs)
+        for a_low in range(low):
+            # Words (a_low * low + b_low) * 2 + cin for every b_low and cin.
+            start = ((a0 + a_low) * n + b0) * 2
+            assert not any(seen[start : start + 2 * low]), (a0 + a_low, b0)
+            seen[start : start + 2 * low] = b"\x01" * (2 * low)
+        if n <= 100:
+            for j in range(count):
+                a_low, b_low = divmod(j >> 1, low)
+                assert unpack(inputs, j) == encode_bcd_operands(
+                    a0 + a_low, b0 + b_low, j & 1, digits), j
+    assert batches == 100**(digits - shared)
+    assert all(seen)
 
 
 def scalar_failures(circuit, digits: int):
@@ -253,23 +260,24 @@ def flipped(circuit, index: int):
     return dataclasses.replace(circuit, constants=tuple(constants))
 
 
-def verify_circuit(monkeypatch, circuit, digits: int):
-    monkeypatch.setattr(designs, "build_bcd_adder_n", lambda n: circuit)
-    return verify_bcd_adder(digits)
+def swapped_inputs(circuit, i: int, j: int):
+    """`circuit` with primary inputs i and j exchanged at every pin."""
+    swap = {("in", i): ("in", j), ("in", j): ("in", i)}
+    return dataclasses.replace(circuit, instances=tuple(
+        Instance(gate, tuple(swap.get(s, s) for s in sources))
+        for gate, sources in circuit.instances))
 
 
 @functools.cache
 def two_digit_mutant(index: int):
-    """The 2-digit adder with constant `index` flipped, and its one-batch verify.
+    """The 2-digit adder with constant `index` flipped, and its failing
+    cases in one batch.
 
-    Each mutant's verify is run once and shared by the tests that read it;
+    Each mutant is checked once and shared by the tests that read it;
     none of them changes the result.
     """
     mutant = flipped(build_bcd_adder_n(2), index)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(designs, "build_bcd_adder_n", lambda n: mutant)
-        patch.setattr(designs, "_BATCH_WORDS", 20000)
-        return mutant, verify_bcd_adder(2)
+    return mutant, designs._failing_cases(mutant, designs._bcd_batches(2, 2))
 
 
 class TestVerifyAgainstScalar:
@@ -278,79 +286,81 @@ class TestVerifyAgainstScalar:
         assert list(scalar_failures(build_bcd_adder_n(digits), digits)) == []
         assert verify_bcd_adder(digits) == (2 * 100**digits, [])
 
-    def test_one_digit_mutants_fail_identically(self, monkeypatch):
+    def test_one_digit_mutants_fail_identically(self):
         adder = build_bcd_adder_n(1)
         for index in range(len(adder.constants)):
             mutant = flipped(adder, index)
-            _, failures = verify_circuit(monkeypatch, mutant, 1)
+            cases = designs._failing_cases(mutant, designs._bcd_batches(1, 1))
             reference = list(scalar_failures(mutant, 1))
             assert reference, index
-            assert [f[:3] for f in failures] == reference, index
+            assert cases == reference, index
+            records = designs._failure_records(mutant, 1, cases)
+            assert [f[:3] for f in records] == reference, index
+
+    # A constant flip fails a set of cases symmetric in a and b, as the
+    # adder adds them alike. Swapping a's first input with b's last does
+    # not, so this pins which of a word's digits are a's and which b's.
+    @pytest.mark.parametrize("digits, shared", [(1, 1), (1, 0), (2, 2), (2, 1)])
+    def test_asymmetric_mutant_fails_identically(self, digits, shared):
+        mutant = swapped_inputs(build_bcd_adder_n(digits), 0, 8 * digits - 1)
+        cases = designs._failing_cases(mutant, designs._bcd_batches(digits, shared))
+        assert cases == list(scalar_failures(mutant, digits))
+        assert cases != sorted((b, a, cin) for a, b, cin in cases)
 
     @pytest.mark.parametrize("index", range(12))
     def test_two_digit_mutants_fail_in_both(self, index):
-        mutant, (_, failures) = two_digit_mutant(index)
+        mutant, cases = two_digit_mutant(index)
         first = next(scalar_failures(mutant, 2), None)
         assert first is not None
-        assert failures and failures[0][:3] == first
+        assert cases and cases[0] == first
 
+    # The batches of each layout: one at verify's own size up to two
+    # digits and 100 at three, and 100 when the batch size forces chunks.
     @pytest.mark.parametrize("digits, batch_words, calls", [
         (1, None, 1), (2, None, 1), (3, None, 100), (1, 0, 100), (2, 200, 100),
     ])
-    def test_one_batch_up_to_two_digits(self, monkeypatch, digits, batch_words, calls):
-        if batch_words is not None:
-            monkeypatch.setattr(designs, "_BATCH_WORDS", batch_words)
+    def test_one_batch_up_to_two_digits(self, digits, batch_words, calls):
         seen = []
-        simulate_planes = Circuit.simulate_planes
 
-        def counted(circuit, planes, count):
-            seen.append(count)
-            return simulate_planes(circuit, planes, count)
+        def counted():
+            for batch in designs._bcd_batches(digits, layout(digits, batch_words)):
+                seen.append(2 * batch[2] ** 2)
+                yield batch
 
-        monkeypatch.setattr(Circuit, "simulate_planes", counted)
-        assert verify_bcd_adder(digits) == (2 * 100**digits, [])
+        assert designs._failing_cases(build_bcd_adder_n(digits), counted()) == []
         assert len(seen) == calls
         assert sum(seen) == 2 * 100**digits
 
-    def test_plane_error_that_scalar_does_not_repeat_raises(self, monkeypatch):
-        # Bit 0 of the first output plane is cout for 0 + 0 + 0; scalar
-        # `simulate` gets that case right, so the planes are at fault.
-        simulate_planes = Circuit.simulate_planes
-
-        def first_bit_flipped(circuit, planes, count):
-            outputs, garbage = simulate_planes(circuit, planes, count)
-            return [outputs[0] ^ 1, *outputs[1:]], garbage
-
-        monkeypatch.setattr(Circuit, "simulate_planes", first_bit_flipped)
+    def test_plane_error_that_scalar_does_not_repeat_raises(self):
+        # The planes report 0 + 0 + 0 failing; scalar `simulate` gets that
+        # case right, so the planes are at fault.
         with pytest.raises(RuntimeError, match=r"^plane and scalar simulation "
                                                r"disagree on 0 \+ 0 \+ 0$"):
-            verify_bcd_adder(1)
+            designs._failure_records(build_bcd_adder_n(1), 1, [(0, 0, 0)])
 
-    def test_one_digit_mutants_chunked_as_in_one_batch(self, monkeypatch):
+    def test_one_digit_mutants_chunked_as_in_one_batch(self):
         adder = build_bcd_adder_n(1)
         for index in range(len(adder.constants)):
             mutant = flipped(adder, index)
-            monkeypatch.setattr(designs, "_BATCH_WORDS", 200)
-            one_batch = verify_circuit(monkeypatch, mutant, 1)
-            monkeypatch.setattr(designs, "_BATCH_WORDS", 0)
-            assert verify_circuit(monkeypatch, mutant, 1) == one_batch, index
+            one_batch = designs._failing_cases(mutant, designs._bcd_batches(1, 1))
+            assert one_batch, index
+            assert designs._failing_cases(mutant, designs._bcd_batches(1, 0)) == one_batch, index
 
     @pytest.mark.parametrize("index", range(12))
-    def test_two_digit_mutants_chunked_as_in_one_batch(self, monkeypatch, index):
-        mutant, (total, one_batch) = two_digit_mutant(index)
-        assert total == 20000 and one_batch
-        monkeypatch.setattr(designs, "_BATCH_WORDS", 200)
-        assert verify_circuit(monkeypatch, mutant, 2) == (total, one_batch)
+    def test_two_digit_mutants_chunked_as_in_one_batch(self, index):
+        mutant, one_batch = two_digit_mutant(index)
+        assert one_batch
+        assert designs._failing_cases(mutant, designs._bcd_batches(2, 1)) == one_batch
 
     def test_aliased_outputs_count_as_failures(self):
         # 0 + 9 + 1 outputs 0 0000 1010: the low nibble is not BCD but
         # decodes to 10, the right number. Only the bits show the fault.
-        _, (total, failures) = two_digit_mutant(3)
-        assert total == 20000
-        record = next(f for f in failures if f[:3] == (0, 9, 1))
+        mutant, cases = two_digit_mutant(3)
+        assert (0, 9, 1) in cases
+        assert cases == sorted(cases)
+        [record] = designs._failure_records(mutant, 2, [(0, 9, 1)])
         assert record.got == record.want == (0, 10)
         assert (str(record.got_bits), str(record.want_bits)) == ("000001010", "000010000")
-        assert [f[:3] for f in failures] == sorted(f[:3] for f in failures)
 
     def test_cli_prints_raw_bits_of_failures(self, monkeypatch, capsys):
         mutant = flipped(build_bcd_adder_n(2), 3)
