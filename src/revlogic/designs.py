@@ -419,10 +419,10 @@ def _add_digit_planes(
     return _nibble_planes(digit), carry_out
 
 
-def _shared_digits(digits: int, batch_words: int = _BATCH_WORDS) -> int:
+def _shared_digits(digits: int) -> int:
     """Verify's layout: the low digits every batch holds, all of them when
-    the 2 * 100**digits cases fit in `batch_words` words."""
-    return digits if 2 * 100**digits <= batch_words else digits - 1
+    the 2 * 100**digits cases fit in `_BATCH_WORDS` words."""
+    return digits if 2 * 100**digits <= _BATCH_WORDS else digits - 1
 
 
 def _bcd_batches(digits: int, shared: int):

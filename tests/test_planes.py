@@ -29,7 +29,7 @@ from revlogic.designs import (
     verify_bcd_adder,
 )
 from revlogic.gates import BitWord, catalog_by_name
-from revlogic.netlist import Instance, WidthMismatch, tile
+from revlogic.netlist import Circuit, Instance, WidthMismatch, tile
 from test_simulate import build_custom_circuit
 
 
@@ -185,23 +185,17 @@ def full_width_shared_planes(shared: int):
     return a_lower, b_lower, want_lower, carry
 
 
-def layout(digits: int, batch_words: int | None) -> int:
-    """The shared digits verify picks for `digits` at `batch_words` words
-    a batch, None standing for its own batch size."""
-    if batch_words is None:
-        return designs._shared_digits(digits)
-    return designs._shared_digits(digits, batch_words)
-
-
-# Every layout verify uses: 1-4 digits at the default batch size, and
-# 1-2 digits at 0 and 200 words. The first batch fixes its top digits,
-# if any, to 0, so its planes above the shared digits are 0 but for the
-# lowest expected one, which is the shared carry-out.
+# Every layout verify uses at its own batch size (batch_words None), for
+# 1-4 digits, and the 1- and 2-digit layouts a batch of 0 or 200 words
+# would take. The first batch fixes its top digits, if any, to 0, so its
+# planes above the shared digits are 0 but for the lowest expected one,
+# which is the shared carry-out.
 @pytest.mark.parametrize("digits, batch_words, shared", [
     (1, None, 1), (2, None, 2), (3, None, 2), (4, None, 3),
     (1, 0, 0), (2, 0, 1), (1, 200, 1), (2, 200, 1)])
 def test_shared_planes_equal_full_width_construction(digits, batch_words, shared):
-    assert layout(digits, batch_words) == shared
+    if batch_words is None:
+        assert designs._shared_digits(digits) == shared
     a0, b0, low, inputs, expected = next(designs._bcd_batches(digits, shared))
     assert (a0, b0, low) == (0, 0, 10**shared)
     a_lower, b_lower, want_lower, carry = full_width_shared_planes(shared)
@@ -314,22 +308,28 @@ class TestVerifyAgainstScalar:
         assert first is not None
         assert cases and cases[0] == first
 
-    # The batches of each layout: one at verify's own size up to two
-    # digits and 100 at three, and 100 when the batch size forces chunks.
+    # One simulate_planes call per batch: at verify's own batch size
+    # (batch_words None) one batch up to two digits and 100 at three; a
+    # batch of 0 or 200 words puts 1 or 2 digits in 100 (shared n - 1).
+    # The wrapper only counts; verify runs to the end.
     @pytest.mark.parametrize("digits, batch_words, calls", [
         (1, None, 1), (2, None, 1), (3, None, 100), (1, 0, 100), (2, 200, 100),
     ])
-    def test_one_batch_up_to_two_digits(self, digits, batch_words, calls):
+    def test_one_batch_up_to_two_digits(self, monkeypatch, digits, batch_words, calls):
         seen = []
+        simulate_planes = Circuit.simulate_planes
 
-        def counted():
-            for batch in designs._bcd_batches(digits, layout(digits, batch_words)):
-                seen.append(2 * batch[2] ** 2)
-                yield batch
+        def counted(circuit, planes, count):
+            seen.append(count)
+            return simulate_planes(circuit, planes, count)
 
-        assert designs._failing_cases(build_bcd_adder_n(digits), counted()) == []
-        assert len(seen) == calls
-        assert sum(seen) == 2 * 100**digits
+        monkeypatch.setattr(Circuit, "simulate_planes", counted)
+        if batch_words is None:
+            assert verify_bcd_adder(digits) == (2 * 100**digits, [])
+        else:
+            batches = designs._bcd_batches(digits, digits - 1)
+            assert designs._failing_cases(build_bcd_adder_n(digits), batches) == []
+        assert seen == [2 * 100**digits // calls] * calls
 
     def test_plane_error_that_scalar_does_not_repeat_raises(self):
         # The planes report 0 + 0 + 0 failing; scalar `simulate` gets that
