@@ -63,9 +63,9 @@ def _depths(
     count, so each depth is measured within its own stage's subgraph.
     """
     depths: list[int] = []
-    for idx, inst in enumerate(circuit.instances):
+    for idx, (_, sources) in enumerate(circuit.instances):
         upstream = 0
-        for source in inst.sources:
+        for source in sources:
             if source[0] == "gate" and (
                 stage_tags is None or stage_tags[source[1]] == stage_tags[idx]
             ):
@@ -95,7 +95,7 @@ def analyze(circuit: Circuit, costs: Mapping[str, int] | None = None) -> Metrics
     if costs is None:
         costs = default_cost_table()
     total = 0
-    for name, uses in Counter(inst.gate.name for inst in circuit.instances).items():
+    for name, uses in Counter(gate.name for gate, _ in circuit.instances).items():
         if name not in costs:
             raise UnknownGateCost(f"no cost entry for gate {name!r}")
         cost = costs[name]
@@ -150,8 +150,8 @@ def delay_decomposition(
         reach[stage_tags[idx]] = max(reach.get(stage_tags[idx], 0), depth)
     order = sorted(reach, key=reach.__getitem__)
     rank = {stage: pos for pos, stage in enumerate(order)}
-    for idx, inst in enumerate(circuit.instances):
-        for source in inst.sources:
+    for idx, (_, sources) in enumerate(circuit.instances):
+        for source in sources:
             if source[0] == "gate" and rank[stage_tags[source[1]]] > rank[stage_tags[idx]]:
                 raise StagesNotLinear(
                     "stage graph is not a linear pipeline (a wire runs from stage "

@@ -17,13 +17,13 @@ every mark consumes its wire, feedback and double marking cannot be
 expressed. `seal()` freezes what was built into an immutable `Circuit`
 that can be simulated or exhaustively enumerated. Every `Circuit`, made
 by `seal()`, by calling `Circuit` (as the text format's `elaborate`
-does) or by `dataclasses.replace`, checks the rules itself, so every
-evaluator can rely on them: each constant is 0 or 1, each source names
-an existing input, constant or gate pin, in a slot before its reader's
-outputs, each gate has one source per pin, every wire is read exactly
-once (none dangles, none fans out), and inputs plus constants equal
-outputs plus garbage. All violations are
-reported together in one `ValidationFailed`.
+does), by `dataclasses.replace`, or as a copy or pickle, checks the
+rules itself, so every evaluator can rely on them: each constant is 0
+or 1 (stored as that int), each source names an existing input,
+constant or gate pin, in a slot before its reader's outputs, each gate
+has one source per pin, every wire is read exactly once (none dangles,
+none fans out), and inputs plus constants equal outputs plus garbage.
+All violations are reported together in one `ValidationFailed`.
 
 Garbage is explicit: an output that is neither marked as a primary
 output nor as garbage is a dangling wire and fails sealing. This keeps
@@ -340,16 +340,15 @@ class _Plan(NamedTuple):
     `(gate, in_slots, lo, hi)` per instance, in order: its `GateDef`,
     its input slots in pin order, and its output slots `lo` to `hi`.
     `outputs` and `garbage` are the slots of the output and garbage
-    wires, in marking order. `fill` is what follows the inputs before
-    the first gate runs: the constants as the ints 0 and 1. A plan is
-    built only for a circuit that keeps the rules: every slot is read
-    exactly once, and each step reads only slots below its `lo`.
+    wires, in marking order; the constant slots hold the circuit's
+    `constants`. A plan is built only for a circuit that keeps the
+    rules: every slot is read exactly once, and each step reads only
+    slots below its `lo`.
     """
 
     steps: tuple[tuple[GateDef, tuple[int, ...], int, int], ...]
     outputs: tuple[int, ...]
     garbage: tuple[int, ...]
-    fill: tuple[int, ...]
     size: int
 
 
@@ -371,6 +370,8 @@ class Circuit:
 
     def __post_init__(self) -> None:
         self._plan  # building the plan checks the rules
+        # Stored as ints, as `GateDef` stores its rows: `True` reads as 1.
+        object.__setattr__(self, "constants", tuple([1 if c else 0 for c in self.constants]))
 
     @property
     def width(self) -> int:
@@ -437,10 +438,7 @@ class Circuit:
                     self.input_labels, self.constants, self.instances, self.outputs,
                     self.garbage, *self.outputs), repeat(tuple)))):
             raise ValidationFailed(self._violations(steps, outputs, garbage, size, slots))
-        # Every constant equals 0 or 1, so `True` reads as 1; both scalar
-        # tiers, the planes and emission read its int from `fill`.
-        fill = tuple(1 if c else 0 for c in self.constants)
-        return _Plan(tuple(steps), outputs, garbage, fill, size)
+        return _Plan(tuple(steps), outputs, garbage, size)
 
     def _violations(self, steps, outputs, garbage, size: int, slots) -> list[str]:
         """`_plan`'s report, from its steps, result slots and `slots`
@@ -528,7 +526,7 @@ class Circuit:
             if calls < COMPILE_AFTER:
                 object.__setattr__(self, "_interpreted", calls)
                 plan = self._plan
-                values = [*inputs, *plan.fill]
+                values = [*inputs, *self.constants]
                 # A gate's pins are the next slots, so the leaf's bits
                 # append onto them.
                 for node, a, b, c, d in self._walk:
@@ -551,11 +549,11 @@ class Circuit:
         outputs, garbage = kernel(*inputs)
         return _unchecked(outputs), _unchecked(garbage)
 
-    def __getstate__(self) -> dict:
-        # The plan and walk are derived from the fields, and the kernel is
-        # generated code, which pickle cannot write; a copy rebuilds them.
-        return {k: v for k, v in vars(self).items()
-                if k not in ("_plan", "_walk", "_kernel")}
+    def __reduce__(self):
+        # Copies and pickles call the class, which checks them; only the
+        # call count carries over, and the plan, walk and kernel rebuild.
+        args = (self.input_labels, self.constants, self.instances, self.outputs, self.garbage)
+        return type(self), args, {"_interpreted": self._interpreted}
 
     def _kernel_source(self) -> tuple[str, dict[str, tuple]]:
         """The plan as one straight-line function `kernel`, and its globals.
@@ -569,7 +567,7 @@ class Circuit:
         """
         plan = self._plan
         names = [f"v{slot}" for slot in range(plan.size)]
-        names[self.width : self.width + len(plan.fill)] = map(str, plan.fill)
+        names[self.width : self.width + len(self.constants)] = map(str, self.constants)
 
         def listed(slots) -> str:
             # A tuple's items as source text; a single item keeps its comma.
@@ -636,7 +634,7 @@ class Circuit:
             raise ValueError(f"every plane must fit in count={count} bits")
         plan = self._plan
         mask = (1 << count) - 1
-        values = [*planes, *[mask if bit else 0 for bit in plan.fill]]
+        values = [*planes, *[mask if bit else 0 for bit in self.constants]]
         for gate, in_slots, _, _ in plan.steps:
             ins = [values[s] for s in in_slots]
             for s in in_slots:

@@ -357,7 +357,7 @@ def emit_netlist(circuit: Circuit) -> str:
 
     lines = ["INPUT " + " ".join(circuit.input_labels)]
     lines += [f"CONST {name} = {bit}"
-              for name, bit in zip(names[width:first_pin], plan.fill)]
+              for name, bit in zip(names[width:first_pin], circuit.constants)]
     catalog = catalog_by_name()
     for gate, in_slots, lo, hi in plan.steps:
         # A catalog gate is the catalog's own object, so most steps pass

@@ -14,6 +14,7 @@ shares anything with it but the circuit. Both tiers, `mapping`,
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import pickle
@@ -293,7 +294,7 @@ class TestInterpretedWalk:
         # four, and the former's slot tuple followed by three Nones.
         custom = build_custom_circuit()
         plan = custom._plan
-        assert plan.fill == (1, 0)
+        assert custom.constants == (1, 0)
         assert plan.size == 5 + 2 + sum(inst.gate.arity for inst in custom.instances)
         digit = build_bcd_adder_digit()
         assert {len(in_slots) for _, in_slots, _, _ in digit._plan.steps} == {2, 3, 4}
@@ -313,9 +314,13 @@ class TestInterpretedWalk:
         words = [BitWord.from_int(value, circuit.width) for value in range(32)]
         results = [circuit.simulate(word) for word in words]
         assert "_walk" in vars(circuit) and circuit._kernel is None
-        assert {"_plan", "_walk", "_kernel"}.isdisjoint(circuit.__getstate__())
+        # A pickle holds the class, the five fields and the call count,
+        # never the plan, walk or kernel.
+        fields = tuple(getattr(circuit, f.name) for f in dataclasses.fields(circuit))
+        assert circuit.__reduce__() == (Circuit, fields, {"_interpreted": 32})
         copy = pickle.loads(pickle.dumps(circuit))
         assert copy == circuit and "_walk" not in vars(copy)
+        assert copy._interpreted == 32
         assert [copy.simulate(word) for word in words] == results
         assert "_walk" in vars(copy) and copy._kernel is None
 
@@ -431,6 +436,7 @@ class TestUncheckedWords:
         circuit = Circuit(input_labels=("a",), constants=(True, 0), instances=(),
                           outputs=(("a", ("in", 0)), ("k", ("const", 0))),
                           garbage=(("const", 1),))
+        assert list(map(type, circuit.constants)) == [int, int]
         words = [BitWord((0,)), BitWord((1,))]
         results = [circuit.simulate(word) for word in words]
         assert circuit._kernel is None
