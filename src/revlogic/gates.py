@@ -180,6 +180,11 @@ class GateDef:
         if len(set(rows)) != size:
             raise NotBijective(f"gate {self.name!r}: truth table is not a permutation")
 
+    def __reduce__(self):
+        # Copies and pickles call the class, which checks the rows, and
+        # carry neither cached table, `anf` nor `trie`.
+        return type(self), (self.name, self.rows)
+
     @cached_property
     def anf(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Algebraic normal form of each output pin, in pin order.

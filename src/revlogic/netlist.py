@@ -155,6 +155,27 @@ def _describe(input_labels: Sequence[str], instances: Sequence[Instance],
     return f"{gate.name}#{idx} output {_PIN_NAMES[pin]}"
 
 
+def _article(part) -> str:
+    """The name of `part`'s type, after "a" or "an"."""
+    kind = type(part).__name__
+    return f"{'an' if kind[0] in 'aeiouAEIOU' else 'a'} {kind}"
+
+
+def _misfit(inst) -> str:
+    """Why `inst` is not a placed gate, the pair of a `GateDef` and a
+    tuple of sources, or "" if it is one; an instance is unpacked only
+    once it is a pair."""
+    if not isinstance(inst, tuple):
+        return f"is {_article(inst)}, not a tuple"
+    if len(inst) != 2:
+        return f"is a tuple of {len(inst)}, not a (gate, sources) pair"
+    if not isinstance(inst[0], GateDef):
+        return f"gate is {_article(inst[0])}, not a GateDef"
+    if not isinstance(inst[1], tuple):
+        return f"sources are {_article(inst[1])}, not a tuple"
+    return ""
+
+
 def _fan_out(input_labels: Sequence[str], instances: Sequence[Instance],
              source: Source | None, gate: GateDef | None = None) -> FanOutViolation:
     """The error for a wire offered to a second sink: to a second pin of
@@ -389,16 +410,13 @@ class Circuit:
         # gets None if it is no such tuple, its index or pin is out of
         # range, or its slot is not below its reader's first output
         # slot, so that no gate reads its own or a later gate's output.
+        # Gates are placed as they are read, so one not yet placed has
+        # no start and any source naming it gets None.
         width = self.width
         first = {"in": 0, "const": width}
         count = {"in": width, "const": len(self.constants)}
         starts = []
         arities = []
-        size = width + len(self.constants)
-        for gate, _ in self.instances:
-            starts.append(size)
-            arities.append(gate.arity)
-            size += gate.arity
 
         def slots(sources, limit: int) -> tuple:
             found = []
@@ -420,19 +438,30 @@ class Circuit:
 
         steps = []
         reads: list[int | None] = []
-        miscounted = False
-        for (gate, sources), lo in zip(self.instances, starts):
-            in_slots = slots(sources, lo)
-            miscounted |= len(in_slots) != gate.arity
-            steps.append((gate, in_slots, lo, lo + gate.arity))
+        faulty = False
+        size = width + len(self.constants)
+        for inst in self.instances:
+            # Past an instance that is no (GateDef, tuple) pair, no
+            # slot is known; the report then leaves the wiring out.
+            if _misfit(inst):
+                faulty = True
+                break
+            gate, sources = inst
+            arity = gate.arity
+            in_slots = slots(sources, size)
+            faulty |= len(in_slots) != arity
+            steps.append((gate, in_slots, size, size + arity))
+            starts.append(size)
+            arities.append(arity)
             reads += in_slots
+            size += arity
         outputs = slots([s for _, s in self.outputs], size)
         garbage = slots(self.garbage, size)
         reads += outputs
         reads += garbage
         # With each source's count right, `size` reads of distinct slots
         # read every slot exactly once, and so conserve the lines too.
-        if (miscounted or len(reads) != size or None in reads or len(set(reads)) != size
+        if (faulty or len(reads) != size or None in reads or len(set(reads)) != size
                 or not all(c in (0, 1) for c in self.constants)
                 or not all(map(isinstance, (
                     self.input_labels, self.constants, self.instances, self.outputs,
@@ -442,27 +471,39 @@ class Circuit:
 
     def _violations(self, steps, outputs, garbage, size: int, slots) -> list[str]:
         """`_plan`'s report, from its steps, result slots and `slots`
-        lookup: each field or output pair that is not a tuple; each
-        constant that is not 0 or 1; each gate whose source count is not
-        its arity; each source that names no slot, or a slot at or after
-        its reader's outputs, in reading order; then each slot not read
-        exactly once, in slot order; then the line count."""
+        lookup: each field, instance or output pair of the wrong shape;
+        each constant that is not 0 or 1; each gate whose source count is
+        not its arity; each source that names no slot, or a slot at or
+        after its reader's outputs, in reading order; then each slot not
+        read exactly once, in slot order; then the line count. Past an
+        instance of the wrong shape no slot is known, so its circuit's
+        report leaves out the sources and slots."""
         width, n_const = self.width, len(self.constants)
+        conserved = [] if width + n_const == len(self.outputs) + len(self.garbage) else [
+            f"line count not conserved: {width} inputs + {n_const} constants"
+            f" != {len(self.outputs)} outputs + {len(self.garbage)} garbage"]
+        # A field, instance or output pair that is not a tuple would
+        # neither hash nor emit; `slots` refuses such a source as any
+        # malformed one.
+        parts = [(field.name, getattr(self, field.name)) for field in fields(self)]
+        violations = [f"{what} is {_article(part)}, not a tuple"
+                      for what, part in parts if not isinstance(part, tuple)]
+        misfits = [f"instances[{k}] {why}"
+                   for k, inst in enumerate(self.instances) if (why := _misfit(inst))]
+        violations += misfits
+        violations += [f"outputs[{n}] is {_article(pair)}, not a tuple"
+                       for n, pair in enumerate(self.outputs) if not isinstance(pair, tuple)]
+        violations += [f"constant #{j} is {c!r}, not 0 or 1"
+                       for j, c in enumerate(self.constants) if c not in (0, 1)]
+        if misfits:
+            return violations + conserved
+        violations += [f"{gate.name}#{k} has arity {gate.arity}, got {len(sources)} sources"
+                       for k, (gate, sources) in enumerate(self.instances)
+                       if len(sources) != gate.arity]
         by_slot = [("in", i) for i in range(width)] + [("const", j) for j in range(n_const)]
         by_slot += [("gate", k, pin) for k, (gate, _) in enumerate(self.instances)
                     for pin in range(gate.arity)]
         name = [_describe(self.input_labels, self.instances, source) for source in by_slot]
-        # A field or output pair that is not a tuple would neither hash nor
-        # emit; `slots` refuses such a source as any malformed one.
-        parts = [(field.name, getattr(self, field.name)) for field in fields(self)]
-        parts += [(f"outputs[{n}]", pair) for n, pair in enumerate(self.outputs)]
-        violations = [f"{what} is a {type(part).__name__}, not a tuple"
-                      for what, part in parts if not isinstance(part, tuple)]
-        violations += [f"constant #{j} is {c!r}, not 0 or 1"
-                       for j, c in enumerate(self.constants) if c not in (0, 1)]
-        violations += [f"{gate.name}#{k} has arity {gate.arity}, got {len(sources)} sources"
-                       for k, (gate, sources) in enumerate(self.instances)
-                       if len(sources) != gate.arity]
         readers = [(f"{gate.name}#{k} input pin {pin}", source, slot)
                    for k, ((gate, sources), step) in enumerate(zip(self.instances, steps))
                    for pin, (source, slot) in enumerate(zip(sources, step[1]))]
@@ -481,13 +522,7 @@ class Circuit:
             reads[found] += 1
         violations += [f"{'dangling' if n == 0 else 'fanned-out'} wire: {name[slot]}"
                        for slot, n in enumerate(reads) if n != 1]
-        if width + n_const != len(self.outputs) + len(self.garbage):
-            violations.append(
-                "line count not conserved: "
-                f"{width} inputs + {n_const} constants"
-                f" != {len(self.outputs)} outputs + {len(self.garbage)} garbage"
-            )
-        return violations
+        return violations + conserved
 
     @cached_property
     def _walk(self) -> tuple[tuple, ...]:

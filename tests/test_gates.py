@@ -445,6 +445,23 @@ class TestGateDefValidation:
             assert type(made.rows) is tuple
             assert all(type(row) is int for row in made.rows), made
 
+    def test_copies_and_pickles_are_made_by_the_constructor(self):
+        # A gate copies and pickles as its class, name and rows: the cached
+        # `anf` and `trie` are not carried, and a tampered gate is refused
+        # when it loads.
+        rot = make_gate("ROT10", [lambda *bits, k=k: bits[(k + 1) % 10] for k in range(10)])
+        fresh = pickle.dumps(rot)
+        assert rot.anf and rot.trie and {"anf", "trie"} <= set(vars(rot))
+        assert pickle.dumps(rot) == fresh
+        for made in [copy.copy(rot), copy.deepcopy(rot), pickle.loads(fresh)]:
+            assert made == rot and {"anf", "trie"}.isdisjoint(vars(made))
+            assert made.arity == 10 and made.trie == rot.trie
+        bad = GateDef("X", (1, 0))
+        object.__setattr__(bad, "rows", (0, 0))
+        for load in (lambda: pickle.loads(pickle.dumps(bad)), lambda: copy.deepcopy(bad)):
+            with pytest.raises(NotBijective, match="^gate 'X': truth table is not a permutation$"):
+                load()
+
 
 class TestCostTable:
     def test_parse_basic(self):

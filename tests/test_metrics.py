@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_from_plan, circuit_plans
-from revlogic.designs import build_bcd_adder_digit, build_full_adder
+from conftest import build_from_plan, circuit_plans, sealed_circuits
+from revlogic.designs import (
+    bcd_digit_stage_tags,
+    build_bcd_adder_digit,
+    build_bcd_adder_n,
+    build_correction_stage,
+    build_full_adder,
+    build_ripple_adder4,
+)
 from revlogic.gates import catalog_by_name, default_cost_table, make_gate, parse_cost_table
 from revlogic.metrics import (
     MetricsReport,
@@ -18,6 +28,7 @@ from revlogic.metrics import (
     delay_decomposition,
 )
 from revlogic.netlist import Wire, new_circuit
+from revlogic.netlist_text import emit_netlist
 
 
 def _fg_chain(length):
@@ -296,3 +307,47 @@ def test_wrong_argument_type_is_a_type_error(call, arguments, message):
         call(*arguments)
     assert type(err.value) is TypeError
     assert str(err.value) == message
+
+
+def _plain_pairs(circuit):
+    """The circuit with each instance the plain tuple `(gate, sources)`."""
+    return dataclasses.replace(circuit, instances=tuple(map(tuple, circuit.instances)))
+
+
+def _emitted(circuit) -> str:
+    """The netlist text of `circuit`, or the message it is refused with."""
+    try:
+        return emit_netlist(circuit)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+def _check_twin_reads_alike(circuit):
+    twin = _plain_pairs(circuit)
+    assert all(type(inst) is tuple for inst in twin.instances) and twin == circuit
+    assert analyze(twin) == analyze(circuit)
+    assert delay(twin) == delay(circuit)
+    assert _emitted(twin) == _emitted(circuit)
+
+
+# Every reader unpacks an instance as `(gate, sources)`, so a circuit of
+# plain pairs reads as its `Instance` twin does.
+@pytest.mark.parametrize("build", [
+    build_full_adder, build_ripple_adder4, build_correction_stage, build_bcd_adder_digit,
+    *[partial(build_bcd_adder_n, digits) for digits in range(1, 5)],
+], ids=["full_adder", "ripple_adder4", "correction_stage", "bcd_adder_digit",
+        "bcd_adder_1", "bcd_adder_2", "bcd_adder_3", "bcd_adder_4"])
+def test_plain_pair_twin_of_shipped_design_reads_alike(build):
+    _check_twin_reads_alike(build())
+
+
+def test_plain_pair_twin_of_digit_decomposes_alike():
+    digit = build_bcd_adder_digit()
+    tags = bcd_digit_stage_tags()
+    assert (delay_decomposition(_plain_pairs(digit), tags)
+            == delay_decomposition(digit, tags) == {"adder1": 4, "correction": 1, "adder2": 3})
+
+
+@given(sealed_circuits())
+def test_plain_pair_twin_of_random_circuit_reads_alike(circuit):
+    _check_twin_reads_alike(circuit)

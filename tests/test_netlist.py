@@ -5,12 +5,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import io
 import pickle
 import time
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_from_plan, circuit_plans, sealed_circuits
@@ -515,8 +516,11 @@ class TestBuilderProperties:
 _A, _B, _C = ("in", 0), ("in", 1), ("in", 2)
 
 
+_FG = catalog_by_name()["FG"]
+
+
 def _fg(*sources):
-    return Instance(catalog_by_name()["FG"], sources)
+    return Instance(_FG, sources)
 
 
 def _p(k):
@@ -599,6 +603,31 @@ _HAND_MADE_DEFECTS = {
     "pin-source-a-list": (
         ("a", "b"), (), (_fg(_A, ["in", 1]),), (("p", _p(0)), ("q", _q(0))), (),
         ["unknown wire: ['in', 1] read by FG#0 input pin 1", "dangling wire: input 'b'"]),
+    # An instance the circuit cannot hash, or cannot read as a gate and
+    # its sources, is one line naming it; past it no slot is known, so
+    # no wire is reported.
+    "instance-a-list": (
+        ("a", "b"), (), ([_FG, (_A, _B)],), (("p", _p(0)), ("q", _q(0))), (),
+        ["instances[0] is a list, not a tuple"]),
+    "instance-not-a-pair": (
+        ("a", "b"), (), (_fg(_A, _B), (_FG, (_p(0), _q(0)), "extra")),
+        (("p", _p(1)), ("q", _q(1))), (),
+        ["instances[1] is a tuple of 3, not a (gate, sources) pair"]),
+    "gate-not-a-GateDef": (
+        ("a", "b"), (), (("FG", (_A, _B)),), (("p", _p(0)), ("q", _q(0))), (),
+        ["instances[0] gate is a str, not a GateDef"]),
+    "sources-an-int": (
+        ("a", "b"), (), ((_FG, 5),), (("p", _A), ("q", _B)), (),
+        ["instances[0] sources are an int, not a tuple"]),
+    "sources-a-list": (
+        ("a", "b"), (), ((_FG, [_A, _B]),), (("p", _p(0)), ("q", _q(0))), (),
+        ["instances[0] sources are a list, not a tuple"]),
+    # The other lines still come with them, in the report's order.
+    "misfit-among-others": (
+        ["a", "b"], (3,), (_fg(_A, _B), [_FG, (_p(0), _q(0))]), (["p", _p(1)],), (),
+        ["input_labels is a list, not a tuple", "instances[1] is a list, not a tuple",
+         "outputs[0] is a list, not a tuple", "constant #0 is 3, not 0 or 1",
+         "line count not conserved: 2 inputs + 1 constants != 1 outputs + 0 garbage"]),
 }
 
 
@@ -609,6 +638,65 @@ def test_hand_made_defect_fails_construction(labels, constants, instances, outpu
     with pytest.raises(ValidationFailed) as err:
         Circuit(labels, constants, instances, outputs, garbage)
     assert err.value.violations == violations
+
+
+class _Tampering(pickle.Pickler):
+    """Pickles each `Circuit` as its class and state, with `edit` applied
+    to the fields it is made from."""
+
+    def __init__(self, stream, edit):
+        super().__init__(stream)
+        self.edit = edit
+
+    def reducer_override(self, obj):
+        if type(obj) is not Circuit:
+            return NotImplemented
+        cls, args, state = obj.__reduce__()
+        return cls, self.edit(*args), state
+
+
+def _tampered_pickle(circuit, edit) -> bytes:
+    stream = io.BytesIO()
+    _Tampering(stream, edit).dump(circuit)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize("edit, violations", [
+    (lambda labels, constants, instances, outputs, garbage:
+     (labels, constants, instances, outputs, garbage[1:]),
+     ["dangling wire: HNG#0 output P",
+      "line count not conserved: 9 inputs + 6 constants != 5 outputs + 9 garbage"]),
+    (lambda labels, constants, instances, outputs, garbage:
+     (labels, (2, *constants[1:]), instances, outputs, garbage),
+     ["constant #0 is 2, not 0 or 1"]),
+], ids=["garbage-mark-dropped", "constant-of-2"])
+def test_tampered_pickle_fails_at_load(edit, violations):
+    # A pickle is the class and the fields it is called with, so loading
+    # one runs the constructor's check and reports the constructor's lines.
+    adder = build_bcd_adder_n(1)
+    with pytest.raises(ValidationFailed) as made:
+        Circuit(*edit(*[getattr(adder, f.name) for f in dataclasses.fields(adder)]))
+    assert made.value.violations == violations
+    data = _tampered_pickle(adder, edit)
+    with pytest.raises(ValidationFailed) as loaded:
+        pickle.loads(data)
+    assert loaded.value.violations == violations
+    assert pickle.loads(_tampered_pickle(adder, lambda *fields: fields)) == adder
+
+
+@settings(max_examples=50)
+@given(sealed_circuits(), st.integers(0, 3))
+def test_copies_and_pickles_are_made_by_the_constructor(circuit, calls):
+    for value in range(calls):
+        circuit.simulate(BitWord.from_int(value % (1 << circuit.width), circuit.width))
+    copies = [copy.copy(circuit), copy.deepcopy(circuit)]
+    copies += [pickle.loads(pickle.dumps(circuit, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for made in copies:
+        assert type(made) is Circuit and made == circuit and hash(made) == hash(circuit)
+        assert made._plan == circuit._plan
+        assert made._interpreted == circuit._interpreted == calls
+        assert "_walk" not in vars(made) and made._kernel is None
 
 
 def test_replace_checks_the_new_fields():

@@ -14,6 +14,7 @@ shares anything with it but the circuit. Both tiers, `mapping`,
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import io
 import itertools
@@ -227,11 +228,14 @@ class TestCompiledTier:
     def test_hot_circuit_pickles_and_recompiles(self):
         circuit = build_correction_stage()
         check_matches_reference(circuit, range(16))
-        copy = pickle.loads(pickle.dumps(circuit))
-        assert copy == circuit and copy._kernel is None
         word = BitWord((1, 1, 1, 0))
-        assert copy.simulate(word) == circuit.simulate(word)
-        assert copy._kernel is not None
+        # Each copy keeps the call count, so its first call compiles.
+        for made in (pickle.loads(pickle.dumps(circuit)), copy.copy(circuit),
+                     copy.deepcopy(circuit)):
+            assert made == circuit and made._kernel is None
+            assert made._interpreted == COMPILE_AFTER - 1
+            assert made.simulate(word) == circuit.simulate(word)
+            assert made._kernel is not None
 
     def test_source_holds_only_generated_names(self):
         hostile = ["x); import os; (", "__import__('os').system('false')",
@@ -318,11 +322,11 @@ class TestInterpretedWalk:
         # never the plan, walk or kernel.
         fields = tuple(getattr(circuit, f.name) for f in dataclasses.fields(circuit))
         assert circuit.__reduce__() == (Circuit, fields, {"_interpreted": 32})
-        copy = pickle.loads(pickle.dumps(circuit))
-        assert copy == circuit and "_walk" not in vars(copy)
-        assert copy._interpreted == 32
-        assert [copy.simulate(word) for word in words] == results
-        assert "_walk" in vars(copy) and copy._kernel is None
+        made = pickle.loads(pickle.dumps(circuit))
+        assert made == circuit and "_walk" not in vars(made)
+        assert made._interpreted == 32
+        assert [made.simulate(word) for word in words] == results
+        assert "_walk" in vars(made) and made._kernel is None
 
 
 class TestBitRows:
