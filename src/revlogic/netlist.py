@@ -476,8 +476,8 @@ class Circuit:
         not its arity; each source that names no slot, or a slot at or
         after its reader's outputs, in reading order; then each slot not
         read exactly once, in slot order; then the line count. Past an
-        instance of the wrong shape no slot is known, so its circuit's
-        report leaves out the sources and slots."""
+        instance of the wrong shape no slot is known, so a circuit with
+        one gets no source-count, source or slot lines."""
         width, n_const = self.width, len(self.constants)
         conserved = [] if width + n_const == len(self.outputs) + len(self.garbage) else [
             f"line count not conserved: {width} inputs + {n_const} constants"
