@@ -135,6 +135,33 @@ def _words_of_arity(arity: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product((0, 1), repeat=arity))
 
 
+# The widest gate whose plane kernel is generated source. Generating and
+# compiling one took 0.1 ms at 4 inputs, 0.8 ms at 6, 5.7 ms at 8, 41 ms
+# at 10 and 0.31 s at 12 (random permutations; CPython 3.11.7, 2-CPU
+# x86-64 VM), so a dense 16-input ANF would take many seconds; every
+# catalog gate has at most 4 inputs.
+_COMPILED_ARITY = 4
+
+
+def _interpret_anf(anf, *planes: int) -> list[int]:
+    """A wide gate's plane kernel: `anf`'s pins over `planes`, the input
+    pins' then the all-ones plane, as `GateDef.plane_kernel` computes."""
+    *ins, one = planes
+    outs = []
+    for monomials in anf:
+        acc = 0
+        for monomial in monomials:
+            if monomial:
+                term = ins[monomial[0]]
+                for p in monomial[1:]:
+                    term &= ins[p]
+            else:
+                term = one
+            acc ^= term
+        outs.append(acc)
+    return outs
+
+
 @dataclass(frozen=True)
 class GateDef:
     """A named reversible gate: its rows, a permutation of the n-bit words.
@@ -144,6 +171,12 @@ class GateDef:
     MSB-first integer value is `i`, so there are 2^n rows for arity n,
     and no two are equal. `arity` is derived from the row count when the
     gate is made.
+
+    Three tables are derived from the rows, each on first use and
+    cached: `anf`, the algebraic normal form of each output pin;
+    `trie`, the rows as nested tuples that scalar simulation indexes;
+    and `plane_kernel`, the function, written from `anf`, that
+    bit-parallel simulation calls once per gate.
 
     Its quantum cost is not stored here: `metrics.analyze` prices it by
     name from a cost table, the one place a price is set. A catalog
@@ -182,7 +215,7 @@ class GateDef:
 
     def __reduce__(self):
         # Copies and pickles call the class, which checks the rows, and
-        # carry neither cached table, `anf` nor `trie`.
+        # carry no derived table: `anf`, `trie` and `plane_kernel` rebuild.
         return type(self), (self.name, self.rows)
 
     @cached_property
@@ -226,6 +259,29 @@ class GateDef:
         while len(nodes) > 1:
             nodes = list(zip(nodes[::2], nodes[1::2]))
         return nodes[0]
+
+    @cached_property
+    def plane_kernel(self) -> Callable[..., Sequence[int]]:
+        """The ANF as one function `(x0, ..., xn-1, one) -> output planes`.
+
+        Each argument is a plane, an int whose bit j is that pin's value
+        in word j, and `one` is the all-ones plane, which the constant
+        monomial reads; the result holds one plane per output pin, in pin
+        order. Up to `_COMPILED_ARITY` inputs it is generated source, one
+        XOR of ANDs per pin, whose text holds only the names `x<k>` and
+        `one`, `&` and `^`, never the gate's name. A wider gate's kernel
+        interprets the ANF, monomial by monomial, as generation costs
+        grow about 7-fold per two inputs.
+        """
+        if self.arity > _COMPILED_ARITY:
+            return partial(_interpret_anf, self.anf)
+        pins = [f"x{p}" for p in range(self.arity)]
+        terms = [" ^ ".join([" & ".join([pins[p] for p in monomial]) or "one"
+                             for monomial in monomials]) for monomials in self.anf]
+        source = f"def kernel({', '.join(pins)}, one):\n    return {', '.join(terms)},"
+        namespace: dict = {}
+        exec(source, namespace)
+        return namespace["kernel"]
 
     def apply(self, word: Iterable) -> BitWord:
         """Map an input word, or any sequence of bits, through the gate's rows.

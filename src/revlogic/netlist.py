@@ -59,13 +59,17 @@ only a few times never pays for it. Every bit either tier returns is an
 input bit, a constant or a table row's, all ints known to be 0 or 1 (an
 input that is not a `BitWord` is made one first, which checks it), so
 the result words skip `BitWord`'s check.
-`simulate_planes` is the bit-parallel kernel, checked against
+`simulate_planes` is the bit-parallel path, checked against
 `simulate`: it takes one Python int per input line, a *plane* whose bit
-j is that line's value in word j, and evaluates each gate pin once for
-the whole batch as the XOR of ANDs of its algebraic normal form
-(`GateDef.anf`), so the cost per gate is a few big-int operations
-however many words the planes hold. Scalar and plane simulation thus
-derive from the truth table and the ANF independently. `mapping()` zips
+j is that line's value in word j, and makes one call per gate, to the
+gate's plane kernel (`GateDef.plane_kernel`). The kernel computes each
+output pin for the whole batch as the XOR of ANDs of the gate's
+algebraic normal form (`GateDef.anf`), the constant monomial reading
+an all-ones plane: generated code for up to 4 inputs (every catalog
+gate), the ANF interpreted behind the same call for wider gates. So the
+cost per gate is a few big-int operations however many words the
+planes hold. Scalar and plane simulation thus derive from the truth
+table and the ANF independently. `mapping()` zips
 `_columns`, one kernel run over all 2^width words that the CLI's `truth`
 shares, straight into its result words.
 """
@@ -73,10 +77,11 @@ shares, straight into its result words.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import RevLogicError
 from .gates import BIT_BYTES, BitWord, GateDef, WidthMismatch, _PIN_NAMES
@@ -161,14 +166,21 @@ def _article(part) -> str:
     return f"{'an' if kind[0] in 'aeiouAEIOU' else 'a'} {kind}"
 
 
+def _unpaired(part, pair: str) -> str:
+    """Why `part` is not a tuple of two, the `pair` named, or "" if it is."""
+    if not isinstance(part, tuple):
+        return f"is {_article(part)}, not a tuple"
+    if len(part) != 2:
+        return f"is a tuple of {len(part)}, not a {pair} pair"
+    return ""
+
+
 def _misfit(inst) -> str:
     """Why `inst` is not a placed gate, the pair of a `GateDef` and a
     tuple of sources, or "" if it is one; an instance is unpacked only
     once it is a pair."""
-    if not isinstance(inst, tuple):
-        return f"is {_article(inst)}, not a tuple"
-    if len(inst) != 2:
-        return f"is a tuple of {len(inst)}, not a (gate, sources) pair"
+    if why := _unpaired(inst, "(gate, sources)"):
+        return why
     if not isinstance(inst[0], GateDef):
         return f"gate is {_article(inst[0])}, not a GateDef"
     if not isinstance(inst[1], tuple):
@@ -248,7 +260,8 @@ class CircuitBuilder:
         return len(self._constants)
 
     def _issue(self, sources: Iterable[Source]) -> tuple[Wire, ...]:
-        """The one place wires are made: `Wire()` refuses, so this skips it."""
+        """Make wires for `sources`: `Wire()` refuses, so this skips it, as
+        `add_gate` does for its output wires."""
         wires = []
         for source in sources:
             wire = object.__new__(Wire)
@@ -295,8 +308,10 @@ class CircuitBuilder:
             raise ArityMismatch(
                 f"gate {gate.name} has arity {arity}, got {len(wires)} wires"
             )
+        ref = self._ref
         for wire in wires:
-            self._free(wire)
+            if type(wire) is not Wire or wire._builder is not ref or wire._consumed:
+                self._free(wire)  # raises the error for this wire
         if len(set(map(id, wires))) != arity:
             raise _fan_out(self.input_labels, self._instances, None, gate)
         sources = []
@@ -304,8 +319,17 @@ class CircuitBuilder:
             wire._consumed = True
             sources.append(wire.source)
         idx = len(self._instances)
-        self._instances.append(Instance(gate, tuple(sources)))
-        return self._issue([("gate", idx, pin) for pin in range(arity)])
+        # `tuple.__new__` skips the NamedTuple's Python-level `__new__`.
+        self._instances.append(tuple.__new__(Instance, (gate, tuple(sources))))
+        # The output wires, issued here as `_issue` issues them.
+        outs = []
+        for pin in range(arity):
+            wire = object.__new__(Wire)
+            wire.source = ("gate", idx, pin)
+            wire._builder = ref
+            wire._consumed = False
+            outs.append(wire)
+        return tuple(outs)
 
     def mark_output(self, wire: Wire, label: str) -> None:
         """Consume a wire as the primary output named `label`."""
@@ -411,7 +435,14 @@ class Circuit:
         # range, or its slot is not below its reader's first output
         # slot, so that no gate reads its own or a later gate's output.
         # Gates are placed as they are read, so one not yet placed has
-        # no start and any source naming it gets None.
+        # no start and any source naming it gets None. No slot is known
+        # in a field that is no sequence, past an instance that is no
+        # (GateDef, tuple) pair, or with an output that is no pair; the
+        # report then leaves the wiring out.
+        parts = (self.input_labels, self.constants, self.instances, self.outputs, self.garbage)
+        if not all(map(isinstance, parts, repeat(tuple))) and not all(
+                isinstance(part, Sequence) for part in parts):
+            raise ValidationFailed(self._violations())
         width = self.width
         first = {"in": 0, "const": width}
         count = {"in": width, "const": len(self.constants)}
@@ -441,11 +472,8 @@ class Circuit:
         faulty = False
         size = width + len(self.constants)
         for inst in self.instances:
-            # Past an instance that is no (GateDef, tuple) pair, no
-            # slot is known; the report then leaves the wiring out.
             if _misfit(inst):
-                faulty = True
-                break
+                raise ValidationFailed(self._violations())
             gate, sources = inst
             arity = gate.arity
             in_slots = slots(sources, size)
@@ -455,7 +483,10 @@ class Circuit:
             arities.append(arity)
             reads += in_slots
             size += arity
-        outputs = slots([s for _, s in self.outputs], size)
+        try:
+            outputs = slots([source for _, source in self.outputs], size)
+        except (TypeError, ValueError):
+            raise ValidationFailed(self._violations()) from None
         garbage = slots(self.garbage, size)
         reads += outputs
         reads += garbage
@@ -463,40 +494,43 @@ class Circuit:
         # read every slot exactly once, and so conserve the lines too.
         if (faulty or len(reads) != size or None in reads or len(set(reads)) != size
                 or not all(c in (0, 1) for c in self.constants)
-                or not all(map(isinstance, (
-                    self.input_labels, self.constants, self.instances, self.outputs,
-                    self.garbage, *self.outputs), repeat(tuple)))):
-            raise ValidationFailed(self._violations(steps, outputs, garbage, size, slots))
+                or not all(map(isinstance, (*parts, *self.outputs), repeat(tuple)))):
+            raise ValidationFailed(self._violations((steps, outputs, garbage, size, slots)))
         return _Plan(tuple(steps), outputs, garbage, size)
 
-    def _violations(self, steps, outputs, garbage, size: int, slots) -> list[str]:
-        """`_plan`'s report, from its steps, result slots and `slots`
-        lookup: each field, instance or output pair of the wrong shape;
-        each constant that is not 0 or 1; each gate whose source count is
-        not its arity; each source that names no slot, or a slot at or
-        after its reader's outputs, in reading order; then each slot not
-        read exactly once, in slot order; then the line count. Past an
-        instance of the wrong shape no slot is known, so a circuit with
-        one gets no source-count, source or slot lines."""
-        width, n_const = self.width, len(self.constants)
-        conserved = [] if width + n_const == len(self.outputs) + len(self.garbage) else [
-            f"line count not conserved: {width} inputs + {n_const} constants"
-            f" != {len(self.outputs)} outputs + {len(self.garbage)} garbage"]
+    def _violations(self, wiring: tuple | None = None) -> list[str]:
+        """`_plan`'s report: each field, instance or output pair of the
+        wrong shape; each constant that is not 0 or 1; then, from
+        `wiring` (`_plan`'s steps, result slots, size and `slots`
+        lookup), each gate whose source count is not its arity, each
+        source that names no slot, or a slot at or after its reader's
+        outputs, in reading order, and each slot not read exactly once,
+        in slot order; then the line count. With no `wiring`, or an
+        output pair that is no sequence, no slot is known, so the
+        source-count, source and slot lines are left out; a field that
+        is no sequence lists no items and leaves out the line count."""
         # A field, instance or output pair that is not a tuple would
         # neither hash nor emit; `slots` refuses such a source as any
         # malformed one.
         parts = [(field.name, getattr(self, field.name)) for field in fields(self)]
         violations = [f"{what} is {_article(part)}, not a tuple"
                       for what, part in parts if not isinstance(part, tuple)]
-        misfits = [f"instances[{k}] {why}"
-                   for k, inst in enumerate(self.instances) if (why := _misfit(inst))]
-        violations += misfits
-        violations += [f"outputs[{n}] is {_article(pair)}, not a tuple"
-                       for n, pair in enumerate(self.outputs) if not isinstance(pair, tuple)]
+        items = {what: part if isinstance(part, Sequence) else () for what, part in parts}
+        violations += [f"instances[{k}] {why}"
+                       for k, inst in enumerate(items["instances"]) if (why := _misfit(inst))]
+        violations += [f"outputs[{n}] {why}" for n, pair in enumerate(items["outputs"])
+                       if (why := _unpaired(pair, "(label, source)"))]
         violations += [f"constant #{j} is {c!r}, not 0 or 1"
-                       for j, c in enumerate(self.constants) if c not in (0, 1)]
-        if misfits:
+                       for j, c in enumerate(items["constants"]) if c not in (0, 1)]
+        if not all(map(isinstance, [part for _, part in parts], repeat(Sequence))):
+            return violations
+        width, n_const = self.width, len(self.constants)
+        conserved = [] if width + n_const == len(self.outputs) + len(self.garbage) else [
+            f"line count not conserved: {width} inputs + {n_const} constants"
+            f" != {len(self.outputs)} outputs + {len(self.garbage)} garbage"]
+        if wiring is None or not all(map(isinstance, self.outputs, repeat(Sequence))):
             return violations + conserved
+        steps, outputs, garbage, size, slots = wiring
         violations += [f"{gate.name}#{k} has arity {gate.arity}, got {len(sources)} sources"
                        for k, (gate, sources) in enumerate(self.instances)
                        if len(sources) != gate.arity]
@@ -675,18 +709,8 @@ class Circuit:
             for s in in_slots:
                 # No fan-out: each slot has exactly one reader, so free it.
                 values[s] = 0
-            # Pins take the next slots in pin order, so each appends.
-            for monomials in gate.anf:
-                acc = 0
-                for monomial in monomials:
-                    if monomial:
-                        term = ins[monomial[0]]
-                        for p in monomial[1:]:
-                            term &= ins[p]
-                    else:
-                        term = mask
-                    acc ^= term
-                values.append(acc)
+            # Pins take the next slots in pin order, so the planes append.
+            values += gate.plane_kernel(*ins, mask)
         return [values[s] for s in plan.outputs], [values[s] for s in plan.garbage]
 
 

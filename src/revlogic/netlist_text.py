@@ -255,7 +255,8 @@ def elaborate(lines: tuple[_Line, ...]) -> Circuit:
                 if None in ins:  # resolve raises at the first undeclared name
                     ins = [line.resolve(sources, index) for index in range(2, arrow)]
                 outs = line.names(arrow + 1, "output name")
-                line.declare(sources, outs, arrow + 1)
+                if not sources.keys().isdisjoint(outs) or len(set(outs)) != len(outs):
+                    line.declare(sources, outs, arrow + 1)  # raises at the first clash
                 if not len(ins) == len(outs) == gate.arity:
                     raise ArityMismatch(f"gate {gate.name} has arity {gate.arity}, "
                                         f"statement wires {len(ins)} inputs and "
@@ -269,7 +270,7 @@ def elaborate(lines: tuple[_Line, ...]) -> Circuit:
                     raise _fan_out(input_labels, instances, None, gate)
                 consumed.update(read)
                 k = len(instances)
-                instances.append(Instance(gate, tuple(ins)))
+                instances.append(tuple.__new__(Instance, (gate, tuple(ins))))
                 sources.update(zip(outs, [("gate", k, pin) for pin in range(len(outs))]))
             elif keyword == "OUTPUT":
                 for index, name in enumerate(line.names(1, "output name"), 1):

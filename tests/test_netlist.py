@@ -622,6 +622,38 @@ _HAND_MADE_DEFECTS = {
     "sources-a-list": (
         ("a", "b"), (), ((_FG, [_A, _B]),), (("p", _p(0)), ("q", _q(0))), (),
         ["instances[0] sources are a list, not a tuple"]),
+    # An output that is no (label, source) pair, or a field that is no
+    # sequence, leaves no slot known either: the shapes alone are
+    # reported, and a field with no length gives no line count.
+    "output-pair-of-one": (
+        ("a",), (), (), (("a",),), (),
+        ["outputs[0] is a tuple of 1, not a (label, source) pair"]),
+    "output-pair-of-three": (
+        ("a", "b"), (), (_fg(_A, _B),), (("p", _p(0), "x"), ("q", _q(0))), (),
+        ["outputs[0] is a tuple of 3, not a (label, source) pair"]),
+    "output-pair-an-int": (
+        ("a",), (), (), (5,), (),
+        ["outputs[0] is an int, not a tuple"]),
+    "output-pair-a-list-of-three": (
+        ("a",), (), (), (["a", _A, "x"],), (),
+        ["outputs[0] is a list, not a tuple"]),
+    "output-pair-a-generator": (
+        ("a",), (), (), ((part for part in ("a", _A)),), (),
+        ["outputs[0] is a generator, not a tuple"]),
+    "instances-None": (
+        ("a",), (), None, (("a", _A),), (),
+        ["instances is a NoneType, not a tuple"]),
+    "constants-an-int": (
+        ("a",), 5, (), (("a", _A),), (),
+        ["constants is an int, not a tuple"]),
+    "garbage-a-generator": (
+        ("a",), (), (), (("a", _A),), (source for source in ()),
+        ["garbage is a generator, not a tuple"]),
+    "no-sequence-among-others": (
+        ("a", "b"), (3,), None, (("a", _A), ("b",)), 7,
+        ["instances is a NoneType, not a tuple", "garbage is an int, not a tuple",
+         "outputs[1] is a tuple of 1, not a (label, source) pair",
+         "constant #0 is 3, not 0 or 1"]),
     # The other lines still come with them, in the report's order.
     "misfit-among-others": (
         ["a", "b"], (3,), (_fg(_A, _B), [_FG, (_p(0), _q(0))]), (["p", _p(1)],), (),

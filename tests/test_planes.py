@@ -28,9 +28,9 @@ from revlogic.designs import (
     oracle_bcd_add_number,
     verify_bcd_adder,
 )
-from revlogic.gates import BitWord, catalog_by_name
-from revlogic.netlist import Circuit, Instance, WidthMismatch, tile
-from test_simulate import build_custom_circuit
+from revlogic.gates import BitWord, GateDef, catalog_by_name
+from revlogic.netlist import Circuit, Instance, WidthMismatch, new_circuit, tile
+from test_simulate import NOT, build_custom_circuit
 
 
 def pack(words: list[int], width: int) -> list[int]:
@@ -100,6 +100,58 @@ class TestMapping:
             circuit.simulate(BitWord.from_int(v, circuit.width))
             for v in range(1 << circuit.width)
         ]
+
+
+@st.composite
+def drawn_gate_circuits(draw):
+    """One to three gates, each `random_gates`' (arity 1 to 6, so generated
+    kernels and the interpreted wide-gate one) or the NOT gate (whose ANF
+    A^1 has the constant monomial), placed on random lines of a pool of up
+    to 7, at most 6 of them inputs, then a random output/garbage split."""
+    placed = draw(st.lists(st.one_of(random_gates(), st.just(NOT)), min_size=1, max_size=3))
+    pool_size = max(gate.arity for gate in placed) + draw(st.integers(0, 1))
+    n_inputs = draw(st.integers(1, min(pool_size, 6)))
+    builder = new_circuit([f"i{k}" for k in range(n_inputs)])
+    pool = [*builder.inputs, *[builder.add_constant(draw(st.integers(0, 1)))
+                               for _ in range(pool_size - n_inputs)]]
+    for gate in placed:
+        picks = draw(st.permutations(range(pool_size)))[:gate.arity]
+        for k, wire in zip(picks, builder.add_gate(gate, [pool[k] for k in picks])):
+            pool[k] = wire
+    n_out = draw(st.integers(0, pool_size))
+    for k, wire in enumerate(pool[:n_out]):
+        builder.mark_output(wire, f"o{k}")
+    for wire in pool[n_out:]:
+        builder.mark_garbage(wire)
+    return builder.seal()
+
+
+def check_kernel_against_rows(gate) -> None:
+    """The gate's plane kernel on all 2^n words at once: pin p's plane has
+    bit j set where input word j (MSB-first) has pin p set."""
+    n, count = gate.arity, len(gate.rows)
+    planes = pack(list(range(count)), n)
+    outs = gate.plane_kernel(*planes, (1 << count) - 1)
+    assert pack(list(gate.rows), n) == list(outs), gate.name
+
+
+# The plane kernels, generated up to 4 inputs and interpreted above, meet
+# scalar `simulate` on every word; a gate's name never enters a kernel.
+@settings(max_examples=60)
+@given(drawn_gate_circuits())
+def test_drawn_gates_on_planes_match_scalar(circuit):
+    for gate in catalog_by_name().values():
+        check_kernel_against_rows(gate)
+    for inst in circuit.instances:
+        check_kernel_against_rows(inst.gate)
+    check_planes_match_scalar(circuit, list(range(1 << circuit.width)))
+    assert circuit.mapping() == [circuit.simulate(BitWord.from_int(v, circuit.width))
+                                 for v in range(1 << circuit.width)]
+    hostile = GateDef("x); import os; (", catalog_by_name()["NG"].rows)
+    builder = new_circuit(["a", "b", "c"])
+    for k, wire in enumerate(builder.add_gate(hostile, builder.inputs)):
+        builder.mark_output(wire, f"y{k}")
+    check_planes_match_scalar(builder.seal(), list(range(8)))
 
 
 # The term-by-term evaluation shares no code with the Möbius transform.
