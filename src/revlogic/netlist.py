@@ -179,8 +179,8 @@ def _misfit(inst) -> str:
     """Why `inst` is not a placed gate, the pair of a `GateDef` and a
     tuple of sources, or "" if it is one; an instance is unpacked only
     once it is a pair."""
-    if why := _unpaired(inst, "(gate, sources)"):
-        return why
+    if not (isinstance(inst, tuple) and len(inst) == 2):
+        return _unpaired(inst, "(gate, sources)")
     if not isinstance(inst[0], GateDef):
         return f"gate is {_article(inst[0])}, not a GateDef"
     if not isinstance(inst[1], tuple):

@@ -271,7 +271,8 @@ def elaborate(lines: tuple[_Line, ...]) -> Circuit:
                 consumed.update(read)
                 k = len(instances)
                 instances.append(tuple.__new__(Instance, (gate, tuple(ins))))
-                sources.update(zip(outs, [("gate", k, pin) for pin in range(len(outs))]))
+                for pin, name in enumerate(outs):
+                    sources[name] = ("gate", k, pin)
             elif keyword == "OUTPUT":
                 for index, name in enumerate(line.names(1, "output name"), 1):
                     source = line.resolve(sources, index)
