@@ -484,9 +484,10 @@ class Circuit:
             reads += in_slots
             size += arity
         try:
-            outputs = slots([source for _, source in self.outputs], size)
+            out_sources = [source for _, source in self.outputs]
         except (TypeError, ValueError):
             raise ValidationFailed(self._violations()) from None
+        outputs = slots(out_sources, size)
         garbage = slots(self.garbage, size)
         reads += outputs
         reads += garbage
